@@ -330,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     b1_sub = b1.add_subparsers(dest="b1_command", required=True)
     c = b1_sub.add_parser("closed-form")
     c.add_argument("--jet", required=True)
-    c.add_argument("--json", action="store_true")
     c.add_argument("--table", action="store_true")
     c.set_defaults(func=cmd_b1_closed_form)
     e = b1_sub.add_parser("engine")
     e.add_argument("--jet", required=True)
     e.add_argument("--terms", action="store_true",
                    help="emit the per-term expansion breakdown")
-    e.add_argument("--json", action="store_true")
     e.add_argument("--table", action="store_true")
     e.set_defaults(func=cmd_b1_engine)
     x = b1_sub.add_parser("crosscheck")

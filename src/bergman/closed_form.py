@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import InvalidJetError, NotKahlerError, NotPositiveError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet, lambda_scalars, validate_jet
+from .jet_checks import s_norm
 from .scalars import ExactScalar, rat
 
 _ZERO = ExactScalar.zero()
@@ -63,19 +64,6 @@ def _mat_sum_mixed(jet: GeometryJet):
     return out
 
 
-def restricted_gradient_norm(jet: GeometryJet, tensor) -> ExactScalar:
-    """sum_{i,j,k} |<(nabla_{u_i} .) u_j, u_k>|^2 in the normalized frame."""
-    n = jet.n
-    acc = _ZERO
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = tensor[i][j][k]
-                if not v.is_zero():
-                    acc = acc + v * tensor[n + i][n + j][n + k]
-    return acc.scale(8)
-
-
 def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
                check: bool = True) -> B1Result:
     """The full mixed-signature coefficient formula, evaluated exactly."""
@@ -91,7 +79,7 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     block = proj.scale(
         _trace_form_sum(jet).scale("1/4")
         - lam.contracted_divergence.scale("1/16")
-        - restricted_gradient_norm(jet, nbj).scale("1/144"))
+        - s_norm(nbj, n, first_barred=False).scale("1/144"))
     block = block + (_aux_endo(alg, _mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
 
     # mixed double transvection: wedge(l) contract(i) proj wedge(j) contract(k)
@@ -206,7 +194,7 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     nxj = jet.nablaXJ
 
     block = proj.scale(_trace_form_sum(jet).scale("1/4")
-                       - restricted_gradient_norm(jet, nxj).scale("1/144"))
+                       - s_norm(nxj, n, first_barred=False).scale("1/144"))
     block = block + (_aux_endo(alg, _mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
 
     for i in range(1, q + 1):

@@ -62,9 +62,6 @@ class ExteriorAlgebra:
     def basis_index(self, word: tuple[int, ...], e: int = 0) -> int:
         return self.word_index[word] * self.rk_e + e
 
-    def basis_labels(self) -> list[tuple[tuple[int, ...], int]]:
-        return [(w, e) for w in self.words for e in range(self.rk_e)]
-
     # -- elementary endomorphisms -------------------------------------------
 
     def zero_endo(self) -> "ExteriorEndo":
@@ -307,9 +304,13 @@ class ExteriorEndo:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __add__(self, other: "ExteriorEndo") -> "ExteriorEndo":
-        if self.alg is not other.alg and self.alg.dim != other.alg.dim:
+    def _check_same_algebra(self, other: "ExteriorEndo") -> None:
+        a, b = self.alg, other.alg
+        if a is not b and (a.n, a.rk_e) != (b.n, b.rk_e):
             raise ValueError("algebra mismatch")
+
+    def __add__(self, other: "ExteriorEndo") -> "ExteriorEndo":
+        self._check_same_algebra(other)
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out[k] + v if k in out else v
@@ -322,6 +323,7 @@ class ExteriorEndo:
         return self + (-other)
 
     def __matmul__(self, other: "ExteriorEndo") -> "ExteriorEndo":
+        self._check_same_algebra(other)
         cols: dict[int, list[tuple[int, ExactScalar]]] = {}
         for (r, c), v in other.entries.items():
             cols.setdefault(r, []).append((c, v))

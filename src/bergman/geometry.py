@@ -43,6 +43,7 @@ from .errors import (
 from .jet_checks import (  # noqa: F401  (re-exported: these are geometry operations)
     CheckReport,
     LambdaScalars,
+    _allzero,
     identity_suite,
     lambda_scalars,
     validate_jet,
@@ -249,16 +250,8 @@ class GeometryJet:
     def dim(self) -> int:
         return 2 * self.n
 
-    def conj_index(self, a: int) -> int:
-        return (a + self.n) % (2 * self.n)
-
     def is_torsion_free(self) -> bool:
-        def allzero(t) -> bool:
-            if isinstance(t, ExactScalar):
-                return t.is_zero()
-            return all(allzero(x) for x in t)
-
-        return allzero(self.Tas) and allzero(self.covTas) and allzero(self.dTas)
+        return _allzero(self.Tas) and _allzero(self.covTas) and _allzero(self.dTas)
 
     # -- serialization -------------------------------------------------------
 
@@ -345,9 +338,6 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
 
     cap = 2  # all derived fields need at most two more derivatives at 0
 
-    def S0(c: ExactScalar = _ZERO) -> Series:
-        return Series.const(dim, cap, c)
-
     # curvature 2-form of the line bundle: R = d dbar phi
     RL = mat_zero(dim, dim, cap)
     for a in range(n):
@@ -429,7 +419,7 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
     tensors["SB"] = tuple(
         tuple(tuple(tensors["Tas"][a][b][c].scale("-1/2") for c in range(dim))
               for b in range(dim)) for a in range(dim))
-    re_x = _relabel2_mat(re_mat, perm, rk_e)
+    re_x = _relabel2(re_mat, perm)
 
     jet = GeometryJet(
         n=n, q=q, rk_e=rk_e,
@@ -771,11 +761,6 @@ def _xi_permutation(n: int, q: int) -> list[int]:
 
 
 def _relabel2(t, perm):
-    dim = len(perm)
-    return tuple(tuple(t[perm[a]][perm[b]] for b in range(dim)) for a in range(dim))
-
-
-def _relabel2_mat(t, perm, rk_e):
     dim = len(perm)
     return tuple(tuple(t[perm[a]][perm[b]] for b in range(dim)) for a in range(dim))
 

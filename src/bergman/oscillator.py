@@ -16,10 +16,10 @@ Commutation rules used throughout:  [b_i, b_j^+] = -4 pi delta_ij,
 [g, b_j] = 2 dg/dxi_j, [g, b_j^+] = -2 dg/dxibar_j, and
 (b_j P)(Z,Z') = 2 pi (xibar_j - xibar'_j) P(Z,Z') with b_j^+ P = 0.
 
-Kernel products are exact Gaussian integrals: composing two states
-integrates out the middle variable by the closed-form moments of
-exp(-pi|w|^2 + a wbar + b w), keeping every coefficient inside the
-pi-Laurent Gaussian-rational field.
+Kernel products are exact Gaussian integrals, taken on the polynomial form
+(PolyGaussianForm) of a state: composing two kernels integrates out the
+middle variable by the closed-form moments of exp(-pi|w|^2 + a wbar + b w),
+keeping every coefficient inside the pi-Laurent Gaussian-rational field.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class OscillatorContext:
         z = self.zero_multi
         return TwoPointState(self, {(z, z, z, z): self._project_det})
 
-    def state_from_terms(self, terms: dict[TermKey, ExteriorEndo]) -> "TwoPointState":
-        return TwoPointState(self, terms)
-
 
 def _add_term(terms: dict[TermKey, ExteriorEndo], key: TermKey, endo: ExteriorEndo) -> None:
     if key in terms:
@@ -95,6 +92,23 @@ def _bump(m: Multi, j: int, by: int = 1) -> Multi:
     return m[:j] + (m[j] + by,) + m[j + 1:]
 
 
+def _capped_terms(ctx: OscillatorContext,
+                  terms: dict[TermKey, ExteriorEndo]) -> dict[TermKey, ExteriorEndo]:
+    """Drop zero terms; refuse any term whose total degree exceeds the cap."""
+    clean = {}
+    cap = ctx.degree_cap
+    for key, endo in terms.items():
+        if endo.is_zero():
+            continue
+        degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
+        if degree > cap:
+            raise DegreeCapError(
+                f"term degree {degree} exceeds cap {cap}; "
+                "raise BERGMAN_DEGREE_CAP if this is intentional")
+        clean[key] = endo
+    return clean
+
+
 class TwoPointState:
     """A finite normal-ordered combination of oscillator kernel terms."""
 
@@ -102,18 +116,7 @@ class TwoPointState:
 
     def __init__(self, ctx: OscillatorContext, terms: dict[TermKey, ExteriorEndo]):
         self.ctx = ctx
-        clean = {}
-        cap = ctx.degree_cap
-        for key, endo in terms.items():
-            if endo.is_zero():
-                continue
-            degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
-            if degree > cap:
-                raise DegreeCapError(
-                    f"term degree {degree} exceeds cap {cap}; "
-                    "raise BERGMAN_DEGREE_CAP if this is intentional")
-            clean[key] = endo
-        self.terms = clean
+        self.terms = _capped_terms(ctx, terms)
 
     # -- linear structure ----------------------------------------------------
 
@@ -240,12 +243,6 @@ class TwoPointState:
     def project_Nperp(self) -> "TwoPointState":
         return self - self.project_N()
 
-    def project_N0(self) -> "TwoPointState":
-        """Kernel projection of the bare oscillator (alpha = 0, every sector)."""
-        z = self.ctx.zero_multi
-        out = {k: v for k, v in self.terms.items() if k[0] == z}
-        return TwoPointState(self.ctx, out)
-
     def project_N0perp(self) -> "TwoPointState":
         z = self.ctx.zero_multi
         out = {k: v for k, v in self.terms.items() if k[0] != z}
@@ -305,82 +302,29 @@ class TwoPointState:
             acc = acc + s.apply_endo(endo)
         return acc
 
-    # -- evaluation -------------------------------------------------------------
-
-    def evaluate_origin(self) -> ExteriorEndo:
-        """Kernel value at Z = Z' = 0 (the vacuum kernel is 1 there)."""
-        z = self.ctx.zero_multi
-        acc = self.ctx.alg.zero_endo()
-        for (a, b, g, d), endo in self.to_poly().terms.items():
-            if a == z and b == z and g == z and d == z:
-                acc = acc + endo
-        return acc
-
     def restrict_second_zero(self) -> "TwoPointState":
         """Kernel against second argument zero: primed monomials drop out."""
         z = self.ctx.zero_multi
         out = {k: v for k, v in self.terms.items() if k[2] == z and k[3] == z}
         return TwoPointState(self.ctx, out)
 
-    def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
-        """Kernel at Z = 0 as a polynomial in the primed variables."""
-        z = self.ctx.zero_multi
-        out: dict[tuple[Multi, Multi], ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.to_poly().terms.items():
-            if a == z and b == z:
-                key = (g, d)
-                if key in out:
-                    out[key] = out[key] + endo
-                else:
-                    out[key] = endo
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    # -- kernel evaluation, adjoint and composition: see PolyGaussianForm --------
 
-    # -- kernel adjoint and composition -------------------------------------------
+    def evaluate_origin(self) -> ExteriorEndo:
+        return self.to_poly().evaluate_origin()
+
+    def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
+        return self.to_poly().evaluate_first_zero()
 
     def adjoint(self) -> "TwoPointState":
-        """Kernel adjoint: swap arguments, conjugate, adjoint the sector part."""
-        poly = self.to_poly()
-        out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in poly.terms.items():
-            _add_term(out, (d, g, b, a), endo.adjoint())
-        return TwoPointState.from_poly(PolyGaussianForm(self.ctx, out))
+        return TwoPointState.from_poly(self.to_poly().adjoint())
 
     def compose(self, other: "TwoPointState") -> "TwoPointState":
-        """Exact integral over the shared middle argument of self(Z,W) other(W,Z')."""
-        ctx = self.ctx
-        n = ctx.n
-        pa = self.to_poly()
-        pb = other.to_poly()
-        out: dict[TermKey, ExteriorEndo] = {}
-        for (a1, b1, g1, d1), e1 in pa.terms.items():
-            for (a2, b2, g2, d2), e2 in pb.terms.items():
-                endo = e1 @ e2
-                if endo.is_zero():
-                    continue
-                base = endo
-                # per-mode moments of w^(g1+a2) wbar^(d1+b2) against the middle Gaussian
-                monos: list[tuple[Multi, Multi, ExactScalar]] = [
-                    ((0,) * n, (0,) * n, rat(1))]
-                for j in range(n):
-                    wp = g1[j] + a2[j]
-                    wb = d1[j] + b2[j]
-                    factors = _mode_moment(wp, wb)
-                    monos = [
-                        (_bump(xi, j, dx) if dx else xi,
-                         _bump(bp, j, db) if db else bp,
-                         c0 * cf)
-                        for (xi, bp, c0) in monos
-                        for (dx, db, cf) in factors
-                    ]
-                for (xi_extra, bp_extra, coeff) in monos:
-                    key = (tuple(x + y for x, y in zip(a1, xi_extra)), b1, g2,
-                           tuple(x + y for x, y in zip(d2, bp_extra)))
-                    _add_term(out, key, base.scale(coeff))
-        return TwoPointState.from_poly(PolyGaussianForm(ctx, out))
+        return TwoPointState.from_poly(self.to_poly().compose(other.to_poly()))
 
     def pair(self, other: "TwoPointState") -> ExteriorEndo:
         """Gram pairing of kernel columns: integral of self(W,0)^* other(W,0)."""
-        return self.adjoint().compose(other).evaluate_origin()
+        return self.to_poly().adjoint().compose(other.to_poly()).evaluate_origin()
 
     def to_json(self) -> list[dict[str, object]]:
         """Debug dump of the canonical term list; no stable wire format promised."""
@@ -397,18 +341,66 @@ class TwoPointState:
 
 
 class PolyGaussianForm:
-    """Polynomial-times-vacuum-kernel form of a state; interconvertible with it."""
+    """A kernel as polynomial times the vacuum kernel: (xi, xibar, primed,
+    barred-primed) monomials with sector coefficients.
+
+    Kernels are evaluated, adjointed and composed in this form; states
+    convert to it with `TwoPointState.to_poly` and back with `from_poly`.
+    """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: OscillatorContext, terms: dict[TermKey, ExteriorEndo]):
         self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = _capped_terms(ctx, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyGaussianForm):
             return NotImplemented
         return self.terms == other.terms
+
+    def evaluate_origin(self) -> ExteriorEndo:
+        """Kernel value at Z = Z' = 0 (the vacuum kernel is 1 there)."""
+        z = self.ctx.zero_multi
+        return self.terms.get((z, z, z, z), self.ctx.alg.zero_endo())
+
+    def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
+        """Kernel at Z = 0 as a polynomial in the primed variables."""
+        z = self.ctx.zero_multi
+        return {(g, d): endo for (a, b, g, d), endo in self.terms.items()
+                if a == z and b == z}
+
+    def adjoint(self) -> "PolyGaussianForm":
+        """Kernel adjoint: swap arguments, conjugate, adjoint the sector part."""
+        return PolyGaussianForm(self.ctx, {(d, g, b, a): endo.adjoint()
+                                           for (a, b, g, d), endo in self.terms.items()})
+
+    def compose(self, other: "PolyGaussianForm") -> "PolyGaussianForm":
+        """Exact integral over the shared middle argument of self(Z,W) other(W,Z')."""
+        n = self.ctx.n
+        out: dict[TermKey, ExteriorEndo] = {}
+        for (a1, b1, g1, d1), e1 in self.terms.items():
+            for (a2, b2, g2, d2), e2 in other.terms.items():
+                endo = e1 @ e2
+                if endo.is_zero():
+                    continue
+                # per-mode moments of w^(g1+a2) wbar^(d1+b2) against the middle Gaussian
+                monos: list[tuple[Multi, Multi, ExactScalar]] = [
+                    ((0,) * n, (0,) * n, rat(1))]
+                for j in range(n):
+                    factors = _mode_moment(g1[j] + a2[j], d1[j] + b2[j])
+                    monos = [
+                        (_bump(xi, j, dx) if dx else xi,
+                         _bump(bp, j, db) if db else bp,
+                         c0 * cf)
+                        for (xi, bp, c0) in monos
+                        for (dx, db, cf) in factors
+                    ]
+                for (xi_extra, bp_extra, coeff) in monos:
+                    key = (tuple(x + y for x, y in zip(a1, xi_extra)), b1, g2,
+                           tuple(x + y for x, y in zip(d2, bp_extra)))
+                    _add_term(out, key, endo.scale(coeff))
+        return PolyGaussianForm(self.ctx, out)
 
     def apply_L0_directly(self) -> "PolyGaussianForm":
         """Independent oracle: L0 as a raw differential operator on the polynomial."""

@@ -27,83 +27,30 @@ from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet, validate_jet
 from .oscillator import OscillatorContext, TwoPointState
 from .scalars import ExactScalar, rat
+from .series import Series
 
-_ZERO = ExactScalar.zero()
-
-Poly = dict[tuple[tuple[int, ...], tuple[int, ...]], ExactScalar]
 Operator = Callable[[TwoPointState], TwoPointState]
 
-
-# ---------------------------------------------------------------------------
-# small polynomial helpers (coefficients of multiplication operators)
-# ---------------------------------------------------------------------------
-
-
-def _poly_zero() -> Poly:
-    return {}
+# Coefficients of multiplication operators are polynomials in (xi, xibar):
+# series in 2n variables, xi_j as variable j and xibar_j as variable n + j.
+# The gradient square is the only quartic one.
+_CAP = 4
 
 
-def _poly_add(p: Poly, key, c: ExactScalar) -> None:
-    if key in p:
-        p[key] = p[key] + c
-    else:
-        p[key] = c
-
-
-def _poly_var(n: int, a: int) -> Poly:
+def _var(n: int, a: int) -> Series:
     """The coordinate monomial Z_a as a polynomial in (xi, xibar)."""
-    if a < n:
-        key = (tuple(1 if i == a else 0 for i in range(n)), (0,) * n)
-    else:
-        key = ((0,) * n, tuple(1 if i == a - n else 0 for i in range(n)))
-    return {key: rat(1)}
+    return Series.var(2 * n, _CAP, a)
 
 
-def _poly_mul(n: int, p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            key = (tuple(x + y for x, y in zip(a1, a2)),
-                   tuple(x + y for x, y in zip(b1, b2)))
-            _poly_add(out, key, c1 * c2)
-    return out
-
-
-def _poly_scale(p: Poly, c: ExactScalar) -> Poly:
-    return {k: v * c for k, v in p.items()}
-
-
-def _poly_accum(p: Poly, q: Poly) -> None:
-    for k, c in q.items():
-        _poly_add(p, k, c)
-
-
-def _poly_diff(n: int, p: Poly, a: int) -> Poly:
-    out: Poly = {}
-    for (xe, be), c in p.items():
-        if a < n:
-            if xe[a]:
-                key = (xe[:a] + (xe[a] - 1,) + xe[a + 1:], be)
-                _poly_add(out, key, c.scale(xe[a]))
-        else:
-            j = a - n
-            if be[j]:
-                key = (xe, be[:j] + (be[j] - 1,) + be[j + 1:])
-                _poly_add(out, key, c.scale(be[j]))
-    return out
-
-
-def _apply_poly(state: TwoPointState, p: Poly) -> TwoPointState:
+def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
+    n = state.ctx.n
     acc = TwoPointState(state.ctx, {})
-    for (xe, be), c in p.items():
-        if c.is_zero():
-            continue
+    for e, c in p.terms.items():
         s = state
-        for j, k in enumerate(xe):
-            for _ in range(k):
+        for j in range(n):
+            for _ in range(e[j]):
                 s = s.mul_xi(j)
-        for j, k in enumerate(be):
-            for _ in range(k):
+            for _ in range(e[n + j]):
                 s = s.mul_xibar(j)
         acc = acc + s.scale(c)
     return acc
@@ -122,7 +69,10 @@ def _apply_nabla0(state: TwoPointState, a: int) -> TwoPointState:
 
 
 def _v_to_xi(n: int, q: int, label: int) -> int:
-    """Map a holomorphic-frame label to the xi-frame coordinate label."""
+    """Map a holomorphic-frame label to the xi-frame coordinate label.
+
+    The map is an involution, so it also maps xi-frame labels back.
+    """
     if label < n:
         return n + label if label < q else label
     j = label - n
@@ -164,22 +114,21 @@ def build_O1_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     n = jet.n
     dim = 2 * n
 
-    hplus: list[Poly] = []
-    hminus: list[Poly] = []
+    hplus: list[Series] = []
+    hminus: list[Series] = []
     for j in range(n):
-        pp: Poly = {}
-        pm: Poly = {}
+        pp = pm = Series.zero(dim, _CAP)
         for a in range(dim):
             for b in range(dim):
                 cp = jet.dRL1[a][b][j]
                 cm = jet.dRL1[a][b][n + j]
                 if cp.is_zero() and cm.is_zero():
                     continue
-                mono = _poly_mul(n, _poly_var(n, a), _poly_var(n, b))
+                mono = _var(n, a) * _var(n, b)
                 if not cp.is_zero():
-                    _poly_accum(pp, _poly_scale(mono, cp))
+                    pp = pp + mono.scale(cp)
                 if not cm.is_zero():
-                    _poly_accum(pm, _poly_scale(mono, cm))
+                    pm = pm + mono.scale(cm)
         hplus.append(pp)
         hminus.append(pm)
 
@@ -188,9 +137,9 @@ def build_O1_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     def op(state: TwoPointState) -> TwoPointState:
         acc = TwoPointState(state.ctx, {})
         for j in range(n):
-            if hplus[j]:
+            if not hplus[j].is_zero():
                 acc = acc - _apply_poly(state.apply_bdag(j), hplus[j]).scale(two_thirds)
-            if hminus[j]:
+            if not hminus[j].is_zero():
                 acc = acc + _apply_poly(state, hminus[j]).apply_b(j).scale(two_thirds)
         return acc
 
@@ -215,7 +164,7 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     def op(state: TwoPointState) -> TwoPointState:
         acc = prime(state)
         for a, endo in cliff:
-            acc = acc + _apply_poly(state.apply_endo(endo), _poly_var(n, a))
+            acc = acc + _apply_poly(state.apply_endo(endo), _var(n, a))
         return acc
 
     return op
@@ -230,41 +179,39 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     alg = ctx.alg
     part = lambda a: (a + n) % dim
 
+    zero = Series.zero(dim, _CAP)
+
     # (1/3) <R(Z, e_i) Z, e_j> nabla_i nabla_j ; double frame resolution
-    kpoly: dict[tuple[int, int], Poly] = {}
+    kpoly: dict[tuple[int, int], Series] = {}
     for a in range(dim):
         for b in range(dim):
-            p: Poly = {}
+            p = zero
             for c in range(dim):
                 for d in range(dim):
                     v = jet.RTX[c][part(a)][d][part(b)]
                     if not v.is_zero():
-                        _poly_accum(p, _poly_scale(
-                            _poly_mul(n, _poly_var(n, c), _poly_var(n, d)), v))
-            if p:
-                kpoly[(a, b)] = _poly_scale(p, rat("4/3"))
+                        p = p + (_var(n, c) * _var(n, d)).scale(v)
+            if not p.is_zero():
+                kpoly[(a, b)] = p.scale(rat("4/3"))
 
     # single-derivative coefficients
-    single: list[Poly] = [
-        _poly_zero() for _ in range(dim)]
+    single: list[Series] = []
     single_aux: list[list] = [[] for _ in range(dim)]
     for a in range(dim):
         pa = part(a)
-        p: Poly = {}
+        p = zero
         for c in range(dim):
             for b in range(dim):
                 v = jet.RTX[c][b][part(b)][pa]
                 if not v.is_zero():
-                    _poly_accum(p, _poly_scale(_poly_var(n, c), v.scale("4/3")))
+                    p = p + _var(n, c).scale(v.scale("4/3"))
         for k in range(dim):
             for l in range(dim):
                 for m in range(dim):
                     v = jet.dRL2[k][l][m][pa]
                     if not v.is_zero():
-                        mono = _poly_mul(n, _poly_mul(n, _poly_var(n, k), _poly_var(n, l)),
-                                         _poly_var(n, m))
-                        _poly_accum(p, _poly_scale(mono, v.scale("-1/4")))
-        single[a] = _poly_scale(p, rat(2))
+                        p = p + (_var(n, k) * _var(n, l) * _var(n, m)).scale(v.scale("-1/4"))
+        single.append(p.scale(rat(2)))
         for c in range(dim):
             mat = jet.RE[c][pa]
             if any(not x.is_zero() for row in mat for x in row):
@@ -272,43 +219,38 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                     [[x.scale(-2) for x in row] for row in mat])))
 
     # scalar multiplication pieces
-    divergence: Poly = {}
+    divergence = zero
     for a in range(dim):
-        kp: Poly = {}
+        kp = zero
         for k in range(dim):
             for l in range(dim):
                 for m in range(dim):
                     v = jet.dRL2[k][l][m][part(a)]
                     if not v.is_zero():
-                        mono = _poly_mul(n, _poly_mul(n, _poly_var(n, k), _poly_var(n, l)),
-                                         _poly_var(n, m))
-                        _poly_accum(kp, _poly_scale(mono, v.scale("1/2")))
-        _poly_accum(divergence, _poly_diff(n, kp, a))
-    divergence = _poly_scale(divergence, rat("-1/2"))  # -1/4 times resolution factor 2
+                        kp = kp + (_var(n, k) * _var(n, l) * _var(n, m)).scale(v.scale("1/2"))
+        divergence = divergence + kp.diff(a)
+    divergence = divergence.scale(rat("-1/2"))  # -1/4 times resolution factor 2
 
-    gradient_sq: Poly = {}
-    mvec: list[Poly] = []
+    gradient_sq = zero
+    mvec: list[Series] = []
     for a in range(dim):
-        p: Poly = {}
+        p = zero
         for k in range(dim):
             for c in range(dim):
                 v = jet.dRL1[k][c][a]
                 if not v.is_zero():
-                    _poly_accum(p, _poly_scale(
-                        _poly_mul(n, _poly_var(n, k), _poly_var(n, c)), v))
+                    p = p + (_var(n, k) * _var(n, c)).scale(v)
         mvec.append(p)
     for a in range(dim):
-        _poly_accum(gradient_sq,
-                    _poly_scale(_poly_mul(n, mvec[a], mvec[part(a)]), rat("-2/9")))
+        gradient_sq = gradient_sq + (mvec[a] * mvec[part(a)]).scale(rat("-2/9"))
 
-    commutator_n: Poly = {}
+    commutator_n = zero
     for a in range(dim):
         for c in range(dim):
             for d in range(dim):
                 v = jet.RTX[c][a][d][part(a)]
                 if not v.is_zero():
-                    _poly_accum(commutator_n, _poly_scale(
-                        _poly_mul(n, _poly_var(n, c), _poly_var(n, d)), v.scale(2)))
+                    commutator_n = commutator_n + (_var(n, c) * _var(n, d)).scale(v.scale(2))
 
     def op(state: TwoPointState) -> TwoPointState:
         acc = TwoPointState(state.ctx, {})
@@ -316,17 +258,17 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
             acc = acc + _apply_poly(_apply_nabla0(_apply_nabla0(state, b), a), p)
         for a in range(dim):
             der = None
-            if single[a] or single_aux[a]:
+            if not single[a].is_zero() or single_aux[a]:
                 der = _apply_nabla0(state, a)
-            if single[a]:
+            if not single[a].is_zero():
                 acc = acc + _apply_poly(der, single[a])
             for c, endo in single_aux[a]:
-                acc = acc + _apply_poly(der.apply_endo(endo), _poly_var(n, c))
-        if divergence:
+                acc = acc + _apply_poly(der.apply_endo(endo), _var(n, c))
+        if not divergence.is_zero():
             acc = acc + _apply_poly(state, divergence)
-        if gradient_sq:
+        if not gradient_sq.is_zero():
             acc = acc + _apply_poly(state, gradient_sq)
-        if commutator_n:
+        if not commutator_n.is_zero():
             ns = _apply_poly(state, commutator_n)
             acc = acc - (ns.apply_L0() - _apply_poly(state.apply_L0(), commutator_n)).scale(rat("1/12"))
         return acc
@@ -380,7 +322,7 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                 continue
             # (1/2) R^E(e_l, e_m) c c: prefactor 2, quarter-sum 1/4, v-frame
             # components twice the coordinate ones: net coefficient 1
-            pair = alg.clifford_pair(_v_to_label(n, q, a), _v_to_label(n, q, b))
+            pair = alg.clifford_pair(_v_to_xi(n, q, a), _v_to_xi(n, q, b))
             re_cliff = re_cliff + (pair @ alg.endo_from_aux_matrix(mat))
     psi = build_psi_endo(jet, alg)
     const_endo = mixed_form + re_cliff + alg.scalar_endo(jet.rX.scale("1/4")) - psi
@@ -392,24 +334,14 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                 moved = state.apply_bdag(b).apply_endo(endo).scale(rat(-1))
             else:
                 moved = state.apply_b(b - n).apply_endo(endo)
-            acc = acc + _apply_poly(moved, _poly_var(n, a))
+            acc = acc + _apply_poly(moved, _var(n, a))
         for (a, b), endo in d2j_endo.items():
-            acc = acc + _apply_poly(
-                state.apply_endo(endo),
-                _poly_mul(n, _poly_var(n, a), _poly_var(n, b)))
+            acc = acc + _apply_poly(state.apply_endo(endo), _var(n, a) * _var(n, b))
         if not const_endo.is_zero():
             acc = acc + state.apply_endo(const_endo)
         return acc
 
     return op
-
-
-def _v_to_label(n: int, q: int, xi_label: int) -> int:
-    """Inverse of _v_to_xi: xi-frame coordinate label to holomorphic frame label."""
-    if xi_label < n:
-        return n + xi_label if xi_label < q else xi_label
-    j = xi_label - n
-    return j if j < q else n + j
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +368,8 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
     resolved_once = o1(pn).project_Nperp().resolvent_L20()
     t1 = o1(resolved_once).project_Nperp().resolvent_L20()
     t2 = o2(pn).project_Nperp().resolvent_L20()
-    t5 = resolved_once.compose(resolved_once.adjoint())
+    rp = resolved_once.to_poly()
+    t5 = rp.compose(rp.adjoint())
     t6 = o1(resolved_once.resolvent_L20()).project_N()
 
     v1 = t1.evaluate_origin()

@@ -27,6 +27,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+    # JSON is the only output format; there is no --json switch
+    for route in ("closed-form", "engine"):
+        with pytest.raises(SystemExit) as err:
+            main(["b1", route, "--jet", "jet.json", "--json"])
+        assert err.value.code == 2
 
 
 def test_jet_build_and_closed_form(tmp_path, capsys):

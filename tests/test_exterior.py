@@ -249,3 +249,19 @@ def test_json_roundtrip():
     alg = ExteriorAlgebra(2, 2)
     endo = (alg.wedge(1) @ alg.contract(2)).scale(rat("3/7", "1/2", -1))
     assert ExteriorEndo.from_json(alg, endo.to_json()) == endo
+
+
+def test_endos_of_different_algebras_do_not_mix():
+    # n=2 with rank 2 and n=3 with rank 1 both have dimension 8
+    a = ExteriorAlgebra(2, 2).identity()
+    b = ExteriorAlgebra(3, 1).identity()
+    assert a.alg.dim == b.alg.dim == 8
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    # separately built algebras of the same shape still combine
+    c = ExteriorAlgebra(2, 2).identity()
+    assert a + c == a.scale(rat(2))
+    assert a @ c == a

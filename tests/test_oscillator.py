@@ -292,6 +292,26 @@ def test_operators_self_adjoint_in_pairing(ctx):
         assert x.apply_L20().pair(y) == x.pair(y.apply_L20())
 
 
+def test_pair_agrees_with_state_path(ctx):
+    """pair stays on the polynomial form; the state-form bridges go through
+    from_poly and must give the same value."""
+    rng = random.Random(13)
+    for _ in range(20):
+        x = random_state(ctx, rng)
+        y = random_state(ctx, rng)
+        assert x.pair(y) == x.adjoint().compose(y).evaluate_origin()
+
+
+def test_poly_compose_degree_cap():
+    ctx = OscillatorContext(1, 0, degree_cap=4)
+    s = ctx.vacuum().mul_xi(0).mul_xi(0).mul_primed(0).mul_primed(0)
+    p = s.to_poly()
+    with pytest.raises(DegreeCapError):
+        p.compose(p)
+    with pytest.raises(DegreeCapError):
+        s.compose(s)
+
+
 def test_degree_cap_enforced():
     ctx = OscillatorContext(1, 0, degree_cap=3)
     s = ctx.vacuum()
