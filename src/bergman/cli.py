@@ -16,7 +16,7 @@ import json
 import sys
 
 from .closed_form import b1_formula
-from .errors import BergmanError
+from .errors import BergmanError, InvalidJetError, UsageError
 from .exterior import ExteriorAlgebra
 from .geometry import (
     GeometryJet,
@@ -34,7 +34,7 @@ from .models import (
     fit_expansion,
     rrh_coefficients,
 )
-from .oscillator import OscillatorContext
+from .oscillator import OscillatorContext, _mode_moment
 from .perturbation import b1_engine, build_O1, compute_F2_terms, engine_context
 from .scalars import ExactScalar, rat
 
@@ -68,11 +68,21 @@ def _tabulate(payload: dict, prefix: str = "") -> list[str]:
 
 def _load_jet(path: str) -> GeometryJet:
     with open(path) as fh:
-        return GeometryJet.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidJetError(f"{path} is not a JSON jet: {exc}") from None
+    return GeometryJet.from_json(data)
 
 
-def _scalar_str(x: ExactScalar) -> str:
-    return str(x)
+def _load_valid_jet(path: str) -> GeometryJet | None:
+    """Load a jet file and validate it; on failure print the report and return None."""
+    jet = _load_jet(path)
+    report = validate_jet(jet)
+    if report.ok:
+        return jet
+    _emit(report.to_json())
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +123,19 @@ def cmd_jet_random(args) -> int:
 
 
 def cmd_b1_closed_form(args) -> int:
-    jet = _load_jet(args.jet)
-    report = validate_jet(jet)
-    if not report.ok:
-        _emit(report.to_json())
+    jet = _load_valid_jet(args.jet)
+    if jet is None:
         return EXIT_VALIDATION
     res = b1_formula(jet, check=False)
     payload = res.to_json()
-    payload["trace_pretty"] = _scalar_str(res.trace)
+    payload["trace_pretty"] = str(res.trace)
     _emit(payload, table=args.table)
     return EXIT_OK
 
 
 def cmd_b1_engine(args) -> int:
-    jet = _load_jet(args.jet)
-    report = validate_jet(jet)
-    if not report.ok:
-        _emit(report.to_json())
+    jet = _load_valid_jet(args.jet)
+    if jet is None:
         return EXIT_VALIDATION
     ctx = engine_context(jet)
     terms: dict = {}
@@ -138,7 +144,7 @@ def cmd_b1_engine(args) -> int:
         terms = {name: endo.to_json() for name, endo in named.items()}
     res = b1_engine(jet, ctx, check=False)
     payload = res.to_json()
-    payload["trace_pretty"] = _scalar_str(res.trace)
+    payload["trace_pretty"] = str(res.trace)
     if terms:
         payload["terms"] = terms
     _emit(payload, table=args.table)
@@ -146,24 +152,22 @@ def cmd_b1_engine(args) -> int:
 
 
 def cmd_b1_crosscheck(args) -> int:
-    jet = _load_jet(args.jet)
-    report = validate_jet(jet)
-    if not report.ok:
-        _emit(report.to_json())
+    jet = _load_valid_jet(args.jet)
+    if jet is None:
         return EXIT_VALIDATION
     closed = b1_formula(jet, check=False)
     engine = b1_engine(jet, check=False)
     if closed.endo == engine.endo:
         _emit({"jet_id": jet.jet_id, "match": True,
-               "trace": _scalar_str(closed.trace)})
+               "trace": str(closed.trace)})
         return EXIT_OK
     diff = closed.endo - engine.endo
     _emit({
         "jet_id": jet.jet_id,
         "match": False,
-        "closed_form_trace": _scalar_str(closed.trace),
-        "engine_trace": _scalar_str(engine.trace),
-        "difference": {f"{r},{c}": _scalar_str(v)
+        "closed_form_trace": str(closed.trace),
+        "engine_trace": str(engine.trace),
+        "difference": {f"{r},{c}": str(v)
                        for (r, c), v in sorted(diff.entries.items())},
     })
     return EXIT_MISMATCH
@@ -214,11 +218,9 @@ def cmd_rrh(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(_args) -> int:
+def pinned_oracles() -> list[tuple[str, bool]]:
+    """Pinned exact constants of the Clifford and resolvent calculus, as (name, ok)."""
     checks: list[tuple[str, bool]] = []
-
-    def record(name: str, ok: bool):
-        checks.append((name, ok))
 
     # curvature Clifford action equals the degree operator shift
     n, q = 2, 1
@@ -226,70 +228,68 @@ def cmd_selftest(_args) -> int:
 
     def model_curv(t):
         a, b = t
-        def val(x, y):
-            if x < n and y == x + n:
-                return ExactScalar.pi(1, -2 if x < q else 2)
-            return None
-        v = val(a, b)
-        if v is None:
-            w = val(b, a)
-            v = -w if w is not None else ExactScalar.zero()
-        return v
+        if a < n and b == a + n:
+            return ExactScalar.pi(1, -2 if a < q else 2)
+        if b < n and a == b + n:
+            return ExactScalar.pi(1, 2 if b < q else -2)
+        return ExactScalar.zero()
 
-    lhs = alg.clifford_of_form(2, model_curv)
-    rhs = alg.omega_d(q).scale(rat(-2)) - alg.scalar_endo(ExactScalar.pi(1, 2 * n))
-    record("clifford-curvature-action", lhs == rhs)
+    checks.append(("clifford-curvature-action", alg.clifford_of_form(2, model_curv)
+                   == alg.omega_d(q).scale(rat(-2))
+                   - alg.scalar_endo(ExactScalar.pi(1, 2 * n))))
 
     ctx = OscillatorContext(2, 1)
     vac = ctx.vacuum()
-    record("creation-annihilates-vacuum", vac.apply_bdag(0).is_zero())
-    got = vac.apply_b(0).to_poly().terms
-    want_keys = {((0, 0), (1, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0), (1, 0))}
-    record("annihilator-on-vacuum", set(got) == want_keys)
+    ident = ctx.alg.identity()
+    z = (0, 0)
+    checks.append(("creation-annihilates-vacuum",
+                   vac.apply_bdag(0).is_zero() and vac.apply_bdag(1).is_zero()))
+    checks.append(("annihilator-on-vacuum", vac.apply_b(0).to_poly().terms == {
+        (z, (1, 0), z, z): ident.scale(ExactScalar.pi(1, 2)),
+        (z, z, z, (1, 0)): ident.scale(ExactScalar.pi(1, -2))}))
 
     s = vac.apply_b(0).mul_xi(0).project_N0perp().resolvent_L0().evaluate_origin()
-    record("resolved-gradient-constant",
-           s == ctx.alg.identity().scale(ExactScalar.pi(-1, "-1/2")))
+    checks.append(("resolved-gradient-constant",
+                   s == ident.scale(ExactScalar.pi(-1, "-1/2"))))
     s = vac.mul_xibar(0).mul_xi(0).project_N0perp().resolvent_L0().evaluate_origin()
-    record("resolved-hessian-constant",
-           s == ctx.alg.identity().scale(ExactScalar.pi(-2, "-1/4")))
+    checks.append(("resolved-hessian-constant",
+                   s == ident.scale(ExactScalar.pi(-2, "-1/4"))))
 
-    E0 = ctx.alg.wedge(2) @ ctx.alg.contract(1) @ ctx.alg.project_det(1)
-    v = ctx.kernel_projector().apply_endo(E0).apply_b(0).mul_xi(0) \
+    E = ctx.alg.wedge(2) @ ctx.alg.contract(1) @ ctx.alg.project_det(1)
+    start = ctx.kernel_projector().apply_endo(E)
+    v = start.apply_b(0).mul_xi(0).resolvent_L20().evaluate_origin()
+    checks.append(("sector-resolved-gradient", v == E.scale(ExactScalar.pi(-1, "1/12"))))
+    v = start.mul_xibar(0).mul_xi(0).resolvent_L20().evaluate_origin()
+    checks.append(("sector-resolved-hessian", v == E.scale(ExactScalar.pi(-2, "1/24"))))
+
+    big = OscillatorContext(4, 2)
+    E2 = (big.alg.wedge(3) @ big.alg.wedge(4) @ big.alg.contract(1)
+          @ big.alg.contract(2) @ big.alg.project_det(2))
+    v = big.kernel_projector().apply_endo(E2).mul_xibar(0).mul_xi(0) \
         .resolvent_L20().evaluate_origin()
-    record("sector-resolved-gradient", v == E0.scale(ExactScalar.pi(-1, "1/12")))
-    v = ctx.kernel_projector().apply_endo(E0).mul_xibar(0).mul_xi(0) \
-        .resolvent_L20().evaluate_origin()
-    record("sector-resolved-hessian", v == E0.scale(ExactScalar.pi(-2, "1/24")))
+    checks.append(("double-defect-resolved-hessian",
+                   v == E2.scale(ExactScalar.pi(-2, "1/80"))))
 
-    ctx4 = OscillatorContext(4, 2)
-    E2 = (ctx4.alg.wedge(3) @ ctx4.alg.wedge(4) @ ctx4.alg.contract(1)
-          @ ctx4.alg.contract(2) @ ctx4.alg.project_det(2))
-    v = ctx4.kernel_projector().apply_endo(E2).mul_xibar(0).mul_xi(0) \
-        .resolvent_L20().evaluate_origin()
-    record("double-defect-resolved-hessian",
-           v == E2.scale(ExactScalar.pi(-2, "1/80")))
+    checks.append(("gaussian-moment-primitive",
+                   _mode_moment(1, 1) == [(1, 1, rat(1)), (0, 0, ExactScalar.pi(-1))]))
+    return checks
 
-    from .oscillator import _mode_moment
-    record("gaussian-moment-primitive",
-           _mode_moment(1, 1) == [(1, 1, rat(1)), (0, 0, ExactScalar.pi(-1))])
 
+def cmd_selftest(_args) -> int:
+    checks = pinned_oracles()
+
+    # the kernel-to-kernel block of the first-order operator vanishes
     jet = jet_from_potential(random_potential(2, 1, 7), n=2, q=1)
     ctx = engine_context(jet)
     o1 = build_O1(jet, ctx)
-    ok = True
-    for j in range(2):
-        s = ctx.kernel_projector().mul_xi(j)
-        if not o1(s).project_N().is_zero():
-            ok = False
-    record("first-order-kernel-block-vanishes",
-           ok and o1(ctx.kernel_projector()).project_N().is_zero())
+    pn = ctx.kernel_projector()
+    checks.append(("first-order-kernel-block-vanishes",
+                   all(o1(s).project_N().is_zero() for s in (pn, pn.mul_xi(0), pn.mul_xi(1)))))
 
-    all_ok = all(ok for _, ok in checks)
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"selftest: {sum(ok for _, ok in checks)}/{len(checks)} passed")
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BergmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

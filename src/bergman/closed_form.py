@@ -48,10 +48,6 @@ def _require_valid(jet: GeometryJet) -> None:
         raise InvalidJetError("; ".join(name for name, _ in rep.failures()))
 
 
-def _aux_endo(alg: ExteriorAlgebra, mat) -> ExteriorEndo:
-    return alg.endo_from_aux_matrix(mat)
-
-
 def _mat_sum_mixed(jet: GeometryJet):
     """sum_j RE[u_j][ubar_j] as an auxiliary matrix, normalized frame."""
     n, rk = jet.n, jet.rk_e
@@ -80,7 +76,7 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
         _trace_form_sum(jet).scale("1/4")
         - lam.contracted_divergence.scale("1/16")
         - s_norm(nbj, n, first_barred=False).scale("1/144"))
-    block = block + (_aux_endo(alg, _mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
+    block = block + (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
 
     # mixed double transvection: wedge(l) contract(i) proj wedge(j) contract(k)
     for i in range(1, q + 1):
@@ -110,7 +106,8 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
             coeff = p_sc - d2j.scale(0, "4/3")  # -(i/3) * 4(slot factor)
             op = alg.wedge(k) @ alg.contract(j) @ proj
             block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ _aux_endo(alg, _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
+            block = block + (op @ alg.endo_from_aux_matrix(
+                _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
 
             p_sc = lam.p_form[k - 1][j - 1].scale(2)
             d2j = _ZERO
@@ -119,7 +116,8 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
             coeff = p_sc - d2j.scale(0, "4/3")
             op = proj @ alg.wedge(j) @ alg.contract(k)
             block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ _aux_endo(alg, _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
+            block = block + (op @ alg.endo_from_aux_matrix(
+                _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
 
     # double wedge-contract blocks
     for i in range(1, q + 1):
@@ -146,7 +144,7 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
                         s10 = s10 + nbj[m][i - 1][l - 1] * nbj[n + m][j - 1][k - 1]
                     co = co - s15.scale("8/15") - s10.scale("4/5")
                     if not co.is_zero():
-                        op = (proj @ alg.wedge(i) @ alg.wedge(j)
+                        op = (proj @ alg.wedge(j) @ alg.wedge(i)
                               @ alg.contract(l) @ alg.contract(k))
                         block = block + op.scale(co.scale("1/8"))
 
@@ -195,7 +193,7 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
 
     block = proj.scale(_trace_form_sum(jet).scale("1/4")
                        - s_norm(nxj, n, first_barred=False).scale("1/144"))
-    block = block + (_aux_endo(alg, _mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
+    block = block + (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
 
     for i in range(1, q + 1):
         for j in range(1, q + 1):
@@ -222,7 +220,8 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
                      - curv.scale("2/3"))  # (1/2 tr)(2x) and (1/6)(4x) slot factors
             op = alg.wedge(k) @ alg.contract(j) @ proj
             block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ _aux_endo(alg, _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
+            block = block + (op @ alg.endo_from_aux_matrix(
+                _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
 
             curv = _ZERO
             for i in range(n):
@@ -230,7 +229,8 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
             coeff = (jet.trRT10[k - 1][j - 1] - curv.scale("2/3"))
             op = proj @ alg.wedge(j) @ alg.contract(k)
             block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ _aux_endo(alg, _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
+            block = block + (op @ alg.endo_from_aux_matrix(
+                _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
 
     endo = block.scale(ExactScalar.pi(-1))
     return B1Result(endo=endo, trace=endo.trace(), route="closed-form",
@@ -248,7 +248,7 @@ def b1_positive(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     n, rk = jet.n, jet.rk_e
     alg = alg or ExteriorAlgebra(n, rk)
     proj = alg.project_det(0)
-    block = (_aux_endo(alg, _mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
+    block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
     block = block + proj.scale(jet.rX.scale("1/8"))
     endo = block.scale(ExactScalar.pi(-1))
     return B1Result(endo=endo, trace=endo.trace(), route="closed-form",

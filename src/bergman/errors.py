@@ -5,6 +5,10 @@ class BergmanError(Exception):
     """Base class for all package-specific failures."""
 
 
+class UsageError(BergmanError):
+    """A setting from the command line or the environment is not usable."""
+
+
 class KernelComponentError(BergmanError):
     """A resolvent was applied to a state with a nonzero kernel component.
 

@@ -25,14 +25,10 @@ from typing import Callable, Iterable, Sequence
 
 from .scalars import ExactScalar, rat
 
-Scalar = ExactScalar
 CompFn = Callable[[int, int], ExactScalar]
 
 _HALF = ExactScalar.rational("1/2")
 _HALF_NEG = ExactScalar.rational("-1/2")
-_TWO = ExactScalar.rational(2)
-_MINUS_TWO = ExactScalar.rational(-2)
-_FOUR = ExactScalar.rational(4)
 
 
 def _lex_words(n: int) -> list[tuple[int, ...]]:
@@ -246,49 +242,6 @@ class ExteriorAlgebra:
                 c = comp(n + j, n + k)
                 if not c.is_zero():
                     acc = acc + (self.wedge(j + 1) @ self.wedge(k + 1)).scale(c * _HALF)
-        return acc
-
-    def action_two_form_bruteforce(self, comp: CompFn) -> "ExteriorEndo":
-        """Oracle for :meth:`action_two_form` by raw Clifford products."""
-        acc = self.zero_endo()
-        for a in range(2 * self.n):
-            for b in range(2 * self.n):
-                c = comp(self.partner(a), self.partner(b))
-                if c.is_zero():
-                    continue
-                acc = acc + self.clifford_pair(a, b).scale(c)
-        return acc.scale_fraction(1, 4)
-
-    def compress_two_form(self, q: int, comp_xi: CompFn) -> "ExteriorEndo":
-        """Right side of the det-sector compression identity for 2-forms.
-
-        `comp_xi(a, b)` gives the form on the xi-adapted coordinate frame
-        (labels 0..n-1 unbarred, n..2n-1 barred).  Returns the four displayed
-        blocks times the det-word projector; equals
-        clifford_of_form(2-form) composed with project_det, computed
-        independently.
-        """
-        n = self.n
-        proj = self.project_det(q)
-        scalar = ExactScalar.zero()
-        for j in range(n):
-            scalar = scalar + comp_xi(j, n + j)
-        acc = proj.scale(scalar * _MINUS_TWO)
-        for j in range(1, q + 1):
-            for k in range(q + 1, n + 1):
-                c = comp_xi(n + j - 1, n + k - 1)
-                if not c.is_zero():
-                    acc = acc + (self.wedge(k) @ self.contract(j) @ proj).scale(c * _FOUR)
-        for j in range(1, q + 1):
-            for k in range(1, q + 1):
-                c = comp_xi(n + j - 1, n + k - 1)
-                if not c.is_zero():
-                    acc = acc + (self.contract(j) @ self.contract(k) @ proj).scale(c * _TWO)
-        for j in range(q + 1, n + 1):
-            for k in range(q + 1, n + 1):
-                c = comp_xi(n + j - 1, n + k - 1)
-                if not c.is_zero():
-                    acc = acc + (self.wedge(j) @ self.wedge(k) @ proj).scale(c * _TWO)
         return acc
 
 

@@ -32,8 +32,10 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial, reduce
+from operator import add
 
 from .errors import (
     DegenerateCurvatureError,
@@ -63,7 +65,6 @@ Tensor3 = tuple[Tensor2, ...]
 Tensor4 = tuple[Tensor3, ...]
 
 _ZERO = ExactScalar.zero()
-_ONE = rat(1)
 _I = ExactScalar.i()
 _HALF = rat("1/2")
 _TWO = rat(2)
@@ -202,8 +203,12 @@ def _monomials(nvars: int, degrees: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 JET_SCHEMA = "bergman-jet/1"
 
-_FIELDS3 = ("Tas", "nablaXJ", "nablaBJ", "SB")
-_FIELDS4 = ("RTX", "RB", "dTas", "covTas", "nablaB2J", "dRL2")
+# The tensor fields of a jet with their ranks; every slot runs over 0..2n-1.
+# The entries of RE are rk_e x rk_e matrices.
+_TENSOR_FIELDS = {
+    "dRL1": 3, "dRL2": 4, "RTX": 4, "RE": 2, "trRT10": 2, "Tas": 3, "covTas": 4,
+    "dTas": 4, "nablaXJ": 3, "nablaBJ": 3, "nablaB2J": 4, "SB": 3, "RB": 4,
+}
 
 
 @dataclass(frozen=True)
@@ -269,36 +274,43 @@ class GeometryJet:
             "frame": "xi-adapted complex frame; index a<n is d/dxi_{a+1}, a+n its conjugate",
             "rX": self.rX.to_json(),
         }
-        for name in ("dRL1", "dRL2", "RTX", "RE", "trRT10", "Tas", "covTas",
-                     "dTas", "nablaXJ", "nablaBJ", "nablaB2J", "SB", "RB"):
+        for name in _TENSOR_FIELDS:
             body[name] = dump(getattr(self, name))
         body["jet_id"] = self.jet_id or jet_digest(body)
         return body
 
     @classmethod
-    def from_json(cls, data: dict[str, object]) -> "GeometryJet":
+    def from_json(cls, data: object) -> "GeometryJet":
+        """Check the schema and every shape; `jet_id` is recomputed from the content."""
+        if not isinstance(data, dict):
+            raise InvalidJetError("a jet must be a JSON object")
         if data.get("schema") != JET_SCHEMA:
             raise InvalidJetError(f"unknown jet schema {data.get('schema')!r}")
+        missing = [k for k in ("n", "q", "rk_e", "rX", *_TENSOR_FIELDS) if k not in data]
+        if missing:
+            raise InvalidJetError(f"jet is missing {', '.join(missing)}")
+        n, q, rk_e = data["n"], data["q"], data["rk_e"]
+        if (not all(type(v) is int for v in (n, q, rk_e))
+                or n < 1 or not 0 <= q <= n or rk_e < 1):
+            raise InvalidJetError(f"bad jet dimensions n={n!r}, q={q!r}, rk_e={rk_e!r}")
+        tensors = {}
+        for name, rank in _TENSOR_FIELDS.items():
+            matrix = (rk_e, rk_e) if name == "RE" else ()
+            tensors[name] = _load(data[name], (2 * n,) * rank + matrix, name)
+        return _with_id(cls(n=n, q=q, rk_e=rk_e, rX=_load(data["rX"], (), "rX"), **tensors))
 
-        def load(t):
-            if isinstance(t, list) and (not t or isinstance(t[0], dict)):
-                return ExactScalar.from_json(t)
-            return tuple(load(x) for x in t)
 
-        kwargs = {
-            "n": int(data["n"]),
-            "q": int(data["q"]),
-            "rk_e": int(data["rk_e"]),
-            "rX": ExactScalar.from_json(data["rX"]),
-            "jet_id": str(data.get("jet_id", "")),
-        }
-        for name in ("dRL1", "dRL2", "RTX", "RE", "trRT10", "Tas", "covTas",
-                     "dTas", "nablaXJ", "nablaBJ", "nablaB2J", "SB", "RB"):
-            kwargs[name] = load(data[name])
-        jet = cls(**kwargs)
-        if not jet.jet_id:
-            jet = _with_id(jet)
-        return jet
+def _load(t: object, shape: tuple[int, ...], name: str):
+    """Nested tuples of scalars from JSON, checked against `shape`."""
+    if not shape:
+        try:
+            return ExactScalar.from_json(t)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
+    if not isinstance(t, list) or len(t) != shape[0]:
+        raise InvalidJetError(f"{name} does not have the shape of the jet: "
+                              f"expected a list of {shape[0]} entries")
+    return tuple(_load(x, shape[1:], name) for x in t)
 
 
 def jet_digest(body: dict[str, object]) -> str:
@@ -308,14 +320,15 @@ def jet_digest(body: dict[str, object]) -> str:
 
 
 def _with_id(jet: GeometryJet) -> GeometryJet:
-    body = jet.to_json()
-    return GeometryJet(**{**{f: getattr(jet, f) for f in jet.__dataclass_fields__},
-                          "jet_id": jet_digest(body)})
+    """The jet with its content digest as `jet_id`; `jet` must have none yet."""
+    return replace(jet, jet_id=jet.to_json()["jet_id"])
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
+
+_CAP = 2  # all derived fields need at most two more derivatives at 0
 
 
 def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None, *,
@@ -336,110 +349,68 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
         raise DegenerateCurvatureError("potential is not real")
     _check_hessian(phi_l, n, q)
 
-    cap = 2  # all derived fields need at most two more derivatives at 0
-
     # curvature 2-form of the line bundle: R = d dbar phi
-    RL = mat_zero(dim, dim, cap)
+    RL = mat_zero(dim, dim, _CAP)
     for a in range(n):
         for b in range(n):
-            d2 = phi_l.diff(a).diff(n + b).truncate(cap)
+            d2 = phi_l.diff(a).diff(n + b).truncate(_CAP)
             RL[a][n + b] = d2
             RL[n + b][a] = -d2
 
     # omega = (i / 2 pi) R; the standard complex structure is diagonal
-    omega = [[RL[a][b].scale(ExactScalar.rational(0, "1/2", -1)) for b in range(dim)]
-             for a in range(dim)]
+    omega = _table(dim, 2, lambda a, b: RL[a][b].scale(ExactScalar.rational(0, "1/2", -1)))
     jstd = [_I if a < n else -_I for a in range(dim)]
 
     # B(U, V) = omega(U, J V); metric g = |B| via Newton square root
-    B = [[omega[a][b].scale(jstd[b]) for b in range(dim)] for a in range(dim)]
+    B = _table(dim, 2, lambda a, b: omega[a][b].scale(jstd[b]))
     part = lambda a: (a + n) % dim
-    M = [[B[part(a)][b].scale(_TWO) for b in range(dim)] for a in range(dim)]
+    M = _table(dim, 2, lambda a, b: B[part(a)][b].scale(_TWO))
     g_endo = mat_sqrt(mat_mul(M, M))
-    g = [[g_endo[part(a)][b].scale(_HALF) for b in range(dim)] for a in range(dim)]
+    g = _table(dim, 2, lambda a, b: g_endo[part(a)][b].scale(_HALF))
     ginv = mat_inverse(g)
+    g0, ginv0 = _at0(g), _at0(ginv)
 
-    # structure map: omega(U, V) = g(J U, V), so J^c_a = omega_ab g^bc
-    Jmat = [[sum_series(omega[a][b] * ginv[b][c] for b in range(dim))
-             for a in range(dim)] for c in range(dim)]
+    # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc
+    J = _contract_last(omega, ginv)
 
     # Levi-Civita data
-    gamma = _christoffels(g, ginv, dim)
-    g0 = [[g[a][b].value0() for b in range(dim)] for a in range(dim)]
-    ginv0 = [[ginv[a][b].value0() for b in range(dim)] for a in range(dim)]
-    rtx = _curvature(gamma, g0, dim)
-    ric, r_scalar = _ricci_scalar(rtx, ginv0, dim)
+    gamma = _christoffels(g, ginv)
+    rtx = _contract_last(_curvature(gamma), g0)
 
     # Hermitian structure on the holomorphic tangent bundle and its torsion
-    h = [[g[j][n + k] for k in range(n)] for j in range(n)]
-    hinv = mat_inverse(h)
-    gamma_ch = [[[sum_series(h[j][l].diff(i) * hinv[l][k] for l in range(n))
-                  for k in range(n)] for j in range(n)] for i in range(n)]
-    tr_rt10 = _chern_trace_form(gamma_ch, n, dim, cap)
-    tas = _antisym_torsion(gamma_ch, g, n, dim, cap)
+    h = _table(n, 2, lambda j, k: g[j][n + k])
+    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: h[j][l].diff(i)), mat_inverse(h))
+    tas = _antisym_torsion(gamma_ch, g, n)
 
-    sb_low = [[[tas[a][b][c].scale(rat("-1/2")) for c in range(dim)]
-               for b in range(dim)] for a in range(dim)]
-    sb_up = [[[sum_series(sb_low[a][b][c] * ginv[c][d] for c in range(dim))
-               for d in range(dim)] for b in range(dim)] for a in range(dim)]
-    gamma_b = [[[gamma[a][b][d] + sb_up[a][b][d] for d in range(dim)]
-                for b in range(dim)] for a in range(dim)]
-    rb = _curvature(gamma_b, g0, dim)
+    sb_low = _table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
+    sb_up = _contract_last(sb_low, ginv)
+    gamma_b = _table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
 
     # covariant derivatives of the structure map
-    nxj, nxj_series = _nabla_J(Jmat, gamma, g, dim)
-    nbj, nbj_series = _nabla_J(Jmat, gamma_b, g, dim)
-    nb2j = _nabla2_J(nbj_series, gamma_b, gamma, g0, dim)
-
-    # torsion derivatives
-    cov_tas = _cov_tensor3(tas, gamma, dim)
-    d_tas = _ext_deriv3(tas, dim)
-
-    # auxiliary bundle curvature
-    re_mat = _aux_curvature(phi_e, n, dim, rk_e, cap)
+    nbj = _nabla_J(J, gamma_b)
 
     # normal-coordinate derivatives of the line-bundle curvature
-    drl1, drl2 = _radial_gauge_derivatives(RL, gamma, dim)
+    drl1, drl2 = _radial_gauge_derivatives(RL, gamma)
 
-    # value-at-zero extraction and relabeling into the xi frame
-    perm = _xi_permutation(n, q)
-    tensors = {
-        "dRL1": _relabel3(drl1, perm),
-        "dRL2": _relabel4(drl2, perm),
-        "RTX": _relabel4(rtx, perm),
-        "RB": _relabel4(rb, perm),
-        "Tas": _relabel3(_vals3(tas, dim), perm),
-        "covTas": _relabel4(cov_tas, perm),
-        "dTas": _relabel4(d_tas, perm),
-        "nablaXJ": _relabel3(nxj, perm),
-        "nablaBJ": _relabel3(nbj, perm),
-        "nablaB2J": _relabel4(nb2j, perm),
-        "trRT10": _relabel2(tr_rt10, perm),
+    # values at the base point, then relabeled into the xi frame
+    z_frame = {
+        "dRL1": drl1,
+        "dRL2": drl2,
+        "RTX": rtx,
+        "RE": _aux_curvature(phi_e, n, rk_e),
+        "trRT10": _chern_trace_form(gamma_ch, n),
+        "Tas": _at0(tas),
+        "covTas": _cov_tensor3(tas, gamma),
+        "dTas": _ext_deriv3(tas),
+        "nablaXJ": _contract_last(_at0(_nabla_J(J, gamma)), g0),
+        "nablaBJ": _contract_last(_at0(nbj), g0),
+        "nablaB2J": _contract_last(_nabla2_J(nbj, gamma_b, gamma), g0),
+        "SB": _at0(sb_low),
+        "RB": _contract_last(_curvature(gamma_b), g0),
     }
-    tensors["SB"] = tuple(
-        tuple(tuple(tensors["Tas"][a][b][c].scale("-1/2") for c in range(dim))
-              for b in range(dim)) for a in range(dim))
-    re_x = _relabel2(re_mat, perm)
-
-    jet = GeometryJet(
-        n=n, q=q, rk_e=rk_e,
-        dRL1=tensors["dRL1"], dRL2=tensors["dRL2"],
-        RTX=tensors["RTX"], rX=r_scalar, RE=re_x, trRT10=tensors["trRT10"],
-        Tas=tensors["Tas"], covTas=tensors["covTas"], dTas=tensors["dTas"],
-        nablaXJ=tensors["nablaXJ"], nablaBJ=tensors["nablaBJ"],
-        nablaB2J=tensors["nablaB2J"],
-        SB=tensors["SB"], RB=tensors["RB"],
-    )
-    return _with_id(jet)
-
-
-def sum_series(items) -> Series:
-    acc = None
-    for s in items:
-        acc = s if acc is None else acc + s
-    if acc is None:
-        raise ValueError("empty series sum")
-    return acc
+    return _with_id(GeometryJet(
+        n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
+        **{name: _relabel(z_frame[name], q, rank) for name, rank in _TENSOR_FIELDS.items()}))
 
 
 def _check_hessian(phi: Series, n: int, q: int) -> None:
@@ -459,236 +430,202 @@ def _check_hessian(phi: Series, n: int, q: int) -> None:
                     "normalize the potential first")
 
 
-def _christoffels(g, ginv, dim):
-    low = [[[ (g[b][c].diff(a) + g[a][c].diff(b) - g[a][b].diff(c)).scale(_HALF)
-              for c in range(dim)] for b in range(dim)] for a in range(dim)]
-    return [[[sum_series(low[a][b][c] * ginv[c][d] for c in range(dim))
-              for d in range(dim)] for b in range(dim)] for a in range(dim)]
+# -- tensor helpers -------------------------------------------------------------
 
 
-def _curvature(gamma, g0, dim):
-    """<R(e_a, e_b) e_c, e_d> at the base point, lowered with g(0)."""
-    out = [[[[_ZERO for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)] for _ in range(dim)]
-    gam0 = [[[gamma[a][b][c].value0() for c in range(dim)] for b in range(dim)]
-            for a in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            if a == b:
-                continue
-            for c in range(dim):
-                up = [_ZERO] * dim
-                for e in range(dim):
-                    v = _first_deriv(gamma[b][c][e], a) - _first_deriv(gamma[a][c][e], b)
-                    for f in range(dim):
-                        v = v + gam0[a][f][e] * gam0[b][c][f] - gam0[b][f][e] * gam0[a][c][f]
-                    up[e] = v
-                for d in range(dim):
-                    acc = _ZERO
-                    for e in range(dim):
-                        acc = acc + up[e] * g0[e][d]
-                    out[a][b][c][d] = acc
-    return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
+def _table(dim: int, rank: int, fn) -> list:
+    """Nested lists of fn(i_1, .., i_rank) over 0 <= i < dim."""
+    if rank == 1:
+        return [fn(a) for a in range(dim)]
+    return [_table(dim, rank - 1, partial(fn, a)) for a in range(dim)]
 
 
-def _first_deriv(s: Series, a: int) -> ExactScalar:
+def _at0(t):
+    """Values at the base point of nested lists of series."""
+    if isinstance(t, Series):
+        return t.value0()
+    return [_at0(x) for x in t]
+
+
+def _d0(s: Series, *slots: int) -> ExactScalar:
+    """First or second partial derivative of `s` at the base point."""
     e = [0] * s.nvars
-    e[a] = 1
-    return s.coeff(tuple(e))
+    for a in slots:
+        e[a] += 1
+    c = s.coeff(tuple(e))
+    return c.scale(2) if 2 in e else c
 
 
-def _ricci_scalar(rtx, ginv0, dim):
-    ric = [[_ZERO for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            acc = _ZERO
-            for c in range(dim):
-                for d in range(dim):
-                    if ginv0[c][d].is_zero():
-                        continue
-                    acc = acc + ginv0[c][d] * rtx[c][a][b][d]
-            ric[a][b] = acc
+def _contract_last(t, m):
+    """Contract the last slot of `t` with the first slot of the matrix `m`.
+
+    With m = g(0) this lowers an index of values at the base point; with the
+    series inverse metric it raises an index of series.
+    """
+    if isinstance(t[0], list):
+        return [_contract_last(x, m) for x in t]
+    return [reduce(add, (t[e] * m[e][d] for e in range(len(t)))) for d in range(len(m[0]))]
+
+
+def _relabel(t, q: int, rank: int):
+    """Freeze `t` to nested tuples with its first `rank` slots in the xi frame.
+
+    Slot a becomes the z-frame slot (a + n) mod 2n if a mod n < q, else a
+    (an involution); deeper levels, such as the matrices of RE, pass through.
+    """
+    if rank == 0:
+        return t
+    dim = len(t)
+    n = dim // 2
+    return tuple(_relabel(t[(a + n) % dim if a % n < q else a], q, rank - 1)
+                 for a in range(dim))
+
+
+# -- the geometric stages -------------------------------------------------------
+
+
+def _christoffels(g, ginv):
+    dim = len(g)
+    low = _table(dim, 3, lambda a, b, c:
+                 (g[b][c].diff(a) + g[a][c].diff(b) - g[a][b].diff(c)).scale(_HALF))
+    return _contract_last(low, ginv)
+
+
+def _curvature(gamma):
+    """R(e_a, e_b) e_c at the base point, output slot last and raised."""
+    dim = len(gamma)
+    gam0 = _at0(gamma)
+
+    def entry(a, b, c, e):
+        if a == b:
+            return _ZERO
+        v = _d0(gamma[b][c][e], a) - _d0(gamma[a][c][e], b)
+        for f in range(dim):
+            v = v + gam0[a][f][e] * gam0[b][c][f] - gam0[b][f][e] * gam0[a][c][f]
+        return v
+
+    return _table(dim, 4, entry)
+
+
+def _scalar_curvature(rtx, ginv0) -> ExactScalar:
+    """g^ab g^cd R_cabd at the base point."""
+    dim = len(ginv0)
+    pairs = [(a, b) for a in range(dim) for b in range(dim) if not ginv0[a][b].is_zero()]
     r = _ZERO
-    for a in range(dim):
-        for b in range(dim):
-            if not ginv0[a][b].is_zero():
-                r = r + ginv0[a][b] * ric[a][b]
-    return ric, r
+    for a, b in pairs:
+        for c, d in pairs:
+            r = r + ginv0[a][b] * ginv0[c][d] * rtx[c][a][b][d]
+    return r
 
 
-def _chern_trace_form(gamma_ch, n, dim, cap):
+def _chern_trace_form(gamma_ch, n):
     """Trace 2-form of the holomorphic-tangent curvature; mixed slots only."""
-    out = [[_ZERO for _ in range(dim)] for _ in range(dim)]
+    out = [[_ZERO] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for m in range(n):
-            acc = _ZERO
-            for j in range(n):
-                acc = acc + (-_first_deriv(gamma_ch[i][j][j], n + m))
-            out[i][n + m] = acc
-            out[n + m][i] = -acc
+            v = sum((_d0(gamma_ch[i][j][j], n + m) for j in range(n)), _ZERO)
+            out[i][n + m] = -v
+            out[n + m][i] = v
     return out
 
 
-def _antisym_torsion(gamma_ch, g, n, dim, cap):
+def _antisym_torsion(gamma_ch, g, n):
     """Total antisymmetrization of the Chern-connection torsion, as a series 3-form."""
-    tvec = [[[Series.zero(dim, cap) for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)]
+    dim = 2 * n
+    zero = Series.zero(dim, _CAP)
+    tvec = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 t = gamma_ch[i][j][k] - gamma_ch[j][i][k]
                 tvec[i][j][k] = t
                 tvec[n + i][n + j][n + k] = t.conj()
-    low = [[[Series.zero(dim, cap) for _ in range(dim)] for _ in range(dim)]
-           for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            pairs = []
-            for d in range(dim):
-                if not tvec[a][b][d].is_zero():
-                    pairs.append(d)
-            if not pairs:
-                continue
-            for c in range(dim):
-                acc = None
-                for d in pairs:
-                    p = tvec[a][b][d] * g[d][c]
-                    acc = p if acc is None else acc + p
-                if acc is not None:
-                    low[a][b][c] = acc
-    tas = [[[Series.zero(dim, cap) for _ in range(dim)] for _ in range(dim)]
-           for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                tas[a][b][c] = low[a][b][c] + low[b][c][a] + low[c][a][b]
-    return tas
+
+    def lowered(a, b, c):
+        terms = [tvec[a][b][d] * g[d][c] for d in range(dim) if not tvec[a][b][d].is_zero()]
+        return reduce(add, terms) if terms else zero
+
+    low = _table(dim, 3, lowered)
+    return _table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
 
 
-def _vals3(t, dim):
-    return tuple(tuple(tuple(t[a][b][c].value0() for c in range(dim))
-                       for b in range(dim)) for a in range(dim))
+def _nabla_J(J, gamma):
+    """Series of nabla J, output slot last: [a][b][c] = (nabla_a J)^c_b."""
+    dim = len(gamma)
+
+    def entry(a, b, c):
+        s = J[b][c].diff(a)
+        for d in range(dim):
+            s = s + gamma[a][d][c] * J[b][d] - gamma[a][b][d] * J[d][c]
+        return s
+
+    return _table(dim, 3, entry)
 
 
-def _nabla_J(Jmat, gamma, g, dim):
-    """Lowered components of nabla J at 0 plus the endomorphism series of nabla J."""
-    cap = Jmat[0][0].cap
-    series = [[[Series.zero(dim, cap) for _ in range(dim)] for _ in range(dim)]
-              for _ in range(dim)]
-    for a in range(dim):
-        for c in range(dim):
-            for b in range(dim):
-                s = Jmat[c][b].diff(a)
-                for d in range(dim):
-                    s = s + gamma[a][d][c] * Jmat[d][b] - gamma[a][b][d] * Jmat[c][d]
-                series[a][c][b] = s  # (nabla_a J)^c_b
-    low = [[[_ZERO for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                acc = _ZERO
-                for d in range(dim):
-                    v = series[a][d][b].value0()
-                    if not v.is_zero():
-                        acc = acc + v * g[d][c].value0()
-                low[a][b][c] = acc
-    return tuple(tuple(tuple(r) for r in s) for s in low), series
+def _nabla2_J(nj, gamma_endo, gamma_dir):
+    """(nabla nabla J)_(e_a, e_b) e_c at 0, output slot last and raised.
 
-
-def _nabla2_J(nj_series, gamma_endo, gamma_dir, g0, dim):
-    """<(nabla nabla J)_(e_a, e_b) e_c, e_d> at 0; first slot differentiates.
-
-    The endomorphism slots are transported with the same connection that
-    produced nabla J, while the direction slot is corrected with the
-    torsion-free connection; that mixed convention is the one under which
-    the antisymmetrized second derivative equals the curvature commutator.
+    The first slot differentiates.  The endomorphism slots are transported
+    with the same connection that produced nabla J, while the direction slot
+    is corrected with the torsion-free connection; that mixed convention is
+    the one under which the antisymmetrized second derivative equals the
+    curvature commutator.
     """
-    ge0 = [[[gamma_endo[x][y][z].value0() for z in range(dim)] for y in range(dim)]
-           for x in range(dim)]
-    gd0 = [[[gamma_dir[x][y][z].value0() for z in range(dim)] for y in range(dim)]
-           for x in range(dim)]
-    out = [[[[_ZERO for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                up = [_ZERO] * dim
-                for e in range(dim):
-                    v = _first_deriv(nj_series[b][e][c], a)
-                    for f in range(dim):
-                        v = (v + ge0[a][f][e] * nj_series[b][f][c].value0()
-                             - gd0[a][b][f] * nj_series[f][e][c].value0()
-                             - ge0[a][c][f] * nj_series[b][e][f].value0())
-                    up[e] = v
-                for d in range(dim):
-                    acc = _ZERO
-                    for e in range(dim):
-                        acc = acc + up[e] * g0[e][d]
-                    out[a][b][c][d] = acc
-    return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
+    dim = len(nj)
+    ge0, gd0, nj0 = _at0(gamma_endo), _at0(gamma_dir), _at0(nj)
+
+    def entry(a, b, c, e):
+        v = _d0(nj[b][c][e], a)
+        for f in range(dim):
+            v = (v + ge0[a][f][e] * nj0[b][c][f]
+                 - gd0[a][b][f] * nj0[f][c][e]
+                 - ge0[a][c][f] * nj0[b][f][e])
+        return v
+
+    return _table(dim, 4, entry)
 
 
-def _cov_tensor3(t_series, gamma, dim):
-    gam0 = [[[gamma[x][y][z].value0() for z in range(dim)] for y in range(dim)]
-            for x in range(dim)]
-    out = [[[[_ZERO for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)] for _ in range(dim)]
-    t0 = _vals3(t_series, dim)
-    for m in range(dim):
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    v = _first_deriv(t_series[a][b][c], m)
-                    for d in range(dim):
-                        v = (v - gam0[m][a][d] * t0[d][b][c]
-                             - gam0[m][b][d] * t0[a][d][c]
-                             - gam0[m][c][d] * t0[a][b][d])
-                    out[m][a][b][c] = v
-    return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
+def _cov_tensor3(t, gamma):
+    dim = len(t)
+    gam0, t0 = _at0(gamma), _at0(t)
+
+    def entry(m, a, b, c):
+        v = _d0(t[a][b][c], m)
+        for d in range(dim):
+            v = (v - gam0[m][a][d] * t0[d][b][c]
+                 - gam0[m][b][d] * t0[a][d][c]
+                 - gam0[m][c][d] * t0[a][b][d])
+        return v
+
+    return _table(dim, 4, entry)
 
 
-def _ext_deriv3(t_series, dim):
-    out = [[[[_ZERO for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for d in range(dim):
-                    v = (_first_deriv(t_series[b][c][d], a)
-                         - _first_deriv(t_series[a][c][d], b)
-                         + _first_deriv(t_series[a][b][d], c)
-                         - _first_deriv(t_series[a][b][c], d))
-                    out[a][b][c][d] = v
-    return tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in out)
+def _ext_deriv3(t):
+    return _table(len(t), 4, lambda a, b, c, d: (
+        _d0(t[b][c][d], a) - _d0(t[a][c][d], b) + _d0(t[a][b][d], c) - _d0(t[a][b][c], d)))
 
 
-def _aux_curvature(phi_e, n, dim, rk_e, cap):
-    zero_mat = tuple(tuple(_ZERO for _ in range(rk_e)) for _ in range(rk_e))
-    out = [[zero_mat for _ in range(dim)] for _ in range(dim)]
+def _aux_curvature(phi_e, n, rk_e):
+    def diag(v):
+        return tuple(tuple(v if r == c else _ZERO for c in range(rk_e)) for r in range(rk_e))
+
+    out = [[diag(_ZERO)] * (2 * n) for _ in range(2 * n)]
     if phi_e is not None and not phi_e.is_zero():
         if phi_e.conj() != phi_e:
             raise DegenerateCurvatureError("auxiliary potential is not real")
         for a in range(n):
             for b in range(n):
                 v = phi_e.diff(a).diff(n + b).value0()
-                if v.is_zero():
-                    continue
-                mat = tuple(tuple(v if r == c else _ZERO for c in range(rk_e))
-                            for r in range(rk_e))
-                mneg = tuple(tuple(-v if r == c else _ZERO for c in range(rk_e))
-                             for r in range(rk_e))
-                out[a][n + b] = mat
-                out[n + b][a] = mneg
+                out[a][n + b] = diag(v)
+                out[n + b][a] = diag(-v)
     return out
 
 
-def _radial_gauge_derivatives(RL, gamma, dim):
+def _radial_gauge_derivatives(RL, gamma):
     """Exp-map pullback of the curvature form; first/second coordinate derivatives."""
+    dim = len(RL)
     cap3 = 3
-    gam0 = [[[gamma[a][b][c].value0() for c in range(dim)] for b in range(dim)]
-            for a in range(dim)]
-    dgam = [[[[_first_deriv(gamma[a][b][c], d) for c in range(dim)]
-              for b in range(dim)] for a in range(dim)] for d in range(dim)]
+    gam0 = _at0(gamma)
     w = [Series.var(dim, cap3, a) for a in range(dim)]
     zmap = []
     for a in range(dim):
@@ -703,8 +640,9 @@ def _radial_gauge_derivatives(RL, gamma, dim):
         for d in range(dim):
             for b in range(dim):
                 for c in range(dim):
-                    if not dgam[d][b][c][a].is_zero():
-                        c3 = c3 + (w[d] * w[b] * w[c]).scale(dgam[d][b][c][a])
+                    dgam = _d0(gamma[b][c][a], d)
+                    if not dgam.is_zero():
+                        c3 = c3 + (w[d] * w[b] * w[c]).scale(dgam)
         for b in range(dim):
             for c in range(dim):
                 if not gam0[b][c][a].is_zero():
@@ -712,67 +650,16 @@ def _radial_gauge_derivatives(RL, gamma, dim):
                     c3 = c3 + (w[b] * c2c).scale(gam0[b][c][a].scale(4))
         zmap[a] = zmap[a] + c3.scale(rat("-1/6"))
 
-    jac = [[zmap[c].diff(a) for c in range(dim)] for a in range(dim)]
-    pulled = [[None for _ in range(dim)] for _ in range(dim)]
-    comp_cache: dict[tuple[int, int], Series] = {}
-    for c in range(dim):
-        for d in range(dim):
-            if not RL[c][d].is_zero():
-                comp_cache[(c, d)] = RL[c][d].compose(zmap, cap=2)
-    for a in range(dim):
-        for b in range(dim):
-            acc = Series.zero(dim, 2)
-            for (c, d), comp in comp_cache.items():
-                term = comp * jac[a][c].truncate(2) * jac[b][d].truncate(2)
-                acc = acc + term
-            pulled[a][b] = acc
+    jac = _table(dim, 2, lambda a, c: zmap[c].diff(a))
+    comp_cache = {(c, d): RL[c][d].compose(zmap, cap=2)
+                  for c in range(dim) for d in range(dim) if not RL[c][d].is_zero()}
 
-    drl1 = [[[_ZERO for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    drl2 = [[[[_ZERO for _ in range(dim)] for _ in range(dim)]
-             for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            s = pulled[a][b]
-            for k in range(dim):
-                drl1[k][a][b] = _first_deriv(s, k)
-                for l in range(dim):
-                    e = [0] * dim
-                    e[k] += 1
-                    e[l] += 1
-                    c = s.coeff(tuple(e))
-                    drl2[k][l][a][b] = c.scale(2) if k == l else c
-    return (tuple(tuple(tuple(r) for r in s) for s in drl1),
-            tuple(tuple(tuple(tuple(r) for r in s) for s in t) for t in drl2))
+    def pull(a, b):
+        acc = Series.zero(dim, 2)
+        for (c, d), comp in comp_cache.items():
+            acc = acc + comp * jac[a][c].truncate(2) * jac[b][d].truncate(2)
+        return acc
 
-
-# ---------------------------------------------------------------------------
-# relabeling into the xi-adapted frame
-# ---------------------------------------------------------------------------
-
-
-def _xi_permutation(n: int, q: int) -> list[int]:
-    """perm[xi-index] = z-frame index."""
-    perm = []
-    for j in range(n):
-        perm.append(n + j if j < q else j)
-    for j in range(n):
-        perm.append(j if j < q else n + j)
-    return perm
-
-
-def _relabel2(t, perm):
-    dim = len(perm)
-    return tuple(tuple(t[perm[a]][perm[b]] for b in range(dim)) for a in range(dim))
-
-
-def _relabel3(t, perm):
-    dim = len(perm)
-    return tuple(tuple(tuple(t[perm[a]][perm[b]][perm[c]] for c in range(dim))
-                       for b in range(dim)) for a in range(dim))
-
-
-def _relabel4(t, perm):
-    dim = len(perm)
-    return tuple(tuple(tuple(tuple(t[perm[a]][perm[b]][perm[c]][perm[d]]
-                                   for d in range(dim)) for c in range(dim))
-                       for b in range(dim)) for a in range(dim))
+    pulled = _table(dim, 2, pull)
+    return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
+            _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ExactScalar, rat
+from .scalars import ExactScalar
 
 _ZERO = ExactScalar.zero()
 _I = ExactScalar.i()

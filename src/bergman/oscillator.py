@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from math import comb
 
-from .errors import DegreeCapError, KernelComponentError
+from .errors import DegreeCapError, KernelComponentError, UsageError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .scalars import ExactScalar, rat
 
@@ -41,10 +41,9 @@ def _env_degree_cap() -> int:
     raw = os.environ.get("BERGMAN_DEGREE_CAP")
     if raw is None:
         return DEFAULT_DEGREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_DEGREE_CAP
+    if not raw.strip().isdecimal():
+        raise UsageError(f"BERGMAN_DEGREE_CAP must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 class OscillatorContext:
@@ -402,25 +401,6 @@ class PolyGaussianForm:
                     _add_term(out, key, endo.scale(coeff))
         return PolyGaussianForm(self.ctx, out)
 
-    def apply_L0_directly(self) -> "PolyGaussianForm":
-        """Independent oracle: L0 as a raw differential operator on the polynomial."""
-        n = self.ctx.n
-        acc: dict[TermKey, ExteriorEndo] = {}
-        for key, endo in self.terms.items():
-            mono = {key: rat(1)}
-            total: dict[TermKey, ExactScalar] = {}
-            for j in range(n):
-                stage = _poly_apply_bdag(n, mono, j)
-                stage = _poly_apply_b(n, stage, j)
-                for k, c in stage.items():
-                    total[k] = total.get(k, ExactScalar.zero()) + c
-            for k, c in total.items():
-                if k in acc:
-                    acc[k] = acc[k] + endo.scale(c)
-                else:
-                    acc[k] = endo.scale(c)
-        return PolyGaussianForm(self.ctx, acc)
-
 
 def _poly_apply_b(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
     """b_j on f*P: (-2 df/dxi_j + 2 pi (xibar_j - xibar'_j) f) P."""
@@ -437,20 +417,6 @@ def _poly_apply_b(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[Term
             add((_bump(a, j, -1), b, g, d), coeff.scale(-2 * a[j]))
         add((a, _bump(b, j), g, d), coeff * ExactScalar.pi(1, 2))
         add((a, b, g, _bump(d, j)), coeff * ExactScalar.pi(1, -2))
-    return out
-
-
-def _poly_apply_bdag(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
-    """b_j^+ on f*P: (2 df/dxibar_j) P."""
-    out: dict[TermKey, ExactScalar] = {}
-    for (a, b, g, d), coeff in mono.items():
-        if b[j]:
-            key = (a, _bump(b, j, -1), g, d)
-            c = coeff.scale(2 * b[j])
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
     return out
 
 

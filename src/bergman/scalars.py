@@ -229,16 +229,8 @@ def _format_gaussian(re: Fraction, im: Fraction) -> str:
 _CACHED_ZERO = ExactScalar()
 _CACHED_ONE = ExactScalar({0: (Fraction(1), _ZERO)})
 
-ZERO = _CACHED_ZERO
-ONE = _CACHED_ONE
-I = ExactScalar.i()
-MINUS_ONE = ExactScalar.rational(-1)
-
 
 def rat(re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> ExactScalar:
     """Shorthand constructor used pervasively in formulas and tests."""
     return ExactScalar.rational(re, im, pi_pow)
 
-
-def pi_pow(k: int, coeff: RationalLike = 1) -> ExactScalar:
-    return ExactScalar.pi(k, coeff)

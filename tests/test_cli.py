@@ -1,9 +1,10 @@
+import copy
 import json
 
 import pytest
 
 from bergman.cli import main
-from bergman.geometry import fs_product_potential, potential_to_dict
+from bergman.geometry import fs_product_potential, jet_digest, potential_to_dict
 
 
 @pytest.fixture()
@@ -12,6 +13,14 @@ def jet_file(tmp_path):
     assert main(["jet", "random", "--n", "2", "--q", "1", "--seed", "7",
                  "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def small_jet_body(tmp_path_factory):
+    path = tmp_path_factory.mktemp("jet") / "jet.json"
+    assert main(["jet", "random", "--n", "1", "--q", "0", "--seed", "3",
+                 "--out", str(path)]) == 0
+    return json.loads(path.read_text())
 
 
 def run_captured(capsys, argv):
@@ -179,3 +188,49 @@ def test_flat_and_fs_generators(tmp_path, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["b1", "closed-form", "--jet", "/nonexistent/path.json"]) == 2
+
+
+MALFORMED = {
+    "missing-RB": lambda body: body.pop("RB"),
+    "truncated-RTX": lambda body: body["RTX"].pop(),
+    "bad-n": lambda body: body.update(n="x"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "not-json"])
+def test_malformed_jet_is_validation_error(small_jet_body, tmp_path, capsys, case):
+    path = tmp_path / "jet.json"
+    if case == "not-json":
+        path.write_text("{not json")
+    else:
+        body = copy.deepcopy(small_jet_body)
+        MALFORMED[case](body)
+        path.write_text(json.dumps(body))
+    for route in ("closed-form", "engine", "crosscheck"):
+        assert main(["b1", route, "--jet", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_tampered_jet_gets_a_fresh_id(small_jet_body, tmp_path, capsys):
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(small_jet_body))
+    code, out = run_captured(capsys, ["b1", "engine", "--jet", str(path)])
+    assert code == 0 and json.loads(out)["jet_id"] == small_jet_body["jet_id"]
+    body = copy.deepcopy(small_jet_body)
+    # the validated corruption of test_crosscheck_mismatch_exit
+    for k, l in ((0, 1), (1, 0)):
+        body["dRL2"][k][l][0][1] = [{"pi_pow": 2, "re": "7", "im": "0"}]
+        body["dRL2"][k][l][1][0] = [{"pi_pow": 2, "re": "-7", "im": "0"}]
+    path.write_text(json.dumps(body))
+    code, out = run_captured(capsys, ["b1", "engine", "--jet", str(path)])
+    assert code == 0
+    assert json.loads(out)["jet_id"] == jet_digest(body) != small_jet_body["jet_id"]
+
+
+def test_bad_degree_cap_is_usage_error(jet_file, monkeypatch, capsys):
+    for bad in ("junk", "-3"):
+        monkeypatch.setenv("BERGMAN_DEGREE_CAP", bad)
+        assert main(["b1", "engine", "--jet", str(jet_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BERGMAN_DEGREE_CAP") and err.count("\n") == 1, err

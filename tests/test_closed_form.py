@@ -81,7 +81,9 @@ def test_invalid_jet_rejected(jet_cache):
 
 
 def test_self_adjointness(jet_cache, batch_jets):
-    jets = [jet_cache("fs", 2, 1), jet_cache("fs", 3, 1)] + batch_jets[:8]
+    # (4,2) seed 5 comes from the shared jet cache, which criterion 3 fills too
+    jets = [jet_cache("fs", 2, 1), jet_cache("fs", 3, 1), jet_cache("random", 4, 2, 5)]
+    jets += batch_jets[:8]
     for jet in jets:
         res = b1_formula(jet, check=False)
         assert res.endo.adjoint() == res.endo

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from bergman.errors import DegreeCapError, KernelComponentError
+from bergman.errors import DegreeCapError, KernelComponentError, UsageError
 from bergman.oscillator import OscillatorContext, TwoPointState, _mode_moment
 from bergman.scalars import ExactScalar, rat
+
+from oracles import apply_L0_directly
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +95,7 @@ def test_eigenbasis_invariant_fuzz(ctx):
     rng = random.Random(3)
     for _ in range(60):
         s = random_state(ctx, rng, ops=5)
-        assert s.apply_L0().to_poly() == s.to_poly().apply_L0_directly()
+        assert s.apply_L0().to_poly() == apply_L0_directly(s.to_poly())
 
 
 def test_round_trip_random_states(ctx):
@@ -325,5 +327,7 @@ def test_degree_cap_env_override(monkeypatch):
     monkeypatch.setenv("BERGMAN_DEGREE_CAP", "2")
     ctx = OscillatorContext(1, 0)
     assert ctx.degree_cap == 2
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "junk")
-    assert OscillatorContext(1, 0).degree_cap == 8
+    for bad in ("junk", "-3"):
+        monkeypatch.setenv("BERGMAN_DEGREE_CAP", bad)
+        with pytest.raises(UsageError, match="non-negative integer"):
+            OscillatorContext(1, 0)
