@@ -6,7 +6,7 @@ format (`--table` renders aligned text); output is deterministic byte for
 byte for fixed inputs: keys are sorted and rationals printed canonically.
 
 Exit codes: 0 success, 2 usage error, 3 validation or self-test failure,
-4 cross-check mismatch.
+4 cross-check mismatch (the routes differ or one is not self-adjoint).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 
 from .closed_form import b1_formula
-from .errors import BergmanError, InvalidJetError, UsageError
+from .errors import BergmanError, InvalidJetError, InvalidPotentialError, UsageError
 from .exterior import ExteriorAlgebra
 from .geometry import (
     GeometryJet,
@@ -37,6 +37,7 @@ from .models import (
 from .oscillator import OscillatorContext, _mode_moment
 from .perturbation import b1_engine, build_O1, compute_F2_terms, engine_context
 from .scalars import ExactScalar, rat
+from .series import Series
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,13 +67,20 @@ def _tabulate(payload: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _load_jet(path: str) -> GeometryJet:
+def _read_json(path: str, what: str, error: type[BergmanError]) -> object:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
-            raise InvalidJetError(f"{path} is not a JSON jet: {exc}") from None
-    return GeometryJet.from_json(data)
+            raise error(f"{path} is not a JSON {what}: {exc}") from None
+
+
+def _load_jet(path: str) -> GeometryJet:
+    return GeometryJet.from_json(_read_json(path, "jet", InvalidJetError))
+
+
+def _load_potential(path: str, n: int) -> Series:
+    return parse_potential(_read_json(path, "potential", InvalidPotentialError), n)
 
 
 def _load_valid_jet(path: str) -> GeometryJet | None:
@@ -91,12 +99,8 @@ def _load_valid_jet(path: str) -> GeometryJet | None:
 
 
 def cmd_jet_build(args) -> int:
-    with open(args.potential) as fh:
-        phi_l = parse_potential(json.load(fh), args.n)
-    phi_e = None
-    if args.potential_e:
-        with open(args.potential_e) as fh:
-            phi_e = parse_potential(json.load(fh), args.n)
+    phi_l = _load_potential(args.potential, args.n)
+    phi_e = _load_potential(args.potential_e, args.n) if args.potential_e else None
     jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e)
     report = validate_jet(jet)
     if not report.ok:
@@ -157,20 +161,23 @@ def cmd_b1_crosscheck(args) -> int:
         return EXIT_VALIDATION
     closed = b1_formula(jet, check=False)
     engine = b1_engine(jet, check=False)
-    if closed.endo == engine.endo:
-        _emit({"jet_id": jet.jet_id, "match": True,
-               "trace": str(closed.trace)})
-        return EXIT_OK
-    diff = closed.endo - engine.endo
-    _emit({
-        "jet_id": jet.jet_id,
-        "match": False,
-        "closed_form_trace": str(closed.trace),
-        "engine_trace": str(engine.trace),
-        "difference": {f"{r},{c}": str(v)
-                       for (r, c), v in sorted(diff.entries.items())},
-    })
-    return EXIT_MISMATCH
+    payload: dict = {"jet_id": jet.jet_id, "match": closed.endo == engine.endo}
+    if payload["match"]:
+        payload["trace"] = str(closed.trace)
+    else:
+        diff = closed.endo - engine.endo
+        payload.update({
+            "closed_form_trace": str(closed.trace),
+            "engine_trace": str(engine.trace),
+            "difference": {f"{r},{c}": str(v)
+                           for (r, c), v in sorted(diff.entries.items())},
+        })
+    # b_1 is self-adjoint; a route whose output is not has a wrong block
+    skewed = [res.route for res in (closed, engine) if res.endo != res.endo.adjoint()]
+    if skewed:
+        payload["not_self_adjoint"] = skewed
+    _emit(payload)
+    return EXIT_OK if payload["match"] and not skewed else EXIT_MISMATCH
 
 
 def cmd_identities(args) -> int:

@@ -42,6 +42,12 @@ class B1Result:
         }
 
 
+def _result(jet: GeometryJet, block: ExteriorEndo) -> B1Result:
+    """The closed-form result for the pi-multiple `block` of the coefficient."""
+    endo = block.scale(ExactScalar.pi(-1))
+    return B1Result(endo=endo, trace=endo.trace(), route="closed-form", jet_id=jet.jet_id)
+
+
 def _require_valid(jet: GeometryJet) -> None:
     rep = validate_jet(jet)
     if not rep.ok:
@@ -95,62 +101,48 @@ def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
                           @ alg.wedge(j) @ alg.contract(k))
                     block = block + op.scale(coeff.scale("1/9"))  # 8/72
 
+    # wedge-contract blocks come in adjoint pairs: one formula at slot offset
+    # s = n (barred slots, operator left of the projector) and s = 0 (unbarred
+    # slots, the adjoint operator right of the projector)
+
     # single wedge-contract blocks with the curvature aggregate
     for j in range(1, q + 1):
         for k in range(q + 1, n + 1):
-            # barred slots act on the left of the projector
-            p_sc = lam.p_form[n + j - 1][n + k - 1].scale(2)
-            d2j = _ZERO
-            for i in range(n):
-                d2j = d2j + jet.nablaB2J[i][n + i][n + j - 1][n + k - 1]
-            coeff = p_sc - d2j.scale(0, "4/3")  # -(i/3) * 4(slot factor)
-            op = alg.wedge(k) @ alg.contract(j) @ proj
-            block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ alg.endo_from_aux_matrix(
-                _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
-
-            p_sc = lam.p_form[k - 1][j - 1].scale(2)
-            d2j = _ZERO
-            for i in range(n):
-                d2j = d2j + jet.nablaB2J[n + i][i][k - 1][j - 1]
-            coeff = p_sc - d2j.scale(0, "4/3")
-            op = proj @ alg.wedge(j) @ alg.contract(k)
-            block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ alg.endo_from_aux_matrix(
-                _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
+            for s, x, y, op in ((n, n + j - 1, n + k - 1, alg.wedge(k) @ alg.contract(j) @ proj),
+                                (0, k - 1, j - 1, proj @ alg.wedge(j) @ alg.contract(k))):
+                d2j = _ZERO
+                for i in range(n):
+                    d2j = d2j + jet.nablaB2J[n - s + i][s + i][x][y]
+                # -(i/3) * 4(slot factor)
+                coeff = lam.p_form[x][y].scale(2) - d2j.scale(0, "4/3")
+                block = block + op.scale(coeff.scale("-1/4"))
+                block = block + (op @ alg.endo_from_aux_matrix(
+                    _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
 
     # double wedge-contract blocks
+    double = (
+        (n, lambda i, j, k, l: (alg.wedge(k) @ alg.wedge(l)
+                                @ alg.contract(i) @ alg.contract(j) @ proj)),
+        (0, lambda i, j, k, l: (proj @ alg.wedge(j) @ alg.wedge(i)
+                                @ alg.contract(l) @ alg.contract(k))),
+    )
     for i in range(1, q + 1):
         for j in range(1, q + 1):
             for k in range(q + 1, n + 1):
                 for l in range(q + 1, n + 1):
-                    co = jet.dTas[n + i - 1][n + j - 1][n + k - 1][n + l - 1].scale("1/2")
-                    s15 = _ZERO
-                    s10 = _ZERO
-                    for m in range(n):
-                        s15 = s15 + nbj[m][n + i - 1][n + l - 1] * nbj[n + m][n + j - 1][n + k - 1]
-                        s10 = s10 + nbj[n + m][n + i - 1][n + l - 1] * nbj[m][n + j - 1][n + k - 1]
-                    co = co - s15.scale("8/15") - s10.scale("4/5")
-                    if not co.is_zero():
-                        op = (alg.wedge(k) @ alg.wedge(l)
-                              @ alg.contract(i) @ alg.contract(j) @ proj)
-                        block = block + op.scale(co.scale("1/8"))
+                    for s, make_op in double:
+                        si, sj, sk, sl = s + i - 1, s + j - 1, s + k - 1, s + l - 1
+                        s15 = _ZERO
+                        s10 = _ZERO
+                        for m in range(n):
+                            s15 = s15 + nbj[n - s + m][si][sl] * nbj[s + m][sj][sk]
+                            s10 = s10 + nbj[s + m][si][sl] * nbj[n - s + m][sj][sk]
+                        co = (jet.dTas[si][sj][sk][sl].scale("1/2")
+                              - s15.scale("8/15") - s10.scale("4/5"))
+                        if not co.is_zero():
+                            block = block + make_op(i, j, k, l).scale(co.scale("1/8"))
 
-                    co = jet.dTas[i - 1][j - 1][k - 1][l - 1].scale("1/2")
-                    s15 = _ZERO
-                    s10 = _ZERO
-                    for m in range(n):
-                        s15 = s15 + nbj[n + m][i - 1][l - 1] * nbj[m][j - 1][k - 1]
-                        s10 = s10 + nbj[m][i - 1][l - 1] * nbj[n + m][j - 1][k - 1]
-                    co = co - s15.scale("8/15") - s10.scale("4/5")
-                    if not co.is_zero():
-                        op = (proj @ alg.wedge(j) @ alg.wedge(i)
-                              @ alg.contract(l) @ alg.contract(k))
-                        block = block + op.scale(co.scale("1/8"))
-
-    endo = block.scale(ExactScalar.pi(-1))
-    return B1Result(endo=endo, trace=endo.trace(), route="closed-form",
-                    jet_id=jet.jet_id)
+    return _result(jet, block)
 
 
 def _scale_mat(mat, c: ExactScalar):
@@ -211,30 +203,22 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
                           @ alg.wedge(j) @ alg.contract(k))
                     block = block + op.scale(coeff.scale("1/9"))
 
+    # single blocks in adjoint pairs: barred slots left of the projector,
+    # swapped unbarred slots right of it
     for j in range(1, q + 1):
         for k in range(q + 1, n + 1):
-            curv = _ZERO
-            for i in range(n):
-                curv = curv + jet.RTX[i][n + i][n + j - 1][n + k - 1]
-            coeff = (jet.trRT10[n + j - 1][n + k - 1]
-                     - curv.scale("2/3"))  # (1/2 tr)(2x) and (1/6)(4x) slot factors
-            op = alg.wedge(k) @ alg.contract(j) @ proj
-            block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ alg.endo_from_aux_matrix(
-                _scale_mat(jet.RE[n + j - 1][n + k - 1], rat(2)))).scale(rat("-1/4"))
+            for x, y, op in ((n + j - 1, n + k - 1, alg.wedge(k) @ alg.contract(j) @ proj),
+                             (k - 1, j - 1, proj @ alg.wedge(j) @ alg.contract(k))):
+                curv = _ZERO
+                for i in range(n):
+                    curv = curv + jet.RTX[i][n + i][x][y]
+                # (1/2 tr)(2x) and (1/6)(4x) slot factors
+                coeff = jet.trRT10[x][y] - curv.scale("2/3")
+                block = block + op.scale(coeff.scale("-1/4"))
+                block = block + (op @ alg.endo_from_aux_matrix(
+                    _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
 
-            curv = _ZERO
-            for i in range(n):
-                curv = curv + jet.RTX[i][n + i][k - 1][j - 1]
-            coeff = (jet.trRT10[k - 1][j - 1] - curv.scale("2/3"))
-            op = proj @ alg.wedge(j) @ alg.contract(k)
-            block = block + op.scale(coeff.scale("-1/4"))
-            block = block + (op @ alg.endo_from_aux_matrix(
-                _scale_mat(jet.RE[k - 1][j - 1], rat(2)))).scale(rat("-1/4"))
-
-    endo = block.scale(ExactScalar.pi(-1))
-    return B1Result(endo=endo, trace=endo.trace(), route="closed-form",
-                    jet_id=jet.jet_id)
+    return _result(jet, block)
 
 
 def b1_positive(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
@@ -250,6 +234,4 @@ def b1_positive(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     proj = alg.project_det(0)
     block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
     block = block + proj.scale(jet.rX.scale("1/8"))
-    endo = block.scale(ExactScalar.pi(-1))
-    return B1Result(endo=endo, trace=endo.trace(), route="closed-form",
-                    jet_id=jet.jet_id)
+    return _result(jet, block)

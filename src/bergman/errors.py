@@ -32,6 +32,10 @@ class InvalidJetError(BergmanError):
     """A geometry jet failed validation."""
 
 
+class InvalidPotentialError(BergmanError, ValueError):
+    """A potential map has a bad monomial key or coefficient."""
+
+
 class NotKahlerError(BergmanError):
     """A Kahler-only specialization was invoked on a jet with torsion."""
 

@@ -27,6 +27,8 @@ from .scalars import ExactScalar, rat
 
 CompFn = Callable[[int, int], ExactScalar]
 
+_ZERO = ExactScalar.zero()
+_ONE = ExactScalar.one()
 _HALF = ExactScalar.rational("1/2")
 _HALF_NEG = ExactScalar.rational("-1/2")
 
@@ -63,14 +65,21 @@ class ExteriorAlgebra:
     def zero_endo(self) -> "ExteriorEndo":
         return ExteriorEndo(self, {})
 
+    def _diagonal(self, value: Callable[[tuple[int, ...]], ExactScalar]) -> "ExteriorEndo":
+        """The diagonal endomorphism with value(word) on every aux index of the word."""
+        entries: dict[tuple[int, int], ExactScalar] = {}
+        for w in self.words:
+            v = value(w)
+            for e in range(self.rk_e):
+                idx = self.basis_index(w, e)
+                entries[(idx, idx)] = v
+        return ExteriorEndo(self, entries)
+
     def identity(self) -> "ExteriorEndo":
-        one = rat(1)
-        return ExteriorEndo(self, {(i, i): one for i in range(self.dim)})
+        return self._diagonal(lambda w: _ONE)
 
     def scalar_endo(self, c: ExactScalar) -> "ExteriorEndo":
-        if c.is_zero():
-            return self.zero_endo()
-        return ExteriorEndo(self, {(i, i): c for i in range(self.dim)})
+        return self._diagonal(lambda w: c)
 
     def endo_from_aux_matrix(self, mat: Sequence[Sequence[ExactScalar]]) -> "ExteriorEndo":
         """Id on the wedge factor tensored with a rk_e x rk_e matrix."""
@@ -117,16 +126,7 @@ class ExteriorAlgebra:
         #(j <= q missing from S) + #(j > q present in S); the kernel is
         exactly the {1..q} sector.
         """
-        entries: dict[tuple[int, int], ExactScalar] = {}
-        for w in self.words:
-            d = self.word_defect(w, q)
-            if d == 0:
-                continue
-            val = ExactScalar.pi(1, -2 * d)
-            for e in range(self.rk_e):
-                idx = self.basis_index(w, e)
-                entries[(idx, idx)] = val
-        return ExteriorEndo(self, entries)
+        return self._diagonal(lambda w: ExactScalar.pi(1, -2 * self.word_defect(w, q)))
 
     def word_defect(self, word: tuple[int, ...], q: int) -> int:
         missing = sum(1 for j in range(1, q + 1) if j not in word)
@@ -138,25 +138,12 @@ class ExteriorAlgebra:
 
     def project_det(self, q: int) -> "ExteriorEndo":
         """Orthogonal projection onto the {1..q} wedge word (all aux indices)."""
-        w = self.det_word(q)
-        one = rat(1)
-        entries = {}
-        for e in range(self.rk_e):
-            idx = self.basis_index(w, e)
-            entries[(idx, idx)] = one
-        return ExteriorEndo(self, entries)
+        det = self.det_word(q)
+        return self._diagonal(lambda w: _ONE if w == det else _ZERO)
 
     def project_degree(self, q: int) -> "ExteriorEndo":
         """Orthogonal projection onto all degree-q wedge words (all aux indices)."""
-        one = rat(1)
-        entries = {}
-        for w in self.words:
-            if len(w) != q:
-                continue
-            for e in range(self.rk_e):
-                idx = self.basis_index(w, e)
-                entries[(idx, idx)] = one
-        return ExteriorEndo(self, entries)
+        return self._diagonal(lambda w: _ONE if len(w) == q else _ZERO)
 
     # -- Clifford action -----------------------------------------------------
 

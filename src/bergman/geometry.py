@@ -40,6 +40,7 @@ from operator import add
 from .errors import (
     DegenerateCurvatureError,
     InvalidJetError,
+    InvalidPotentialError,
     TruncationInsufficientError,
 )
 from .jet_checks import (  # noqa: F401  (re-exported: these are geometry operations)
@@ -74,7 +75,7 @@ _TWO = rat(2)
 # potential parsing and generators
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(z|zb)(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"(z|zb)([0-9]{1,9})(?:\^([0-9]{1,9}))?")
 
 
 def parse_potential(data: dict[str, object], n: int, cap: int = 4) -> Series:
@@ -82,23 +83,28 @@ def parse_potential(data: dict[str, object], n: int, cap: int = 4) -> Series:
 
     Keys are space-separated factors `z<j>` / `zb<j>` with optional `^k`,
     1-based, e.g. "z1^2 zb1 zb2"; values are scalar payloads accepted by
-    :meth:`ExactScalar.from_json` (plain "p/q" strings included).
+    :meth:`ExactScalar.from_json` (plain "p/q" strings included).  A map
+    that is not a dict, a bad key or a bad coefficient raises
+    InvalidPotentialError, which is a ValueError.
     """
+    if not isinstance(data, dict):
+        raise InvalidPotentialError("a potential must be a JSON object")
     terms: dict[tuple[int, ...], ExactScalar] = {}
     for key, payload in data.items():
         exps = [0] * (2 * n)
-        key = key.strip()
-        if key:
-            for factor in key.split():
-                m = _FACTOR_RE.match(factor)
-                if not m:
-                    raise ValueError(f"bad monomial factor {factor!r}")
-                kind, idx, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-                if not 1 <= idx <= n:
-                    raise ValueError(f"variable index out of range in {factor!r}")
-                pos = idx - 1 + (n if kind == "zb" else 0)
-                exps[pos] += power
-        c = ExactScalar.from_json(payload)
+        for factor in key.split():
+            m = _FACTOR_RE.fullmatch(factor)
+            if not m:
+                raise InvalidPotentialError(f"bad monomial factor {factor!r}")
+            kind, idx, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+            if not 1 <= idx <= n:
+                raise InvalidPotentialError(f"variable index out of range in {factor!r}")
+            pos = idx - 1 + (n if kind == "zb" else 0)
+            exps[pos] += power
+        try:
+            c = ExactScalar.from_json(payload)
+        except ValueError as exc:
+            raise InvalidPotentialError(f"bad coefficient of {key!r}: {exc}") from None
         e = tuple(exps)
         terms[e] = terms.get(e, _ZERO) + c
     return Series(2 * n, cap, terms)
@@ -305,7 +311,7 @@ def _load(t: object, shape: tuple[int, ...], name: str):
     if not shape:
         try:
             return ExactScalar.from_json(t)
-        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
     if not isinstance(t, list) or len(t) != shape[0]:
         raise InvalidJetError(f"{name} does not have the shape of the jet: "

@@ -13,6 +13,7 @@ powers of 2 appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .scalars import ExactScalar
 
@@ -93,26 +94,21 @@ def frame_norm3(t, n: int) -> ExactScalar:
 
 def s_norm(sb, n: int, first_barred: bool) -> ExactScalar:
     """sum over i,j,k of |<S(u-bar_i or u_i) u_j, u_k>|^2 in normalized frame."""
-    dim = 2 * n
-    acc = _ZERO
-    for i in range(n):
-        fi = n + i if first_barred else i
-        for j in range(n):
-            for k in range(n):
-                v = sb[fi][j][k]
-                if not v.is_zero():
-                    acc = acc + v * sb[(fi + n) % dim][n + j][n + k]
-    return acc.scale(8)
+    return _block_norm(sb, n, range(n), range(n), first_barred)
 
 
 def mixed_block_norm(t, n: int, q: int, first_barred: bool) -> ExactScalar:
     """sum_i sum_{j<=q<k} |<(nabla_{.} J) u_j, u_k>|^2 in normalized frame."""
+    return _block_norm(t, n, range(q), range(q, n), first_barred)
+
+
+def _block_norm(t, n: int, js: range, ks: range, first_barred: bool) -> ExactScalar:
     dim = 2 * n
     acc = _ZERO
     for i in range(n):
         fi = n + i if first_barred else i
-        for j in range(q):
-            for k in range(q, n):
+        for j in js:
+            for k in ks:
                 v = t[fi][j][k]
                 if not v.is_zero():
                     acc = acc + v * t[(fi + n) % dim][n + j][n + k]
@@ -186,7 +182,8 @@ def validate_jet(jet) -> CheckReport:
     p = lambda a: (a + n) % dim
     rep = CheckReport()
 
-    def reality(name, tensor, rank):
+    def reality(name, tensor, rank, anti=False):
+        kind = "anti-reality" if anti else "reality"
         ok = True
         detail = ""
         for idx in _indices(dim, rank):
@@ -196,28 +193,20 @@ def validate_jet(jet) -> CheckReport:
             w = tensor[p(idx[0])]
             for i in idx[1:]:
                 w = w[p(i)]
-            if v.conjugate() != w:
+            if v.conjugate() != (-w if anti else w):
                 ok = False
-                detail = f"component {idx} violates reality"
+                detail = f"component {idx} violates {kind}"
                 break
-        rep.add(f"reality[{name}]", ok, detail)
+        rep.add(f"{kind}[{name}]", ok, detail)
 
     reality("Tas", jet.Tas, 3)
     reality("nablaXJ", jet.nablaXJ, 3)
     reality("nablaBJ", jet.nablaBJ, 3)
     reality("RTX", jet.RTX, 4)
     reality("RB", jet.RB, 4)
-
     # the line-bundle curvature form is imaginary valued, so its derivatives
     # pick up a sign under conjugation
-    ok = True
-    detail = ""
-    for k, a, b in _indices(dim, 3):
-        if jet.dRL1[k][a][b].conjugate() != -jet.dRL1[p(k)][p(a)][p(b)]:
-            ok = False
-            detail = f"component {(k, a, b)} violates anti-reality"
-            break
-    rep.add("anti-reality[dRL1]", ok, detail)
+    reality("dRL1", jet.dRL1, 3, anti=True)
 
     rep.add("riemann-antisym-front",
             all(jet.RTX[a][b][c][d] == -jet.RTX[b][a][c][d]
@@ -247,7 +236,10 @@ def validate_jet(jet) -> CheckReport:
             all(jet.SB[a][b][c] == jet.Tas[a][b][c].scale("-1/2")
                 for a, b, c in _indices(dim, 3)))
     rep.add("four-form-totally-antisymmetric",
-            _is_antisym4(jet.dTas, dim))
+            all(jet.dTas[a][b][c][d] == -jet.dTas[b][a][c][d]
+                and jet.dTas[a][b][c][d] == -jet.dTas[a][c][b][d]
+                and jet.dTas[a][b][c][d] == -jet.dTas[a][b][d][c]
+                for a, b, c, d in _indices(dim, 4)))
 
     rep.add("structure-derivative-cyclic",
             all((jet.nablaXJ[a][b][c] + jet.nablaXJ[b][c][a]
@@ -297,18 +289,7 @@ def validate_jet(jet) -> CheckReport:
 
 
 def _indices(dim: int, rank: int):
-    if rank == 3:
-        return ((a, b, c) for a in range(dim) for b in range(dim) for c in range(dim))
-    return ((a, b, c, d) for a in range(dim) for b in range(dim)
-            for c in range(dim) for d in range(dim))
-
-
-def _is_antisym4(t, dim) -> bool:
-    for a, b, c, d in _indices(dim, 4):
-        v = t[a][b][c][d]
-        if v != -t[b][a][c][d] or v != -t[a][c][b][d] or v != -t[a][b][d][c]:
-            return False
-    return True
+    return product(range(dim), repeat=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +316,13 @@ def identity_suite(jet) -> CheckReport:
                   mixed_block_norm(jet.nablaBJ, n, q, first_barred=False),
                   norm_b.scale("1/4") - s_bu.scale(2))
 
-    def curv_diff() -> ExactScalar:
-        acc = _ZERO
-        for i in range(n):
-            for j in range(n):
-                acc = acc + (jet.RB[i][n + i][j][n + j]
-                             - jet.RTX[i][n + i][j][n + j])
-        return acc.scale(4)
-
+    curv_diff = _ZERO
+    for i in range(n):
+        for j in range(n):
+            curv_diff = curv_diff + (jet.RB[i][n + i][j][n + j] - jet.RTX[i][n + i][j][n + j])
+    curv_diff = curv_diff.scale(4)
     rep.add_equal("curvature-difference-vs-torsion-squares",
-                  curv_diff(),
+                  curv_diff,
                   s_uu - s_bu + lam.double_contraction.scale("1/16"))
 
     def pairing(first_barred: bool) -> ExactScalar:
@@ -390,7 +368,7 @@ def identity_suite(jet) -> CheckReport:
                   + s_gradient_mix(True).scale(0, "1/2"))
 
     rep.add_equal("curvature-difference-master",
-                  curv_diff(),
+                  curv_diff,
                   (norm_b - norm_x).scale("1/8")
                   + lam.contracted_divergence.scale("1/4")
                   - s_bu.scale(2))

@@ -80,11 +80,11 @@ class OscillatorContext:
         return TwoPointState(self, {(z, z, z, z): self._project_det})
 
 
-def _add_term(terms: dict[TermKey, ExteriorEndo], key: TermKey, endo: ExteriorEndo) -> None:
+def _add_term(terms: dict, key: TermKey, value: ExteriorEndo | ExactScalar) -> None:
     if key in terms:
-        terms[key] = terms[key] + endo
+        terms[key] = terms[key] + value
     else:
-        terms[key] = endo
+        terms[key] = value
 
 
 def _bump(m: Multi, j: int, by: int = 1) -> Multi:
@@ -186,6 +186,16 @@ class TwoPointState:
                           endo.scale(ExactScalar.pi(-1, b[j])))
             _add_term(out, (a, b, g, _bump(d, j)), endo)
         return TwoPointState(self.ctx, out)
+
+    def mul_monomial(self, a: Multi, b: Multi) -> "TwoPointState":
+        """Multiply by the monomial xi^a xibar^b, one mul_xi / mul_xibar factor at a time."""
+        s = self
+        for j in range(self.ctx.n):
+            for _ in range(a[j]):
+                s = s.mul_xi(j)
+            for _ in range(b[j]):
+                s = s.mul_xibar(j)
+        return s
 
     def mul_primed(self, j: int, barred: bool = True) -> "TwoPointState":
         out: dict[TermKey, ExteriorEndo] = {}
@@ -292,12 +302,7 @@ class TwoPointState:
         z = ctx.zero_multi
         acc = TwoPointState(ctx, {})
         for (a, b, g, d), endo in poly.terms.items():
-            s = TwoPointState(ctx, {(z, z, g, d): ctx._identity})
-            for j in range(ctx.n):
-                for _ in range(a[j]):
-                    s = s.mul_xi(j)
-                for _ in range(b[j]):
-                    s = s.mul_xibar(j)
+            s = TwoPointState(ctx, {(z, z, g, d): ctx._identity}).mul_monomial(a, b)
             acc = acc + s.apply_endo(endo)
         return acc
 
@@ -405,18 +410,11 @@ class PolyGaussianForm:
 def _poly_apply_b(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
     """b_j on f*P: (-2 df/dxi_j + 2 pi (xibar_j - xibar'_j) f) P."""
     out: dict[TermKey, ExactScalar] = {}
-
-    def add(key: TermKey, c: ExactScalar):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-
     for (a, b, g, d), coeff in mono.items():
         if a[j]:
-            add((_bump(a, j, -1), b, g, d), coeff.scale(-2 * a[j]))
-        add((a, _bump(b, j), g, d), coeff * ExactScalar.pi(1, 2))
-        add((a, b, g, _bump(d, j)), coeff * ExactScalar.pi(1, -2))
+            _add_term(out, (_bump(a, j, -1), b, g, d), coeff.scale(-2 * a[j]))
+        _add_term(out, (a, _bump(b, j), g, d), coeff * ExactScalar.pi(1, 2))
+        _add_term(out, (a, b, g, _bump(d, j)), coeff * ExactScalar.pi(1, -2))
     return out
 
 

@@ -19,6 +19,7 @@ Conventions used when dispatching frame sums to oscillator primitives
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable
 
 from .closed_form import B1Result
@@ -35,6 +36,7 @@ Operator = Callable[[TwoPointState], TwoPointState]
 # series in 2n variables, xi_j as variable j and xibar_j as variable n + j.
 # The gradient square is the only quartic one.
 _CAP = 4
+_ZERO = ExactScalar.zero()
 
 
 def _var(n: int, a: int) -> Series:
@@ -42,17 +44,31 @@ def _var(n: int, a: int) -> Series:
     return Series.var(2 * n, _CAP, a)
 
 
+def _zpoly(n: int, rank: int, coeff: Callable[..., ExactScalar]) -> Series:
+    """sum over frame labels a_1..a_r of coeff(a_1, .., a_r) Z_a1 ... Z_ar."""
+    terms: dict[tuple[int, ...], ExactScalar] = {}
+    for labels in product(range(2 * n), repeat=rank):
+        c = coeff(*labels)
+        if c.is_zero():
+            continue
+        e = [0] * (2 * n)
+        for a in labels:
+            e[a] += 1
+        key = tuple(e)
+        terms[key] = terms[key] + c if key in terms else c
+    return Series(2 * n, _CAP, terms)
+
+
+def _gradient_polys(jet: GeometryJet) -> list[Series]:
+    """sum_{k,c} dRL1[k][c][a] Z_k Z_c for each frame label a."""
+    return [_zpoly(jet.n, 2, lambda k, c, a=a: jet.dRL1[k][c][a]) for a in range(2 * jet.n)]
+
+
 def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
     n = state.ctx.n
     acc = TwoPointState(state.ctx, {})
     for e, c in p.terms.items():
-        s = state
-        for j in range(n):
-            for _ in range(e[j]):
-                s = s.mul_xi(j)
-            for _ in range(e[n + j]):
-                s = s.mul_xibar(j)
-        acc = acc + s.scale(c)
+        acc = acc + state.mul_monomial(e[:n], e[n:]).scale(c)
     return acc
 
 
@@ -112,25 +128,8 @@ def build_O1_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     right, which makes the vanishing of the kernel-to-kernel block manifest.
     """
     n = jet.n
-    dim = 2 * n
-
-    hplus: list[Series] = []
-    hminus: list[Series] = []
-    for j in range(n):
-        pp = pm = Series.zero(dim, _CAP)
-        for a in range(dim):
-            for b in range(dim):
-                cp = jet.dRL1[a][b][j]
-                cm = jet.dRL1[a][b][n + j]
-                if cp.is_zero() and cm.is_zero():
-                    continue
-                mono = _var(n, a) * _var(n, b)
-                if not cp.is_zero():
-                    pp = pp + mono.scale(cp)
-                if not cm.is_zero():
-                    pm = pm + mono.scale(cm)
-        hplus.append(pp)
-        hminus.append(pm)
+    grad = _gradient_polys(jet)
+    hplus, hminus = grad[:n], grad[n:]
 
     two_thirds = rat("2/3")
 
@@ -179,39 +178,26 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     alg = ctx.alg
     part = lambda a: (a + n) % dim
 
-    zero = Series.zero(dim, _CAP)
-
     # (1/3) <R(Z, e_i) Z, e_j> nabla_i nabla_j ; double frame resolution
     kpoly: dict[tuple[int, int], Series] = {}
     for a in range(dim):
         for b in range(dim):
-            p = zero
-            for c in range(dim):
-                for d in range(dim):
-                    v = jet.RTX[c][part(a)][d][part(b)]
-                    if not v.is_zero():
-                        p = p + (_var(n, c) * _var(n, d)).scale(v)
+            p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
             if not p.is_zero():
                 kpoly[(a, b)] = p.scale(rat("4/3"))
+
+    # the cubic curvature polynomial sum dRL2[k][l][m][part(a)] Z_k Z_l Z_m of each a
+    cubic = [_zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)])
+             for a in range(dim)]
 
     # single-derivative coefficients
     single: list[Series] = []
     single_aux: list[list] = [[] for _ in range(dim)]
     for a in range(dim):
         pa = part(a)
-        p = zero
-        for c in range(dim):
-            for b in range(dim):
-                v = jet.RTX[c][b][part(b)][pa]
-                if not v.is_zero():
-                    p = p + _var(n, c).scale(v.scale("4/3"))
-        for k in range(dim):
-            for l in range(dim):
-                for m in range(dim):
-                    v = jet.dRL2[k][l][m][pa]
-                    if not v.is_zero():
-                        p = p + (_var(n, k) * _var(n, l) * _var(n, m)).scale(v.scale("-1/4"))
-        single.append(p.scale(rat(2)))
+        linear = _zpoly(n, 1, lambda c: sum(
+            (jet.RTX[c][b][part(b)][pa] for b in range(dim)), _ZERO))
+        single.append((linear.scale(rat("4/3")) + cubic[a].scale(rat("-1/4"))).scale(rat(2)))
         for c in range(dim):
             mat = jet.RE[c][pa]
             if any(not x.is_zero() for row in mat for x in row):
@@ -219,38 +205,18 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                     [[x.scale(-2) for x in row] for row in mat])))
 
     # scalar multiplication pieces
-    divergence = zero
+    divergence = Series.zero(dim, _CAP)
     for a in range(dim):
-        kp = zero
-        for k in range(dim):
-            for l in range(dim):
-                for m in range(dim):
-                    v = jet.dRL2[k][l][m][part(a)]
-                    if not v.is_zero():
-                        kp = kp + (_var(n, k) * _var(n, l) * _var(n, m)).scale(v.scale("1/2"))
-        divergence = divergence + kp.diff(a)
+        divergence = divergence + cubic[a].scale(rat("1/2")).diff(a)
     divergence = divergence.scale(rat("-1/2"))  # -1/4 times resolution factor 2
 
-    gradient_sq = zero
-    mvec: list[Series] = []
+    grad = _gradient_polys(jet)
+    gradient_sq = Series.zero(dim, _CAP)
     for a in range(dim):
-        p = zero
-        for k in range(dim):
-            for c in range(dim):
-                v = jet.dRL1[k][c][a]
-                if not v.is_zero():
-                    p = p + (_var(n, k) * _var(n, c)).scale(v)
-        mvec.append(p)
-    for a in range(dim):
-        gradient_sq = gradient_sq + (mvec[a] * mvec[part(a)]).scale(rat("-2/9"))
+        gradient_sq = gradient_sq + (grad[a] * grad[part(a)]).scale(rat("-2/9"))
 
-    commutator_n = zero
-    for a in range(dim):
-        for c in range(dim):
-            for d in range(dim):
-                v = jet.RTX[c][a][d][part(a)]
-                if not v.is_zero():
-                    commutator_n = commutator_n + (_var(n, c) * _var(n, d)).scale(v.scale(2))
+    commutator_n = _zpoly(n, 2, lambda c, d: sum(
+        (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat(2))
 
     def op(state: TwoPointState) -> TwoPointState:
         acc = TwoPointState(state.ctx, {})

@@ -197,22 +197,40 @@ class ExactScalar:
 
     @classmethod
     def from_json(cls, data: object) -> "ExactScalar":
-        if isinstance(data, str):
-            return cls.rational(Fraction(data))
-        if isinstance(data, int):
-            return cls.rational(data)
-        terms: dict[int, tuple[Fraction, Fraction]] = {}
+        """Read a payload: a "p/q" string, an int, or a list of
+        {"pi_pow": int, "re": str | int, "im": str | int} items.
+
+        Anything else, floats and bools included, raises ValueError: a float
+        would load as its binary value rather than the number written.
+        """
         if not isinstance(data, list):
-            raise ValueError(f"bad scalar payload: {data!r}")
+            return cls.rational(_exact_rational(data))
+        terms: dict[int, tuple[Fraction, Fraction]] = {}
         for item in data:
-            k = int(item["pi_pow"])
-            re = Fraction(item.get("re", "0"))
-            im = Fraction(item.get("im", "0"))
+            if not isinstance(item, dict) or not _is_int(item.get("pi_pow")):
+                raise ValueError(f"bad scalar term {item!r}: need an integer pi_pow")
+            k = item["pi_pow"]
+            re = _exact_rational(item.get("re", "0"))
+            im = _exact_rational(item.get("im", "0"))
             if k in terms:
                 r0, i0 = terms[k]
                 re, im = r0 + re, i0 + im
             terms[k] = (re, im)
         return cls(terms)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _exact_rational(x: object) -> Fraction:
+    """A str or int payload as a Fraction; ValueError for anything else."""
+    if not (isinstance(x, str) or _is_int(x)):
+        raise ValueError(f"bad scalar payload {x!r}: need a str or an int")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar payload {x!r}: zero denominator") from None
 
 
 def _format_gaussian(re: Fraction, im: Fraction) -> str:

@@ -1,9 +1,13 @@
 import copy
+import hashlib
 import json
 
 import pytest
 
+from bergman import cli
 from bergman.cli import main
+from bergman.closed_form import B1Result
+from bergman.exterior import ExteriorAlgebra
 from bergman.geometry import fs_product_potential, jet_digest, potential_to_dict
 
 
@@ -163,6 +167,34 @@ def test_output_determinism(jet_file, capsys):
     assert first == second
 
 
+# sha256 of each command's stdout, JET being the `jet random --n 2 --q 1 --seed 7` file
+PINNED_STDOUT = {
+    "b1 engine --jet JET --terms":
+        "249b6ed6606a4186194ec9e54cfb3c61e17b43d4dcf0221132392028a50bedce",
+    "b1 closed-form --jet JET":
+        "2658118251d62727601e7bde47e4ab2a5eff4822cfeb66bfecf805b1802ec170",
+    "b1 closed-form --jet JET --table":
+        "e79f91c132d4e7f075f247f0716893bd88b9f8f269ad763e9370daaf66cb13af",
+    "b1 crosscheck --jet JET":
+        "963e9af8eedca730d992df19478fc5437f64ba11e97e073f41a66dcbc27508b8",
+    "identities --jet JET":
+        "a7192d30e882764c7b8f2e491e4ed3a981eb8eb230608d7a5205d9808ade3819",
+    "selftest":
+        "e8a79f207f511d1ba5a25fda2f5c2c290dd6866cab6a22c9cbc36b57f0829756",
+}
+
+
+def test_output_bytes_are_pinned(jet_file, capsys):
+    """Byte-for-byte output across versions, not just across two runs."""
+    assert hashlib.sha256(jet_file.read_bytes()).hexdigest() == \
+        "9ad56264e65827613753ef7a362bf885f88bbbc5c67fd5a20dbaaa744b5d2425"
+    capsys.readouterr()
+    for command, expected in PINNED_STDOUT.items():
+        argv = [str(jet_file) if arg == "JET" else arg for arg in command.split()]
+        code, out = run_captured(capsys, argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == expected, command
+
+
 def test_table_rendering(jet_file, capsys):
     code, out = run_captured(capsys, ["b1", "closed-form", "--jet", str(jet_file),
                                       "--table"])
@@ -234,3 +266,52 @@ def test_bad_degree_cap_is_usage_error(jet_file, monkeypatch, capsys):
         assert main(["b1", "engine", "--jet", str(jet_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: BERGMAN_DEGREE_CAP") and err.count("\n") == 1, err
+
+
+POTENTIAL_CASES = {
+    "not-an-object": "[1, 2]",
+    "bad-key": json.dumps({"z1 zb1": "1", "w2": "3"}),
+    "index-out-of-range": json.dumps({"z1 zb1": "1", "z3": "1"}),
+    "bad-coefficient": json.dumps({"z1 zb1": [{"pi_pow": 1.7, "re": "1", "im": "0"}]}),
+    "not-json": "{not json",
+}
+
+
+@pytest.mark.parametrize("case", POTENTIAL_CASES)
+def test_malformed_potential_is_validation_error(tmp_path, capsys, case):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(potential_to_dict(fs_product_potential(2, 1))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(POTENTIAL_CASES[case])
+    for phi_l, phi_e in ((bad, None), (good, bad)):
+        argv = ["jet", "build", "--potential", str(phi_l), "--n", "2", "--q", "1",
+                "--out", str(tmp_path / "jet.json")]
+        if phi_e is not None:
+            argv += ["--potential-e", str(phi_e)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "jet.json").exists()
+
+
+def test_crosscheck_requires_self_adjoint(small_jet_body, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(small_jet_body))
+    alg = ExteriorAlgebra(1)
+    skew = alg.wedge(1)      # not self-adjoint
+    sym = skew + skew.adjoint()
+
+    def result(endo, route):
+        return B1Result(endo=endo, trace=endo.trace(), route=route,
+                        jet_id=small_jet_body["jet_id"])
+
+    for closed, engine, skewed in ((skew, skew, ["closed-form", "engine"]),
+                                   (sym, skew, ["engine"])):
+        monkeypatch.setattr(cli, "b1_formula", lambda jet, check, e=closed:
+                            result(e, "closed-form"))
+        monkeypatch.setattr(cli, "b1_engine", lambda jet, check, e=engine: result(e, "engine"))
+        code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
+        payload = json.loads(out)
+        assert code == 4
+        assert payload["match"] is (closed == engine)
+        assert payload["not_self_adjoint"] == skewed

@@ -1,9 +1,12 @@
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bergman.errors import DegenerateCurvatureError, TruncationInsufficientError
 from bergman.geometry import (
+    _TENSOR_FIELDS,
     GeometryJet,
     flat_potential,
     fs_product_potential,
@@ -40,6 +43,19 @@ def test_potential_parsing_roundtrip():
         parse_potential({"w1": "1"}, 2)
     with pytest.raises(ValueError):
         parse_potential({"z3": "1"}, 2)
+
+
+_factor = st.from_regex(r"zb?[0-9]{1,2}(\^[0-9]{1,2})?", fullmatch=True)
+_key = st.lists(_factor | st.text(max_size=4), max_size=3).map(" ".join) | st.text()
+
+
+@given(st.dictionaries(_key, st.just("1/3") | st.just([]) | st.none(), max_size=4))
+def test_parse_potential_roundtrips_or_raises_value_error(data):
+    try:
+        phi = parse_potential(data, 2)
+    except ValueError:
+        return
+    assert parse_potential(potential_to_dict(phi), 2) == phi
 
 
 def test_hessian_normalization_enforced():
@@ -200,3 +216,39 @@ def test_series_basics():
     u = s.compose([Series.var(2, 3, 1), Series.var(2, 3, 0)])
     assert u.coeff((0, 1)) == rat(2)
     assert u.coeff((2, 0)) == rat(1)
+
+
+def test_pluriharmonic_change_keeps_the_jet(jet_cache):
+    """Adding 2 Re(h), h holomorphic, leaves d dbar phi and so the jet unchanged."""
+    jet = jet_cache("random", 2, 1, 5)
+    assert jet.jet_id == "92d5bb2e9ad3c406"
+    phi = random_potential(2, 1, 5)
+    h = Series(4, phi.cap, {(3, 0, 0, 0): ExactScalar.rational("1/2", 2, 2),
+                            (1, 2, 0, 0): ExactScalar.rational(-1, 1, 1),
+                            (2, 2, 0, 0): ExactScalar.rational(0, 3, 2)})
+    assert jet_from_potential(phi + h + h.conj(), n=2, q=1).jet_id == jet.jet_id
+
+
+def _entry(t, idx):
+    for i in idx:
+        t = t[i]
+    return t
+
+
+@pytest.mark.parametrize("n,q,seed,perm", [
+    (2, 0, 9, (1, 0)), (2, 2, 9, (1, 0)), (3, 1, 0, (0, 2, 1)),
+])
+def test_coordinate_swap_permutes_the_jet(jet_cache, n, q, seed, perm):
+    """Swapping two coordinates of one signature block in the potential
+    permutes every tensor slot of the jet the same way."""
+    jet = jet_cache("random", n, q, seed)
+    phi = random_potential(n, q, seed)
+    sigma = tuple(perm[a % n] + (n if a >= n else 0) for a in range(2 * n))
+    swapped = Series(2 * n, phi.cap,
+                     {tuple(e[i] for i in sigma): c for e, c in phi.terms.items()})
+    other = jet_from_potential(swapped, n=n, q=q)
+    assert other.rX == jet.rX
+    for name, rank in _TENSOR_FIELDS.items():
+        t, u = getattr(jet, name), getattr(other, name)
+        for idx in product(range(2 * n), repeat=rank):
+            assert _entry(u, idx) == _entry(t, tuple(sigma[i] for i in idx)), (name, idx)

@@ -53,6 +53,40 @@ def test_json_roundtrip():
     assert ExactScalar.from_json(4) == rat(4)
 
 
+@pytest.mark.parametrize("payload", [
+    [{"pi_pow": 1.7, "re": "1", "im": "0"}],   # float pi power
+    [{"pi_pow": True, "re": "1", "im": "0"}],  # bool pi power
+    [{"pi_pow": 1, "re": 0.1, "im": "0"}],     # float coefficient
+    [{"pi_pow": 1, "re": "1", "im": False}],   # bool coefficient
+    [{"re": "1", "im": "0"}],                  # missing pi power
+    ["1/2"],                                   # item that is not an object
+    "1/0",
+    1.5,
+    True,
+    None,
+])
+def test_inexact_or_malformed_payload_is_value_error(payload):
+    with pytest.raises(ValueError):
+        ExactScalar.from_json(payload)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["pi_pow", "re", "im"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=8)
+
+
+@given(_json_values)
+def test_from_json_roundtrips_or_raises_value_error(payload):
+    try:
+        a = ExactScalar.from_json(payload)
+    except ValueError:
+        return
+    assert ExactScalar.from_json(a.to_json()) == a
+
+
 def test_string_forms():
     assert str(ExactScalar.zero()) == "0"
     assert str(ExactScalar.pi(1)) == "pi"
