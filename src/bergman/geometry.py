@@ -359,7 +359,7 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
     RL = mat_zero(dim, dim, _CAP)
     for a in range(n):
         for b in range(n):
-            d2 = phi_l.diff(a).diff(n + b).truncate(_CAP)
+            d2 = _deriv(_deriv(phi_l, a), n + b).truncate(_CAP)
             RL[a][n + b] = d2
             RL[n + b][a] = -d2
 
@@ -367,7 +367,7 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
     omega = _table(dim, 2, lambda a, b: RL[a][b].scale(ExactScalar.rational(0, "1/2", -1)))
     jstd = [_I if a < n else -_I for a in range(dim)]
 
-    # B(U, V) = omega(U, J V); metric g = |B| via Newton square root
+    # B(U, V) = omega(U, J V); metric g = |B|, its endomorphism sqrt(M M) by binomial series
     B = _table(dim, 2, lambda a, b: omega[a][b].scale(jstd[b]))
     part = lambda a: (a + n) % dim
     M = _table(dim, 2, lambda a, b: B[part(a)][b].scale(_TWO))
@@ -385,7 +385,7 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
 
     # Hermitian structure on the holomorphic tangent bundle and its torsion
     h = _table(n, 2, lambda j, k: g[j][n + k])
-    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: h[j][l].diff(i)), mat_inverse(h))
+    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), mat_inverse(h))
     tas = _antisym_torsion(gamma_ch, g, n)
 
     sb_low = _table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
@@ -453,6 +453,11 @@ def _at0(t):
     return [_at0(x) for x in t]
 
 
+def _deriv(s: Series, a: int) -> Series:
+    """d s / d w_a, capped one degree below `s`: higher terms are unknown."""
+    return s.diff(a).truncate(s.cap - 1)
+
+
 def _d0(s: Series, *slots: int) -> ExactScalar:
     """First or second partial derivative of `s` at the base point."""
     e = [0] * s.nvars
@@ -493,7 +498,7 @@ def _relabel(t, q: int, rank: int):
 def _christoffels(g, ginv):
     dim = len(g)
     low = _table(dim, 3, lambda a, b, c:
-                 (g[b][c].diff(a) + g[a][c].diff(b) - g[a][b].diff(c)).scale(_HALF))
+                 (_deriv(g[b][c], a) + _deriv(g[a][c], b) - _deriv(g[a][b], c)).scale(_HALF))
     return _contract_last(low, ginv)
 
 
@@ -560,7 +565,7 @@ def _nabla_J(J, gamma):
     dim = len(gamma)
 
     def entry(a, b, c):
-        s = J[b][c].diff(a)
+        s = _deriv(J[b][c], a)
         for d in range(dim):
             s = s + gamma[a][d][c] * J[b][d] - gamma[a][b][d] * J[d][c]
         return s
@@ -621,7 +626,7 @@ def _aux_curvature(phi_e, n, rk_e):
             raise DegenerateCurvatureError("auxiliary potential is not real")
         for a in range(n):
             for b in range(n):
-                v = phi_e.diff(a).diff(n + b).value0()
+                v = _d0(phi_e, a, n + b)
                 out[a][n + b] = diag(v)
                 out[n + b][a] = diag(-v)
     return out
@@ -656,16 +661,10 @@ def _radial_gauge_derivatives(RL, gamma):
                     c3 = c3 + (w[b] * c2c).scale(gam0[b][c][a].scale(4))
         zmap[a] = zmap[a] + c3.scale(rat("-1/6"))
 
-    jac = _table(dim, 2, lambda a, c: zmap[c].diff(a))
-    comp_cache = {(c, d): RL[c][d].compose(zmap, cap=2)
-                  for c in range(dim) for d in range(dim) if not RL[c][d].is_zero()}
-
-    def pull(a, b):
-        acc = Series.zero(dim, 2)
-        for (c, d), comp in comp_cache.items():
-            acc = acc + comp * jac[a][c].truncate(2) * jac[b][d].truncate(2)
-        return acc
-
-    pulled = _table(dim, 2, pull)
+    # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d], as jac (comp jac^T)
+    jac = _table(dim, 2, lambda a, c: _deriv(zmap[c], a))
+    jac_t = _table(dim, 2, lambda d, b: jac[b][d])
+    comp = _table(dim, 2, lambda c, d: RL[c][d].compose(zmap, cap=2))
+    pulled = mat_mul(jac, mat_mul(comp, jac_t))
     return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
             _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

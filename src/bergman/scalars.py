@@ -14,6 +14,7 @@ never silently leaves the Laurent class.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -197,7 +198,7 @@ class ExactScalar:
 
     @classmethod
     def from_json(cls, data: object) -> "ExactScalar":
-        """Read a payload: a "p/q" string, an int, or a list of
+        """Read a payload: a "p" or "p/q" string of ASCII digits, an int, or a list of
         {"pi_pow": int, "re": str | int, "im": str | int} items.
 
         Anything else, floats and bools included, raises ValueError: a float
@@ -223,10 +224,15 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# The form str(Fraction) writes.  Fraction() itself also takes exponents,
+# decimals, underscores and spaces; "1e1000000" would expand to a million digits.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _exact_rational(x: object) -> Fraction:
-    """A str or int payload as a Fraction; ValueError for anything else."""
-    if not (isinstance(x, str) or _is_int(x)):
-        raise ValueError(f"bad scalar payload {x!r}: need a str or an int")
+    """An int or a "p" / "p/q" string payload as a Fraction; ValueError for anything else."""
+    if not (_is_int(x) or isinstance(x, str) and _RATIONAL_RE.fullmatch(x)):
+        raise ValueError(f"bad scalar payload {x!r}: need an int or a \"p\" or \"p/q\" string")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -7,13 +7,23 @@ ExactScalar coefficients.  Conjugation swaps the variable pairs and
 conjugates coefficients, so reality of geometric data is a checkable
 property rather than a convention.
 
-Matrices of series support exact inversion and square roots by Newton
-iteration seeded at the constant term; both terminate after O(log cap)
-sweeps because the error degree doubles each step.
+The derivative of a series is known exactly only up to degree cap - 1,
+but `Series.diff` keeps the cap: the engine uses `Series` as an exact
+polynomial ring, where nothing is lost to truncation.  Callers that treat a
+series as a truncated jet lower the cap themselves (the geometry pipeline
+does so at every derivative), and the minimum cap then propagates through
+`+` and `*`.
+
+Matrices of series support exact inversion by Newton iteration seeded at
+the exact constant-term inverse, which terminates after O(log cap) sweeps
+because the error degree doubles each step, and exact square roots of
+I + X (X constant-free) by the binomial series sum_k binom(1/2, k) X^k,
+which is exact once k reaches the cap.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .scalars import ExactScalar, rat
@@ -71,12 +81,13 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         cap = min(self.cap, other.cap)
         out: dict[Exps, ExactScalar] = {}
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
             if d1 > cap:
                 continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cap:
+            for e2, d2, c2 in right:
+                if d1 + d2 > cap:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1 * c2
@@ -244,7 +255,11 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 def mat_sqrt(a: Matrix) -> Matrix:
-    """Newton square root of a series matrix whose constant term is the identity."""
+    """Square root of a series matrix whose constant term is the identity.
+
+    With a = I + X, sqrt(a) = sum_k binom(1/2, k) X^k; X is constant-free, so
+    X^k starts at degree k and the sum up to k = cap is exact.
+    """
     dim = len(a)
     nvars = a[0][0].nvars
     cap = min(s.cap for row in a for s in row)
@@ -254,10 +269,10 @@ def mat_sqrt(a: Matrix) -> Matrix:
             want = rat(1) if i == j else rat(0)
             if a[i][j].value0() != want:
                 raise ValueError("matrix square root needs identity constant term")
-    s = ident
-    half = rat("1/2")
-    err_deg = 1
-    while err_deg <= cap:
-        s = mat_scale(mat_add(s, mat_mul(a, mat_inverse(s))), half)
-        err_deg *= 2
+    x = mat_sub(a, ident)
+    s, power, coeff = ident, ident, rat(1)
+    for k in range(1, cap + 1):
+        power = mat_mul(power, x)
+        coeff = coeff.scale(Fraction(3 - 2 * k, 2 * k))  # binom(1/2, k)
+        s = mat_add(s, mat_scale(power, coeff))
     return s

@@ -11,6 +11,7 @@ from bergman.geometry import (
     parse_potential,
     random_potential,
 )
+from bergman.series import Series
 
 CROSSCHECK_SEEDS = tuple(range(1, 21))
 
@@ -19,8 +20,9 @@ CROSSCHECK_SEEDS = tuple(range(1, 21))
 def jet_cache():
     cache = {}
 
-    def get(kind: str, n: int, q: int, seed: int = 0, rk_e: int = 1, twist=None):
-        key = (kind, n, q, seed, rk_e, twist)
+    def get(kind: str, n: int, q: int, seed: int = 0, rk_e: int = 1, twist=None, swap=None):
+        """`swap`, a permutation of 0..n-1, relabels z_j and zbar_j as z_swap[j], zbar_swap[j]."""
+        key = (kind, n, q, seed, rk_e, twist, swap)
         if key not in cache:
             if kind == "flat":
                 phi = flat_potential(n, q)
@@ -30,6 +32,10 @@ def jet_cache():
                 phi = random_potential(n, q, seed)
             else:
                 raise ValueError(kind)
+            if swap is not None:
+                sigma = tuple(swap[a % n] + (n if a >= n else 0) for a in range(2 * n))
+                phi = Series(2 * n, phi.cap,
+                             {tuple(e[i] for i in sigma): c for e, c in phi.terms.items()})
             phi_e = None
             if twist is not None:
                 phi_e = parse_potential(

@@ -2,10 +2,12 @@
 from jet components and oscillator primitives and compared exactly against
 the engine's own chains, ending with the closed-form cross-check."""
 
+from itertools import combinations
+
 import pytest
 
 from bergman.closed_form import b1_formula
-from bergman.exterior import ExteriorAlgebra
+from bergman.exterior import ExteriorAlgebra, ExteriorEndo
 from bergman.perturbation import (
     b1_engine,
     build_O1,
@@ -215,6 +217,27 @@ def test_flagship_crosscheck_three_dimensional(jet_cache):
     """One torsion-rich three-dimensional jet exercises the largest sector."""
     jet = jet_cache("random", 3, 2, 9)
     assert b1_engine(jet, check=False).endo == b1_formula(jet, check=False).endo
+
+
+@pytest.mark.parametrize("n,q,seed,perm", [
+    (2, 0, 9, (1, 0)), (2, 2, 9, (1, 0)), (3, 1, 0, (0, 2, 1)),
+])
+def test_coordinate_swap_conjugates_b1(jet_cache, n, q, seed, perm):
+    """Swapping two coordinates of one signature block in the potential
+    conjugates b_1 by the induced signed permutation of wedge words, on both
+    routes.  Within a block the swap permutes the generators vb^j alike."""
+    jet = jet_cache("random", n, q, seed)
+    other = jet_cache("random", n, q, seed, swap=perm)
+    alg = ExteriorAlgebra(n)
+    entries = {}
+    for word in alg.words:
+        image = [perm[j - 1] + 1 for j in word]
+        sign = (-1) ** sum(x > y for x, y in combinations(image, 2))
+        entries[(alg.basis_index(tuple(sorted(image))), alg.basis_index(word))] = rat(sign)
+    p = ExteriorEndo(alg, entries)  # an involution: p @ p is the identity
+    for route in (b1_formula, b1_engine):
+        b1 = route(jet, check=False).endo
+        assert route(other, check=False).endo == p @ b1 @ p, route.__name__
 
 
 def test_engine_output_self_adjoint(batch_jets):

@@ -61,6 +61,10 @@ def test_json_roundtrip():
     [{"re": "1", "im": "0"}],                  # missing pi power
     ["1/2"],                                   # item that is not an object
     "1/0",
+    "1e1000000",                               # exponent: a million digits
+    "1.5",
+    "1_000",
+    " 1 ",
     1.5,
     True,
     None,
