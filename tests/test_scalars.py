@@ -62,7 +62,7 @@ def test_json_roundtrip():
     ["1/2"],                                   # item that is not an object
     "1/0",
     "1e1000000",                               # exponent: a million digits
-    "1.5",
+    pytest.param("1.5", id="'1.5'"),           # decimal string; 1.5 is the float
     "1_000",
     " 1 ",
     1.5,
