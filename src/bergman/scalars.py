@@ -6,6 +6,15 @@ rational and k ranging over the integers.  Since pi is transcendental, two
 such expressions are equal iff they are structurally equal, which is what
 makes "exact equality" a decidable test everywhere downstream.
 
+Layout.  A scalar holds integers only: `_num` maps each pi-power k to the
+integer numerators (a_k D, b_k D) of its Gaussian coefficient, all over one
+shared denominator `_den` = D > 0 (the layout of FLINT's fmpq_poly).  The
+form is canonical: no entry is (0, 0), gcd(D, every numerator) = 1, and
+zero is the empty map over D = 1.  Every operation restores it with one gcd
+pass over the integers, so equal values have equal fields and `==` and
+`hash` compare structure.  `terms()` and `as_fraction()` hand the
+coefficients out as `Fraction`s; no `Fraction` arithmetic runs inside.
+
 Division is deliberately restricted to monomials (a single pi-power with an
 invertible Gaussian-rational coefficient): that is the only division the
 resolvent calculus ever needs, and keeping it that narrow means the ring
@@ -16,32 +25,32 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
-
-
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+Numerators = dict[int, tuple[int, int]]
 
 
 class ExactScalar:
-    """An element of Q(i)[pi, pi^-1], stored sparsely by pi-power."""
+    """An element of Q(i)[pi, pi^-1]: integer numerators by pi-power over one denominator."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping[int, tuple[Fraction, Fraction]] | None = None):
-        clean: dict[int, tuple[Fraction, Fraction]] = {}
-        if terms:
-            for k, (re, im) in terms.items():
-                if re or im:
-                    clean[int(k)] = (re, im)
-        self._terms = clean
-        self._hash: int | None = None
+    def __init__(self, terms: Mapping[int, tuple[RationalLike, RationalLike]] | None = None):
+        coeffs = {}
+        for k, (re, im) in (terms or {}).items():
+            re, im = Fraction(re), Fraction(im)
+            if re or im:
+                coeffs[int(k)] = (re, im)
+        # with reduced fractions, the lcm of the denominators is already coprime
+        # to the scaled numerators, so the form is canonical without a gcd pass
+        den = lcm(*(x.denominator for pair in coeffs.values() for x in pair))
+        self._num = {k: (re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator))
+                     for k, (re, im) in coeffs.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -55,60 +64,72 @@ class ExactScalar:
 
     @classmethod
     def rational(cls, re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> "ExactScalar":
-        return cls({pi_pow: (_frac(re), _frac(im))})
+        if type(re) is int and type(im) is int:
+            return _make({pi_pow: (re, im)}, 1) if re or im else _CACHED_ZERO
+        return cls({pi_pow: (re, im)})
 
     @classmethod
     def i(cls) -> "ExactScalar":
-        return cls({0: (_ZERO, Fraction(1))})
+        return _make({0: (0, 1)}, 1)
 
     @classmethod
     def pi(cls, power: int = 1, coeff: RationalLike = 1) -> "ExactScalar":
-        return cls({power: (_frac(coeff), _ZERO)})
+        return cls.rational(coeff, 0, power)
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_real(self) -> bool:
-        return all(im == 0 for _, im in self._terms.values())
+        return all(im == 0 for _, im in self._num.values())
 
     def is_rational(self) -> bool:
-        return set(self._terms) <= {0} and self.is_real()
+        return self._num.keys() <= {0} and self.is_real()
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; only valid when pi-free and real."""
-        if not self._terms:
-            return _ZERO
+        if not self._num:
+            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a plain rational: {self}")
-        return self._terms[0][0]
+        return Fraction(self._num[0][0], self._den)
 
     def terms(self) -> Iterable[tuple[int, Fraction, Fraction]]:
-        for k in sorted(self._terms):
-            re, im = self._terms[k]
-            yield k, re, im
+        den = self._den
+        for k in sorted(self._num):
+            re, im = self._num[k]
+            yield k, Fraction(re, den), Fraction(im, den)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if not self._terms:
+        if not self._num:
             return other
-        if not other._terms:
+        if not other._num:
             return self
-        terms = dict(self._terms)
-        for k, (re, im) in other._terms.items():
-            if k in terms:
-                r0, i0 = terms[k]
-                terms[k] = (r0 + re, i0 + im)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, num, m2 = d1, dict(self._num), 1
+        else:
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            den = d1 * m1
+            num = {k: (a * m1, b * m1) for k, (a, b) in self._num.items()}
+        for k, (c, d) in other._num.items():
+            if m2 != 1:
+                c, d = c * m2, d * m2
+            if k in num:
+                a, b = num[k]
+                num[k] = (a + c, b + d)
             else:
-                terms[k] = (re, im)
-        return ExactScalar(terms)
+                num[k] = (c, d)
+        return _reduced(num, den)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar({k: (-re, -im) for k, (re, im) in self._terms.items()})
+        return _make({k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
@@ -118,20 +139,39 @@ class ExactScalar:
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if not self._terms or not other._terms:
+        n1, n2 = self._num, other._num
+        if not n1 or not n2:
             return _CACHED_ZERO
-        terms: dict[int, tuple[Fraction, Fraction]] = {}
-        for k1, (a, b) in self._terms.items():
-            for k2, (c, d) in other._terms.items():
+        if other._den == 1 and len(n2) == 1 and 0 in n2 and n2[0][1] == 0:
+            # times a nonzero integer c: gcd(D, c * nums) = gcd(D, c) in canonical form
+            c = n2[0][0]
+            g = gcd(self._den, c)
+            if g != 1:
+                c //= g
+            return _make({k: (a * c, b * c) for k, (a, b) in n1.items()}, self._den // g)
+        den = self._den * other._den
+        if len(n1) == 1 and len(n2) == 1:
+            # monomial times monomial: the product of nonzero Gaussian integers is nonzero
+            (k1, (a, b)), = n1.items()
+            (k2, (c, d)), = n2.items()
+            re, im = a * c - b * d, a * d + b * c
+            if den != 1:
+                g = gcd(den, re, im)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            return _make({k1 + k2: (re, im)}, den)
+        num: Numerators = {}
+        for k1, (a, b) in n1.items():
+            for k2, (c, d) in n2.items():
                 k = k1 + k2
                 re = a * c - b * d
                 im = a * d + b * c
-                if k in terms:
-                    r0, i0 = terms[k]
-                    terms[k] = (r0 + re, i0 + im)
+                if k in num:
+                    r0, i0 = num[k]
+                    num[k] = (r0 + re, i0 + im)
                 else:
-                    terms[k] = (re, im)
-        return ExactScalar(terms)
+                    num[k] = (re, im)
+        return _reduced(num, den)
 
     def scale(self, re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> "ExactScalar":
         return self * ExactScalar.rational(re, im, pi_pow)
@@ -140,29 +180,25 @@ class ExactScalar:
         """Division by a monomial c*pi^k with c an invertible Gaussian rational."""
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        if len(other._terms) != 1:
+        if len(other._num) != 1:
             raise ZeroDivisionError(f"division only by pi-monomials, got {other}")
-        (k, (c, d)), = other._terms.items()
-        norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        inv = ExactScalar({-k: (c / norm, -d / norm)})
-        return self * inv
+        (k, (c, d)), = other._num.items()
+        # 1 / ((c + id) / D pi^k) = D (c - id) / (c^2 + d^2) pi^-k
+        den = other._den
+        return self * _reduced({-k: (den * c, -den * d)}, c * c + d * d)
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar({k: (re, -im) for k, (re, im) in self._terms.items()})
+        return _make({k: (a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- formatting / serialization ------------------------------------------
 
@@ -170,7 +206,7 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for k, re, im in self.terms():
@@ -250,8 +286,38 @@ def _format_gaussian(re: Fraction, im: Fraction) -> str:
     return f"({re}{sign}{istr})"
 
 
-_CACHED_ZERO = ExactScalar()
-_CACHED_ONE = ExactScalar({0: (Fraction(1), _ZERO)})
+_new = object.__new__
+
+
+def _make(num: Numerators, den: int) -> ExactScalar:
+    """A scalar from fields already in canonical form."""
+    s = _new(ExactScalar)
+    s._num = num
+    s._den = den
+    return s
+
+
+def _reduced(num: Numerators, den: int) -> ExactScalar:
+    """The canonical scalar of num / den: zero entries dropped, one gcd pass."""
+    g = den
+    has_zero = False
+    for a, b in num.values():
+        if not (a or b):
+            has_zero = True
+        elif g != 1:
+            g = gcd(g, a, b)
+    if has_zero:
+        num = {k: v for k, v in num.items() if v[0] or v[1]}
+        if not num:
+            return _CACHED_ZERO
+    if g != 1:
+        num = {k: (a // g, b // g) for k, (a, b) in num.items()}
+        den //= g
+    return _make(num, den)
+
+
+_CACHED_ZERO = _make({}, 1)
+_CACHED_ONE = _make({0: (1, 0)}, 1)
 
 
 def rat(re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> ExactScalar:

@@ -1,16 +1,97 @@
 """Independent oracles that only the tests call.
 
-Each one recomputes a library operation by a different route: the
-oscillator L0 as a raw differential operator on the polynomial form, the
-2-form Clifford action by raw Clifford products, and the det-sector
-compression identity block by block.
+Each one recomputes a library operation by a different route: scalar
+arithmetic on `Fraction` pairs, the oscillator L0 as a raw differential
+operator on the polynomial form, the 2-form Clifford action by raw Clifford
+products, and the det-sector compression identity block by block.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from bergman.exterior import CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.oscillator import PolyGaussianForm, TermKey, _bump, _poly_apply_b
-from bergman.scalars import ExactScalar, rat
+from bergman.scalars import ExactScalar, _format_gaussian, rat
+
+
+class FractionScalar:
+    """Q(i)[pi, pi^-1] stored as a (re, im) `Fraction` pair per pi-power.
+
+    The layout `ExactScalar` had before it moved to integer numerators over
+    one denominator; the differential tests compare the two operation by
+    operation.
+    """
+
+    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
+        self._terms = {k: (Fraction(re), Fraction(im))
+                       for k, (re, im) in (terms or {}).items() if re or im}
+
+    def terms(self):
+        for k in sorted(self._terms):
+            re, im = self._terms[k]
+            yield k, re, im
+
+    def __add__(self, other: "FractionScalar") -> "FractionScalar":
+        terms = dict(self._terms)
+        for k, (re, im) in other._terms.items():
+            r0, i0 = terms.get(k, (0, 0))
+            terms[k] = (r0 + re, i0 + im)
+        return FractionScalar(terms)
+
+    def __neg__(self) -> "FractionScalar":
+        return FractionScalar({k: (-re, -im) for k, (re, im) in self._terms.items()})
+
+    def __sub__(self, other: "FractionScalar") -> "FractionScalar":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionScalar") -> "FractionScalar":
+        terms: dict[int, tuple[Fraction, Fraction]] = {}
+        for k1, (a, b) in self._terms.items():
+            for k2, (c, d) in other._terms.items():
+                r0, i0 = terms.get(k1 + k2, (0, 0))
+                terms[k1 + k2] = (r0 + a * c - b * d, i0 + a * d + b * c)
+        return FractionScalar(terms)
+
+    def scale(self, re, im=0, pi_pow: int = 0) -> "FractionScalar":
+        return self * FractionScalar({pi_pow: (re, im)})
+
+    def __truediv__(self, other: "FractionScalar") -> "FractionScalar":
+        if len(other._terms) != 1:
+            raise ZeroDivisionError(f"division only by pi-monomials, got {other}")
+        (k, (c, d)), = other._terms.items()
+        norm = c * c + d * d
+        return self * FractionScalar({-k: (c / norm, -d / norm)})
+
+    def conjugate(self) -> "FractionScalar":
+        return FractionScalar({k: (re, -im) for k, (re, im) in self._terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FractionScalar) and self._terms == other._terms
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for k, re, im in self.terms():
+            coeff = _format_gaussian(re, im)
+            if k == 0:
+                parts.append(coeff)
+            else:
+                power = "pi" if k == 1 else f"pi^{k}"
+                if coeff == "1":
+                    parts.append(power)
+                elif coeff == "-1":
+                    parts.append(f"-{power}")
+                else:
+                    parts.append(f"{coeff}*{power}")
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+    def to_json(self) -> list[dict[str, object]]:
+        return [{"pi_pow": k, "re": str(re), "im": str(im)} for k, re, im in self.terms()]
 
 
 def apply_L0_directly(form: PolyGaussianForm) -> PolyGaussianForm:

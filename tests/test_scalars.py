@@ -1,18 +1,70 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bergman.scalars import ExactScalar, rat
+from oracles import FractionScalar
+
+_coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
+_powers = st.integers(min_value=-3, max_value=3)
+_term_lists = st.lists(st.tuples(_powers, _coeffs, _coeffs), max_size=3)
 
 
-def scalars(max_terms=3):
-    coeff = st.fractions(min_value=-40, max_value=40, max_denominator=8)
-    term = st.tuples(st.integers(min_value=-3, max_value=3), coeff, coeff)
-    return st.lists(term, max_size=max_terms).map(
-        lambda ts: sum(
-            (ExactScalar.rational(re, im, k) for k, re, im in ts),
-            ExactScalar.zero()))
+def _build(ts):
+    return sum((ExactScalar.rational(re, im, k) for k, re, im in ts), ExactScalar.zero())
+
+
+def scalars():
+    return _term_lists.map(_build)
+
+
+def _assert_canonical(x):
+    """No zero entry, a positive denominator coprime to every numerator, zero over 1."""
+    assert x._den > 0
+    assert all(re or im for re, im in x._num.values())
+    assert gcd(x._den, *(v for pair in x._num.values() for v in pair)) == 1
+
+
+def _assert_agree(new, old):
+    _assert_canonical(new)
+    assert list(new.terms()) == list(old.terms())
+    assert str(new) == str(old)
+    assert new.to_json() == old.to_json()
+
+
+@given(_term_lists, _term_lists, _powers, _coeffs, _coeffs)
+def test_operations_agree_with_fraction_oracle(ta, tb, k, re, im):
+    a, b = _build(ta), _build(tb)
+    a_old = sum((FractionScalar({p: (x, y)}) for p, x, y in ta), FractionScalar())
+    b_old = sum((FractionScalar({p: (x, y)}) for p, x, y in tb), FractionScalar())
+    _assert_agree(a, a_old)
+    _assert_agree(a + b, a_old + b_old)
+    _assert_agree(a - b, a_old - b_old)
+    _assert_agree(-a, -a_old)
+    _assert_agree(a * b, a_old * b_old)
+    _assert_agree(a.scale(re, im, k), a_old.scale(re, im, k))
+    _assert_agree(a.scale(6), a_old.scale(6))
+    _assert_agree(a.conjugate(), a_old.conjugate())
+    if re or im:
+        _assert_agree(a / rat(re, im, k), a_old / FractionScalar({k: (re, im)}))
+    assert (a == b) == (a_old == b_old)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+def test_canonical_form():
+    halves = [rat("2/4"), rat(1) / rat(2), rat(3, 0) * rat("1/6")]
+    assert halves[0] == halves[1] == halves[2]
+    assert len({hash(x) for x in halves}) == 1
+    for x in halves:
+        _assert_canonical(x)
+    assert (rat("1/6", "1/4", 2) + rat("-1/6", "-1/4", 2)).is_zero()
+    assert (rat("1/6") + rat("1/3") - rat("1/2")) == ExactScalar.zero()
+    mixed = rat("1/2") + ExactScalar.pi(1, "1/3")
+    _assert_canonical(mixed)
+    assert ExactScalar.from_json(mixed.to_json()) == mixed
+    assert str(mixed) == "1/2 + 1/3*pi"
 
 
 def test_basic_arithmetic():
