@@ -408,7 +408,7 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
         "Tas": _at0(tas),
         "covTas": _cov_tensor3(tas, gamma),
         "dTas": _ext_deriv3(tas),
-        "nablaXJ": _contract_last(_at0(_nabla_J(J, gamma)), g0),
+        "nablaXJ": _contract_last(_nabla_J0(J, gamma), g0),
         "nablaBJ": _contract_last(_at0(nbj), g0),
         "nablaB2J": _contract_last(_nabla2_J(nbj, gamma_b, gamma), g0),
         "SB": _at0(sb_low),
@@ -569,6 +569,23 @@ def _nabla_J(J, gamma):
         for d in range(dim):
             s = s + gamma[a][d][c] * J[b][d] - gamma[a][b][d] * J[d][c]
         return s
+
+    return _table(dim, 3, entry)
+
+
+def _nabla_J0(J, gamma):
+    """`_nabla_J` at the base point only, by a contraction of values at 0."""
+    dim = len(gamma)
+    j0, gam0 = _at0(J), _at0(gamma)
+
+    def entry(a, b, c):
+        v = _d0(J[b][c], a)
+        for d in range(dim):
+            if not j0[b][d].is_zero():
+                v = v + gam0[a][d][c] * j0[b][d]
+            if not j0[d][c].is_zero():
+                v = v - gam0[a][b][d] * j0[d][c]
+        return v
 
     return _table(dim, 3, entry)
 
