@@ -33,7 +33,6 @@ import json
 import random
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial, reduce
 from operator import add
 
@@ -152,7 +151,7 @@ def fs_product_potential(n: int, q: int) -> Series:
         e4 = [0] * (2 * n)
         e4[j] = 2
         e4[n + j] = 2
-        terms[tuple(e4)] = ExactScalar.pi(2, Fraction(-sign, 2))
+        terms[tuple(e4)] = ExactScalar.pi(2, f"{-sign}/2")
     return Series(2 * n, 4, terms)
 
 
@@ -167,8 +166,8 @@ def random_potential(n: int, q: int, seed: int) -> Series:
     rng = random.Random(seed)
     terms: dict[tuple[int, ...], ExactScalar] = dict(flat_potential(n, q).terms)
 
-    def small() -> Fraction:
-        return Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+    def small() -> str:
+        return f"{rng.randint(-2, 2)}/{rng.choice([1, 2, 3])}"
 
     monos = _monomials(2 * n, (3, 4))
     for e in monos:

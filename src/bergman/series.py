@@ -23,7 +23,6 @@ which is exact once k reaches the cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .scalars import ExactScalar, rat
@@ -273,6 +272,6 @@ def mat_sqrt(a: Matrix) -> Matrix:
     s, power, coeff = ident, ident, rat(1)
     for k in range(1, cap + 1):
         power = mat_mul(power, x)
-        coeff = coeff.scale(Fraction(3 - 2 * k, 2 * k))  # binom(1/2, k)
+        coeff = coeff.scale(f"{3 - 2 * k}/{2 * k}")  # binom(1/2, k)
         s = mat_add(s, mat_scale(power, coeff))
     return s
