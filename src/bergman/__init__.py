@@ -39,7 +39,6 @@ from .perturbation import (
     b1_engine,
     build_O1,
     build_O2,
-    compute_F2_origin,
     compute_F2_terms,
     engine_context,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "b1_trace",
     "build_O1",
     "build_O2",
-    "compute_F2_origin",
     "compute_F2_terms",
     "cp1_product_trace",
     "cp1_sections_kernel",

@@ -29,13 +29,14 @@ from .geometry import (
     validate_jet,
 )
 from .models import (
+    MAX_SECTIONS_POWER,
     cp1_product_trace,
     cp1_sections_kernel,
     fit_expansion,
     rrh_coefficients,
 )
 from .oscillator import OscillatorContext, _mode_moment
-from .perturbation import b1_engine, build_O1, compute_F2_terms, engine_context
+from .perturbation import b1_engine, build_O1, engine_context
 from .scalars import ExactScalar, rat
 from .series import Series
 
@@ -93,6 +94,22 @@ def _load_valid_jet(path: str) -> GeometryJet | None:
     return None
 
 
+def _check_dimensions(args) -> None:
+    """Reject out-of-range dimension and tensor-power arguments before any work."""
+    n, q = getattr(args, "n", None), getattr(args, "q", None)
+    if n is not None and n < 1:
+        raise UsageError(f"--n must be at least 1, not {n}")
+    if q is not None and not 0 <= q <= n:
+        raise UsageError(f"--q must lie between 0 and --n = {n}, not {q}")
+    if getattr(args, "rk_e", 1) < 1:
+        raise UsageError(f"--rk-e must be at least 1, not {args.rk_e}")
+    p = getattr(args, "p", None)
+    if p is not None and not 0 <= p <= MAX_SECTIONS_POWER:
+        raise UsageError(f"--p must lie between 0 and {MAX_SECTIONS_POWER}, not {p}")
+    if hasattr(args, "pmin") and not 2 <= args.pmin <= args.pmax:
+        raise UsageError("need 2 <= --pmin <= --pmax")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -141,16 +158,12 @@ def cmd_b1_engine(args) -> int:
     jet = _load_valid_jet(args.jet)
     if jet is None:
         return EXIT_VALIDATION
-    ctx = engine_context(jet)
     terms: dict = {}
-    if args.terms:
-        named = compute_F2_terms(jet, ctx, check=False)
-        terms = {name: endo.to_json() for name, endo in named.items()}
-    res = b1_engine(jet, ctx, check=False)
+    res = b1_engine(jet, check=False, terms_out=terms)
     payload = res.to_json()
     payload["trace_pretty"] = str(res.trace)
-    if terms:
-        payload["terms"] = terms
+    if args.terms:
+        payload["terms"] = {name: endo.to_json() for name, endo in terms.items()}
     _emit(payload, table=args.table)
     return EXIT_OK
 
@@ -189,9 +202,6 @@ def cmd_identities(args) -> int:
 
 
 def cmd_model_cp1(args) -> int:
-    if args.pmin < 2 or args.pmax < args.pmin:
-        print("need 2 <= pmin <= pmax", file=sys.stderr)
-        return EXIT_USAGE
     rows = [{"p": p, "trace": cp1_product_trace(p, args.n, args.q)}
             for p in range(args.pmin, args.pmax + 1)]
     coeffs = None
@@ -384,6 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_dimensions(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

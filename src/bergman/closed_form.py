@@ -66,13 +66,12 @@ def _mat_sum_mixed(jet: GeometryJet):
     return out
 
 
-def b1_formula(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
-               check: bool = True) -> B1Result:
+def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
     """The full mixed-signature coefficient formula, evaluated exactly."""
     if check:
         _require_valid(jet)
     n, q, rk = jet.n, jet.q, jet.rk_e
-    alg = alg or ExteriorAlgebra(n, rk)
+    alg = ExteriorAlgebra(n, rk)
     lam = lambda_scalars(jet)
     proj = alg.project_det(q)
     nbj = jet.nablaBJ
@@ -171,15 +170,14 @@ def b1_trace(jet: GeometryJet, check: bool = True) -> ExactScalar:
     return pi_tr * ExactScalar.pi(-1)
 
 
-def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
-              check: bool = True) -> B1Result:
+def b1_kahler(jet: GeometryJet, check: bool = True) -> B1Result:
     """Torsion-free specialization of the coefficient formula."""
     if check:
         _require_valid(jet)
     if not jet.is_torsion_free():
         raise NotKahlerError("jet has torsion; the specialized formula does not apply")
     n, q, rk = jet.n, jet.q, jet.rk_e
-    alg = alg or ExteriorAlgebra(n, rk)
+    alg = ExteriorAlgebra(n, rk)
     proj = alg.project_det(q)
     nxj = jet.nablaXJ
 
@@ -221,8 +219,7 @@ def b1_kahler(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     return _result(jet, block)
 
 
-def b1_positive(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
-                check: bool = True) -> B1Result:
+def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
     """The classical positive-curvature form: aux curvature trace plus an
     eighth of the scalar curvature."""
     if check:
@@ -230,7 +227,7 @@ def b1_positive(jet: GeometryJet, alg: ExteriorAlgebra | None = None,
     if jet.q != 0:
         raise NotPositiveError("specialization requires signature index q = 0")
     n, rk = jet.n, jet.rk_e
-    alg = alg or ExteriorAlgebra(n, rk)
+    alg = ExteriorAlgebra(n, rk)
     proj = alg.project_det(0)
     block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
     block = block + proj.scale(jet.rX.scale("1/8"))

@@ -24,6 +24,11 @@ otherwise, so index a < n means d/dxi_{a+1} and a >= n its conjugate.  In
 that frame the structure map is +i on all unbarred directions.  All stored
 components are C-multilinear in the coordinate frame; the metric at the
 point pairs index a with a+n (mod 2n) with value 1/2.
+
+Every covariant derivative and curvature the jet stores is read at the base
+point by one helper, `_cov0`: the derivative of a series tensor at 0 plus one
+Christoffel correction per transported slot, from each connection's values
+at 0, computed once and visited only where they and the tensor are nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import random
 import re
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from operator import add
+from itertools import product
+from operator import add, getitem
 
 from .errors import (
     DegenerateCurvatureError,
@@ -380,7 +386,8 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
 
     # Levi-Civita data
     gamma = _christoffels(g, ginv)
-    rtx = _contract_last(_curvature(gamma), g0)
+    gam0 = _at0(gamma)
+    rtx = _contract_last(_curvature(gamma, gam0), g0)
 
     # Hermitian structure on the holomorphic tangent bundle and its torsion
     h = _table(n, 2, lambda j, k: g[j][n + k])
@@ -390,14 +397,18 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
     sb_low = _table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
     sb_up = _contract_last(sb_low, ginv)
     gamma_b = _table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
+    gamb0 = _at0(gamma_b)
 
-    # covariant derivatives of the structure map
+    # the Bismut-side nabla J keeps its series: nablaB2J differentiates it
     nbj = _nabla_J(J, gamma_b)
 
     # normal-coordinate derivatives of the line-bundle curvature
-    drl1, drl2 = _radial_gauge_derivatives(RL, gamma)
+    drl1, drl2 = _radial_gauge_derivatives(RL, gamma, gam0)
 
-    # values at the base point, then relabeled into the xi frame
+    # values at the base point, then relabeled into the xi frame.  nablaB2J moves its
+    # direction slot with Levi-Civita and its J slots with Bismut: under that
+    # convention its antisymmetrization is the curvature commutator.
+    lc, lc_up, bis, bis_up = (gam0, False), (gam0, True), (gamb0, False), (gamb0, True)
     z_frame = {
         "dRL1": drl1,
         "dRL2": drl2,
@@ -405,13 +416,13 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
         "RE": _aux_curvature(phi_e, n, rk_e),
         "trRT10": _chern_trace_form(gamma_ch, n),
         "Tas": _at0(tas),
-        "covTas": _cov_tensor3(tas, gamma),
+        "covTas": _cov0(tas, [lc, lc, lc]),
         "dTas": _ext_deriv3(tas),
-        "nablaXJ": _contract_last(_nabla_J0(J, gamma), g0),
+        "nablaXJ": _contract_last(_cov0(J, [lc, lc_up]), g0),
         "nablaBJ": _contract_last(_at0(nbj), g0),
-        "nablaB2J": _contract_last(_nabla2_J(nbj, gamma_b, gamma), g0),
+        "nablaB2J": _contract_last(_cov0(nbj, [lc, bis, bis_up]), g0),
         "SB": _at0(sb_low),
-        "RB": _contract_last(_curvature(gamma_b), g0),
+        "RB": _contract_last(_curvature(gamma_b, gamb0), g0),
     }
     return _with_id(GeometryJet(
         n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
@@ -470,11 +481,18 @@ def _contract_last(t, m):
     """Contract the last slot of `t` with the first slot of the matrix `m`.
 
     With m = g(0) this lowers an index of values at the base point; with the
-    series inverse metric it raises an index of series.
+    series inverse metric it raises an index of series.  Zero factors are
+    skipped; a series sum keeps the minimum cap of all its factors.
     """
     if isinstance(t[0], list):
         return [_contract_last(x, m) for x in t]
-    return [reduce(add, (t[e] * m[e][d] for e in range(len(t)))) for d in range(len(m[0]))]
+    out = []
+    for d in range(len(m[0])):
+        pairs = [(x, row[d]) for x, row in zip(t, m)]
+        zero = (Series.zero(t[0].nvars, min(s.cap for pair in pairs for s in pair))
+                if isinstance(t[0], Series) else _ZERO)
+        out.append(sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), zero))
+    return out
 
 
 def _relabel(t, q: int, rank: int):
@@ -501,20 +519,14 @@ def _christoffels(g, ginv):
     return _contract_last(low, ginv)
 
 
-def _curvature(gamma):
-    """R(e_a, e_b) e_c at the base point, output slot last and raised."""
-    dim = len(gamma)
-    gam0 = _at0(gamma)
+def _curvature(gamma, gam0):
+    """R(e_a, e_b) e_c at the base point, output slot last and raised.
 
-    def entry(a, b, c, e):
-        if a == b:
-            return _ZERO
-        v = _d0(gamma[b][c][e], a) - _d0(gamma[a][c][e], b)
-        for f in range(dim):
-            v = v + gam0[a][f][e] * gam0[b][c][f] - gam0[b][f][e] * gam0[a][c][f]
-        return v
-
-    return _table(dim, 4, entry)
+    X = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc is the base-point derivative
+    of Gamma with its output slot transported; R is its antisymmetrization.
+    """
+    x = _cov0(gamma, [None, None, (gam0, True)])
+    return _table(len(gamma), 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
 
 
 def _scalar_curvature(rtx, ginv0) -> ExactScalar:
@@ -572,59 +584,34 @@ def _nabla_J(J, gamma):
     return _table(dim, 3, entry)
 
 
-def _nabla_J0(J, gamma):
-    """`_nabla_J` at the base point only, by a contraction of values at 0."""
-    dim = len(gamma)
-    j0, gam0 = _at0(J), _at0(gamma)
+def _cov0(t, slots):
+    """Covariant derivative at the base point of a series tensor, derivative slot first.
 
-    def entry(a, b, c):
-        v = _d0(J[b][c], a)
-        for d in range(dim):
-            if not j0[b][d].is_zero():
-                v = v + gam0[a][d][c] * j0[b][d]
-            if not j0[d][c].is_zero():
-                v = v - gam0[a][b][d] * j0[d][c]
-        return v
-
-    return _table(dim, 3, entry)
-
-
-def _nabla2_J(nj, gamma_endo, gamma_dir):
-    """(nabla nabla J)_(e_a, e_b) e_c at 0, output slot last and raised.
-
-    The first slot differentiates.  The endomorphism slots are transported
-    with the same connection that produced nabla J, while the direction slot
-    is corrected with the torsion-free connection; that mixed convention is
-    the one under which the antisymmetrized second derivative equals the
-    curvature commutator.
+    `slots` has one entry per slot of `t`: None leaves the slot alone, and
+    (gam0, raised) transports it with the connection whose values at 0 are
+    gam0[m][a][b] = Gamma^b_ma.  A lowered slot i adds -Gamma^f_mi t_(..f..),
+    a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero Christoffel
+    values and nonzero entries of t(0) are visited.
     """
-    dim = len(nj)
-    ge0, gd0, nj0 = _at0(gamma_endo), _at0(gamma_dir), _at0(nj)
-
-    def entry(a, b, c, e):
-        v = _d0(nj[b][c][e], a)
-        for f in range(dim):
-            v = (v + ge0[a][f][e] * nj0[b][c][f]
-                 - gd0[a][b][f] * nj0[f][c][e]
-                 - ge0[a][c][f] * nj0[b][f][e])
-        return v
-
-    return _table(dim, 4, entry)
-
-
-def _cov_tensor3(t, gamma):
-    dim = len(t)
-    gam0, t0 = _at0(gamma), _at0(t)
-
-    def entry(m, a, b, c):
-        v = _d0(t[a][b][c], m)
-        for d in range(dim):
-            v = (v - gam0[m][a][d] * t0[d][b][c]
-                 - gam0[m][b][d] * t0[a][d][c]
-                 - gam0[m][c][d] * t0[a][b][d])
-        return v
-
-    return _table(dim, 4, entry)
+    dim, rank = len(t), len(slots)
+    entries = [(idx, reduce(getitem, idx, t)) for idx in product(range(dim), repeat=rank)]
+    out = {(m, *idx): _d0(s, m) for idx, s in entries for m in range(dim)}
+    t0 = [(idx, s.value0()) for idx, s in entries if not s.value0().is_zero()]
+    for p, slot in enumerate(slots):
+        if slot is None:
+            continue
+        gam0, raised = slot
+        # moves[f]: (m, i, c) for each term c t_(..f..) that slot index i receives
+        moves = [[] for _ in range(dim)]
+        for m, i, f in product(range(dim), repeat=3):
+            c = gam0[m][f][i] if raised else gam0[m][i][f]
+            if not c.is_zero():
+                moves[f].append((m, i, c if raised else -c))
+        for idx, v in t0:
+            for m, i, c in moves[idx[p]]:
+                key = (m, *idx[:p], i, *idx[p + 1:])
+                out[key] = out[key] + c * v
+    return _table(dim, rank + 1, lambda *key: out[key])
 
 
 def _ext_deriv3(t):
@@ -648,11 +635,10 @@ def _aux_curvature(phi_e, n, rk_e):
     return out
 
 
-def _radial_gauge_derivatives(RL, gamma):
+def _radial_gauge_derivatives(RL, gamma, gam0):
     """Exp-map pullback of the curvature form; first/second coordinate derivatives."""
     dim = len(RL)
     cap3 = 3
-    gam0 = _at0(gamma)
     w = [Series.var(dim, cap3, a) for a in range(dim)]
     zmap = []
     for a in range(dim):

@@ -149,6 +149,9 @@ def rrh_coefficients(n: int, q: int, rk_e: int = 1) -> dict[str, Fraction]:
     return {"pn": pn, "pn1": pn1}
 
 
+MAX_SECTIONS_POWER = 60
+
+
 def cp1_sections_kernel(p: int, sample_points: list[complex] | None = None,
                         count: int = 20) -> dict[str, object]:
     """Float witness that the section kernel of the p-th power is constant.
@@ -157,8 +160,8 @@ def cp1_sections_kernel(p: int, sample_points: list[complex] | None = None,
     (p+1) sum_k C(p,k) |z|^(2k) / (1+|z|^2)^p  =  p + 1
     by the binomial theorem; the report records the float deviation.
     """
-    if p < 0 or p > 60:
-        raise ValueError("tensor power out of the supported range 0..60")
+    if not 0 <= p <= MAX_SECTIONS_POWER:
+        raise ValueError(f"tensor power out of the supported range 0..{MAX_SECTIONS_POWER}")
     if sample_points is None:
         sample_points = [complex(Fraction(k, 7), Fraction((3 * k) % 11, 13))
                          for k in range(count)]

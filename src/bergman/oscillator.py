@@ -49,16 +49,13 @@ def _env_degree_cap() -> int:
 class OscillatorContext:
     """Fixed data for an engine run: mode count, signature index, sector algebra."""
 
-    def __init__(self, n: int, q: int, rk_e: int = 1, degree_cap: int | None = None,
-                 alg: ExteriorAlgebra | None = None):
+    def __init__(self, n: int, q: int, rk_e: int = 1, degree_cap: int | None = None):
         if not 0 <= q <= n:
             raise ValueError("signature index out of range")
         self.n = n
         self.q = q
-        self.alg = alg if alg is not None else ExteriorAlgebra(n, rk_e)
-        if self.alg.n != n:
-            raise ValueError("exterior algebra size mismatch")
-        self.rk_e = self.alg.rk_e
+        self.alg = ExteriorAlgebra(n, rk_e)
+        self.rk_e = rk_e
         self.degree_cap = degree_cap if degree_cap is not None else _env_degree_cap()
         self.zero_multi: Multi = (0,) * n
         self._project_det = self.alg.project_det(q)

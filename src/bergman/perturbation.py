@@ -315,8 +315,8 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def engine_context(jet: GeometryJet, degree_cap: int | None = None) -> OscillatorContext:
-    return OscillatorContext(jet.n, jet.q, jet.rk_e, degree_cap=degree_cap)
+def engine_context(jet: GeometryJet) -> OscillatorContext:
+    return OscillatorContext(jet.n, jet.q, jet.rk_e)
 
 
 def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
@@ -350,25 +350,23 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
     }
 
 
-def compute_F2_origin(jet: GeometryJet, ctx: OscillatorContext | None = None,
-                      check: bool = True,
-                      terms_out: dict[str, ExteriorEndo] | None = None) -> ExteriorEndo:
+def b1_engine(jet: GeometryJet, ctx: OscillatorContext | None = None,
+              check: bool = True,
+              terms_out: dict[str, ExteriorEndo] | None = None) -> B1Result:
+    """The engine route: compress the expansion value to the degree-q sector.
+
+    If `terms_out` is given, the six expansion terms are stored in it.
+    """
+    ctx = ctx or engine_context(jet)
     terms = compute_F2_terms(jet, ctx, check=check)
     if terms_out is not None:
         terms_out.update(terms)
-    return (terms["double-resolved-gradient"]
-            - terms["resolved-second-order"]
-            + terms["double-resolved-gradient-adjoint"]
-            - terms["resolved-second-order-adjoint"]
-            + terms["kernel-sandwich"]
-            - terms["iterated-resolvent"])
-
-
-def b1_engine(jet: GeometryJet, ctx: OscillatorContext | None = None,
-              check: bool = True) -> B1Result:
-    """The engine route: compress the expansion value to the degree-q sector."""
-    ctx = ctx or engine_context(jet)
-    f2 = compute_F2_origin(jet, ctx, check=check)
+    f2 = (terms["double-resolved-gradient"]
+          - terms["resolved-second-order"]
+          + terms["double-resolved-gradient-adjoint"]
+          - terms["resolved-second-order-adjoint"]
+          + terms["kernel-sandwich"]
+          - terms["iterated-resolvent"])
     ie = ctx.alg.project_degree(jet.q)
     endo = ie @ f2 @ ie
     return B1Result(endo=endo, trace=endo.trace(), route="engine",

@@ -140,6 +140,35 @@ def test_model_usage_guard(capsys):
                  "--pmin", "1", "--pmax", "0"]) == 2
 
 
+BAD_DIMENSIONS = {
+    "random-q-above-n": ["jet", "random", "--n", "2", "--q", "3"],
+    "build-negative-q": ["jet", "build", "--n", "2", "--q", "-1"],
+    "random-n-zero": ["jet", "random", "--n", "0", "--q", "0"],
+    "rrh-q-above-n": ["rrh", "--n", "3", "--q", "5"],
+    "cp1-product-q-above-n": ["model", "cp1-product", "--n", "2", "--q", "3",
+                              "--pmin", "2", "--pmax", "4"],
+    "cp1-sections-negative-p": ["model", "cp1-sections", "--p", "-3"],
+    "random-rk-e-zero": ["jet", "random", "--n", "2", "--q", "1", "--rk-e", "0"],
+    "build-rk-e-zero": ["jet", "build", "--n", "2", "--q", "1", "--rk-e", "0"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_DIMENSIONS)
+def test_bad_dimensions_are_usage_errors(tmp_path, capsys, case):
+    argv = list(BAD_DIMENSIONS[case])
+    out_path = tmp_path / "jet.json"
+    if argv[0] == "jet":
+        argv += ["--out", str(out_path)]
+    if argv[:2] == ["jet", "build"]:
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps(potential_to_dict(fs_product_potential(2, 1))))
+        argv += ["--potential", str(pot)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
 def test_rrh_output(capsys):
     code, out = run_captured(capsys, ["rrh", "--n", "3", "--q", "1", "--rk-e", "2"])
     assert code == 0

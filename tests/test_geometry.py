@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from bergman import geometry
 from bergman.errors import DegenerateCurvatureError, TruncationInsufficientError
 from bergman.geometry import (
     _TENSOR_FIELDS,
@@ -183,6 +184,33 @@ def test_structure_derivative_consistency(jet_cache):
         for a in range(dim):
             for b in range(dim):
                 assert jet.dRL1[k][a][b] == m2pi * jet.nablaXJ[k][a][b]
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
+def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
+    """Both connections are metric (Tas is totally antisymmetric), so the
+    base-point covariant derivative of g, two slots lowered, and of g^-1, two
+    slots raised, vanishes for the Levi-Civita and for the Bismut Gamma(0)."""
+    seen = {}
+
+    def spy(name):
+        real = getattr(geometry, name)
+
+        def wrapper(*args):
+            seen.setdefault(name, []).append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    spy("_christoffels")
+    spy("_curvature")
+    jet_from_potential(random_potential(n, q, 5), n=n, q=q)
+    [(g, ginv)] = seen["_christoffels"]
+    gam0s = [gam0 for _, gam0 in seen["_curvature"]]  # Levi-Civita, then Bismut
+    assert len(gam0s) == 2 and gam0s[0] != gam0s[1]
+    for gam0 in gam0s:
+        assert allzero(geometry._cov0(g, [(gam0, False)] * 2))
+        assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2))
 
 
 def test_random_potential_is_seed_stable():
