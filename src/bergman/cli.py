@@ -118,13 +118,14 @@ def _check_dimensions(args) -> None:
 def cmd_jet_build(args) -> int:
     phi_l = _load_potential(args.potential, args.n)
     phi_e = _load_potential(args.potential_e, args.n) if args.potential_e else None
-    jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e)
+    body: dict = {}
+    jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e, json_out=body)
     report = validate_jet(jet)
     if not report.ok:
         _emit(report.to_json())
         return EXIT_VALIDATION
     with open(args.out, "w") as fh:
-        json.dump(jet.to_json(), fh, sort_keys=True, indent=1)
+        json.dump(body, fh, sort_keys=True, indent=1)
     print(f"wrote jet {jet.jet_id} to {args.out}")
     return EXIT_OK
 
@@ -136,9 +137,10 @@ def cmd_jet_random(args) -> int:
         phi = fs_product_potential(args.n, args.q)
     else:
         phi = random_potential(args.n, args.q, args.seed)
-    jet = jet_from_potential(phi, n=args.n, q=args.q, rk_e=args.rk_e)
+    body: dict = {}
+    jet = jet_from_potential(phi, n=args.n, q=args.q, rk_e=args.rk_e, json_out=body)
     with open(args.out, "w") as fh:
-        json.dump(jet.to_json(), fh, sort_keys=True, indent=1)
+        json.dump(body, fh, sort_keys=True, indent=1)
     print(f"wrote jet {jet.jet_id} to {args.out}")
     return EXIT_OK
 

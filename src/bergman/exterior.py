@@ -56,6 +56,7 @@ class ExteriorAlgebra:
         self.words = _lex_words(n)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words) * rk_e
+        self._blocks: list | None = None
 
     def basis_index(self, word: tuple[int, ...], e: int = 0) -> int:
         return self.word_index[word] * self.rk_e + e
@@ -186,21 +187,19 @@ class ExteriorAlgebra:
         fact = 1
         for k in range(2, degree + 1):
             fact *= k
-
-        def rec(prefix: tuple[int, ...], factor: "CliffordFactor | None"):
-            nonlocal acc
+        # depth-first over the label words whose Clifford product is nonzero
+        stack: list[tuple[tuple[int, ...], CliffordFactor | None]] = [((), None)]
+        while stack:
+            prefix, factor = stack.pop()
             if len(prefix) == degree:
                 coeff = comp(tuple(self.partner(a) for a in prefix))
                 if not coeff.is_zero():
                     acc = acc + factor.as_endo().scale(coeff)
-                return
-            for a in labels:
+                continue
+            for a in reversed(labels):
                 nxt = self.clifford_factor(a) if factor is None else factor * self.clifford_factor(a)
-                if nxt.matrix.is_zero():
-                    continue
-                rec(prefix + (a,), nxt)
-
-        rec((), None)
+                if not nxt.matrix.is_zero():
+                    stack.append((prefix + (a,), nxt))
         return acc.scale_fraction(1, fact)
 
     def action_two_form(self, comp: CompFn) -> "ExteriorEndo":
@@ -213,23 +212,36 @@ class ExteriorAlgebra:
         and a double wedge block.
         """
         n = self.n
-        acc = self.zero_endo()
         scalar = ExactScalar.zero()
         for j in range(n):
             scalar = scalar + comp(j, n + j)
-        acc = acc + self.scalar_endo(scalar * _HALF_NEG)
-        for j in range(n):
-            for k in range(n):
-                c = comp(j, n + k)
-                if not c.is_zero():
-                    acc = acc + (self.wedge(k + 1) @ self.contract(j + 1)).scale(c)
-                c = comp(j, k)
-                if not c.is_zero():
-                    acc = acc + (self.contract(j + 1) @ self.contract(k + 1)).scale(c * _HALF)
-                c = comp(n + j, n + k)
-                if not c.is_zero():
-                    acc = acc + (self.wedge(j + 1) @ self.wedge(k + 1)).scale(c * _HALF)
-        return acc
+        out = dict(self.scalar_endo(scalar * _HALF_NEG).entries)
+        for (a, b), half, product in self._two_form_blocks():
+            c = comp(a, b)
+            if c.is_zero():
+                continue
+            if half:
+                c = c * _HALF
+            for key, v in product.items():
+                out[key] = out[key] + v * c if key in out else v * c
+        return ExteriorEndo(self, out)
+
+    def _two_form_blocks(self) -> list[tuple[tuple[int, int], bool, dict]]:
+        """The operator products of `action_two_form`, built once per algebra:
+        (label pair of the coefficient, whether it is halved, product entries).
+        Entries, not endomorphisms, so that the algebra holds no reference to itself."""
+        if self._blocks is None:
+            n = self.n
+            blocks = []
+            for j in range(n):
+                for k in range(n):
+                    blocks += [
+                        ((j, n + k), False, self.wedge(k + 1) @ self.contract(j + 1)),
+                        ((j, k), True, self.contract(j + 1) @ self.contract(k + 1)),
+                        ((n + j, n + k), True, self.wedge(j + 1) @ self.wedge(k + 1)),
+                    ]
+            self._blocks = [(pair, half, p.entries) for pair, half, p in blocks]
+        return self._blocks
 
 
 class ExteriorEndo:

@@ -272,11 +272,6 @@ class GeometryJet:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict[str, object]:
-        def dump(t):
-            if isinstance(t, ExactScalar):
-                return t.to_json()
-            return [dump(x) for x in t]
-
         body = {
             "schema": JET_SCHEMA,
             "n": self.n,
@@ -286,7 +281,7 @@ class GeometryJet:
             "rX": self.rX.to_json(),
         }
         for name in _TENSOR_FIELDS:
-            body[name] = dump(getattr(self, name))
+            body[name] = _dump(getattr(self, name))
         body["jet_id"] = self.jet_id or jet_digest(body)
         return body
 
@@ -311,6 +306,13 @@ class GeometryJet:
         return _with_id(cls(n=n, q=q, rk_e=rk_e, rX=_load(data["rX"], (), "rX"), **tensors))
 
 
+def _dump(t):
+    """Nested lists of scalar payloads from nested tuples of scalars."""
+    if isinstance(t, ExactScalar):
+        return t.to_json()
+    return [_dump(x) for x in t]
+
+
 def _load(t: object, shape: tuple[int, ...], name: str):
     """Nested tuples of scalars from JSON, checked against `shape`."""
     if not shape:
@@ -330,9 +332,15 @@ def jet_digest(body: dict[str, object]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _with_id(jet: GeometryJet) -> GeometryJet:
-    """The jet with its content digest as `jet_id`; `jet` must have none yet."""
-    return replace(jet, jet_id=jet.to_json()["jet_id"])
+def _with_id(jet: GeometryJet, json_out: dict | None = None) -> GeometryJet:
+    """The jet with its content digest as `jet_id`; `jet` must have none yet.
+
+    The digest hashes the JSON body; if `json_out` is given, the body is stored in it.
+    """
+    body = jet.to_json()
+    if json_out is not None:
+        json_out.update(body)
+    return replace(jet, jet_id=body["jet_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +351,21 @@ _CAP = 2  # all derived fields need at most two more derivatives at 0
 
 
 def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None, *,
-                       n: int, q: int, rk_e: int = 1) -> GeometryJet:
-    """Run the full truncated-series pipeline on a normalized potential."""
+                       n: int, q: int, rk_e: int = 1,
+                       json_out: dict | None = None) -> GeometryJet:
+    """Run the full truncated-series pipeline on a normalized potential.
+
+    If `json_out` is given, the jet's JSON body (`GeometryJet.to_json`) is
+    stored in it: the digest is computed from it anyway.
+    """
+    # the body is built after the pipeline's intermediate series are freed: built
+    # among them, a kept body pins their memory and raises the peak RSS
+    return _with_id(_build_jet(phi_l, phi_e, n, q, rk_e), json_out)
+
+
+def _build_jet(phi_l: Series | dict, phi_e: Series | dict | None,
+               n: int, q: int, rk_e: int) -> GeometryJet:
+    """The jet of `jet_from_potential`, without its `jet_id`."""
     if not 0 <= q <= n:
         raise ValueError("signature index out of range")
     if isinstance(phi_l, dict):
@@ -424,9 +445,9 @@ def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None,
         "SB": _at0(sb_low),
         "RB": _contract_last(_curvature(gamma_b, gamb0), g0),
     }
-    return _with_id(GeometryJet(
+    return GeometryJet(
         n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
-        **{name: _relabel(z_frame[name], q, rank) for name, rank in _TENSOR_FIELDS.items()}))
+        **{name: _relabel(z_frame[name], q, rank) for name, rank in _TENSOR_FIELDS.items()})
 
 
 def _check_hessian(phi: Series, n: int, q: int) -> None:
@@ -577,9 +598,14 @@ def _nabla_J(J, gamma):
 
     def entry(a, b, c):
         s = _deriv(J[b][c], a)
+        # a zero product would only lower the cap of the sum: keep its cap, skip its terms
+        cap = s.cap
         for d in range(dim):
-            s = s + gamma[a][d][c] * J[b][d] - gamma[a][b][d] * J[d][c]
-        return s
+            for x, y, sign in ((gamma[a][d][c], J[b][d], 1), (gamma[a][b][d], J[d][c], -1)):
+                cap = min(cap, x.cap, y.cap)
+                if not (x.is_zero() or y.is_zero()):
+                    s = s + x * y if sign > 0 else s - x * y
+        return s.truncate(cap) if cap < s.cap else s
 
     return _table(dim, 3, entry)
 

@@ -20,12 +20,18 @@ Kernel products are exact Gaussian integrals, taken on the polynomial form
 (PolyGaussianForm) of a state: composing two kernels integrates out the
 middle variable by the closed-form moments of exp(-pi|w|^2 + a wbar + b w),
 keeping every coefficient inside the pi-Laurent Gaussian-rational field.
+
+The engine reads every kernel at Z = Z' = 0 only, and computes no more than
+that value: `TwoPointState.evaluate_origin` reads it off the normal-ordered
+terms without the polynomial form, `PolyGaussianForm.compose_origin` gives a
+product's value there without forming the product, and `mul_poly` multiplies
+by a polynomial in one pass over the state.
 """
 
 from __future__ import annotations
 
 import os
-from math import comb
+from math import comb, factorial
 
 from .errors import DegreeCapError, KernelComponentError, UsageError
 from .exterior import ExteriorAlgebra, ExteriorEndo
@@ -88,6 +94,15 @@ def _bump(m: Multi, j: int, by: int = 1) -> Multi:
     return m[:j] + (m[j] + by,) + m[j + 1:]
 
 
+def _check_degree(key: TermKey, cap: int) -> None:
+    """Refuse a term whose total degree exceeds the cap."""
+    degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
+    if degree > cap:
+        raise DegreeCapError(
+            f"term degree {degree} exceeds cap {cap}; "
+            "raise BERGMAN_DEGREE_CAP if this is intentional")
+
+
 def _capped_terms(ctx: OscillatorContext,
                   terms: dict[TermKey, ExteriorEndo]) -> dict[TermKey, ExteriorEndo]:
     """Drop zero terms; refuse any term whose total degree exceeds the cap."""
@@ -96,13 +111,60 @@ def _capped_terms(ctx: OscillatorContext,
     for key, endo in terms.items():
         if endo.is_zero():
             continue
-        degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
-        if degree > cap:
-            raise DegreeCapError(
-                f"term degree {degree} exceeds cap {cap}; "
-                "raise BERGMAN_DEGREE_CAP if this is intentional")
+        _check_degree(key, cap)
         clean[key] = endo
     return clean
+
+
+_ONE = ExactScalar.one()
+_HALF_INV_PI = ExactScalar.pi(-1, "1/2")
+
+
+def _xi_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xi_j times one term, as (term, coefficient) pairs: [xi_j, b_j] = 2."""
+    a, b, g, d = key
+    out = [((a, _bump(b, j), g, d), _ONE)]
+    if a[j]:
+        out.append(((_bump(a, j, -1), b, g, d), rat(2 * a[j])))
+    return out
+
+
+def _xibar_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xibar_j times one term, as (term, coefficient) pairs."""
+    a, b, g, d = key
+    out = [((_bump(a, j), b, g, d), _HALF_INV_PI)]
+    if b[j]:
+        out.append(((a, _bump(b, j, -1), g, d), ExactScalar.pi(-1, b[j])))
+    out.append(((a, b, g, _bump(d, j)), _ONE))
+    return out
+
+
+def _monomial_images(key: TermKey, xi: Multi, xibar: Multi,
+                     cap: int) -> dict[TermKey, ExactScalar]:
+    """xi^xi xibar^xibar times one term, one factor at a time: for each mode j,
+    its xi_j factors, then its xibar_j factors.
+
+    Every term formed on the way is checked against the degree cap.  Each
+    factor moves the degree by one, so no check is needed when the term's
+    degree plus the monomial's stays within the cap.
+    """
+    check = sum(map(sum, key)) + sum(xi) + sum(xibar) > cap
+    cur = {key: _ONE}
+    for j in range(len(xi)):
+        for images, times in ((_xi_images, xi[j]), (_xibar_images, xibar[j])):
+            for _ in range(times):
+                nxt: dict[TermKey, ExactScalar] = {}
+                for k, s in cur.items():
+                    for k2, c in images(k, j):
+                        v = s if c is _ONE else s * c
+                        nxt[k2] = nxt[k2] + v if k2 in nxt else v
+                cur = {}
+                for k, s in nxt.items():
+                    if not s.is_zero():
+                        if check:
+                            _check_degree(k, cap)
+                        cur[k] = s
+    return cur
 
 
 class TwoPointState:
@@ -165,34 +227,40 @@ class TwoPointState:
             _add_term(out, (_bump(a, j, -1), b, g, d), endo.scale(c))
         return TwoPointState(self.ctx, out)
 
-    def mul_xi(self, j: int) -> "TwoPointState":
+    def _map_terms(self, images, j: int) -> "TwoPointState":
         out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.terms.items():
-            _add_term(out, (a, _bump(b, j), g, d), endo)
-            if a[j]:
-                _add_term(out, (_bump(a, j, -1), b, g, d), endo.scale(rat(2 * a[j])))
+        for key, endo in self.terms.items():
+            for k2, c in images(key, j):
+                _add_term(out, k2, endo if c is _ONE else endo.scale(c))
         return TwoPointState(self.ctx, out)
+
+    def mul_xi(self, j: int) -> "TwoPointState":
+        return self._map_terms(_xi_images, j)
 
     def mul_xibar(self, j: int) -> "TwoPointState":
-        half_inv_pi = ExactScalar.pi(-1, "1/2")
-        out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.terms.items():
-            _add_term(out, (_bump(a, j), b, g, d), endo.scale(half_inv_pi))
-            if b[j]:
-                _add_term(out, (a, _bump(b, j, -1), g, d),
-                          endo.scale(ExactScalar.pi(-1, b[j])))
-            _add_term(out, (a, b, g, _bump(d, j)), endo)
-        return TwoPointState(self.ctx, out)
+        return self._map_terms(_xibar_images, j)
 
-    def mul_monomial(self, a: Multi, b: Multi) -> "TwoPointState":
-        """Multiply by the monomial xi^a xibar^b, one mul_xi / mul_xibar factor at a time."""
-        s = self
-        for j in range(self.ctx.n):
-            for _ in range(a[j]):
-                s = s.mul_xi(j)
-            for _ in range(b[j]):
-                s = s.mul_xibar(j)
-        return s
+    def mul_poly(self, poly: dict[tuple[Multi, Multi], ExactScalar]) -> "TwoPointState":
+        """Multiply by the polynomial sum c xi^a xibar^b, given as {(a, b): c}.
+
+        One pass: each term's scalar images under every monomial are summed
+        first, so each sector endomorphism is scaled once per output term.
+        Every term that multiplying factor by factor (`mul_xi`, `mul_xibar`)
+        would form is formed here too, one input term at a time, and checked
+        against the degree cap.
+        """
+        cap = self.ctx.degree_cap
+        out: dict[TermKey, ExteriorEndo] = {}
+        for key, endo in self.terms.items():
+            images: dict[TermKey, ExactScalar] = {}
+            for (xi, xibar), c in poly.items():
+                for k2, s in _monomial_images(key, xi, xibar, cap).items():
+                    v = s * c
+                    images[k2] = images[k2] + v if k2 in images else v
+            for k2, s in images.items():
+                if not s.is_zero():
+                    _add_term(out, k2, endo.scale(s))
+        return TwoPointState(self.ctx, out)
 
     def mul_primed(self, j: int, barred: bool = True) -> "TwoPointState":
         out: dict[TermKey, ExteriorEndo] = {}
@@ -299,8 +367,7 @@ class TwoPointState:
         z = ctx.zero_multi
         acc = TwoPointState(ctx, {})
         for (a, b, g, d), endo in poly.terms.items():
-            s = TwoPointState(ctx, {(z, z, g, d): ctx._identity}).mul_monomial(a, b)
-            acc = acc + s.apply_endo(endo)
+            acc = acc + TwoPointState(ctx, {(z, z, g, d): endo}).mul_poly({(a, b): _ONE})
         return acc
 
     def restrict_second_zero(self) -> "TwoPointState":
@@ -312,7 +379,22 @@ class TwoPointState:
     # -- kernel evaluation, adjoint and composition: see PolyGaussianForm --------
 
     def evaluate_origin(self) -> ExteriorEndo:
-        return self.to_poly().evaluate_origin()
+        """Kernel value at Z = Z' = 0, read off the normal-ordered terms.
+
+        b^alpha xi^beta xi'^gamma xibar'^delta P is (-2)^|alpha| alpha! at the
+        origin when alpha = beta and gamma = delta = 0, and 0 otherwise: only
+        the -2 d/dxi part of each b factor survives there, and it must use up
+        xi^beta exactly.
+        """
+        z = self.ctx.zero_multi
+        acc = self.ctx.alg.zero_endo()
+        for (a, b, g, d), endo in self.terms.items():
+            if a == b and g == z and d == z:
+                value = 1
+                for k in a:
+                    value *= factorial(k) * (-2) ** k
+                acc = acc + endo.scale(rat(value))
+        return acc
 
     def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
         return self.to_poly().evaluate_first_zero()
@@ -325,7 +407,7 @@ class TwoPointState:
 
     def pair(self, other: "TwoPointState") -> ExteriorEndo:
         """Gram pairing of kernel columns: integral of self(W,0)^* other(W,0)."""
-        return self.to_poly().adjoint().compose(other.to_poly()).evaluate_origin()
+        return self.to_poly().adjoint().compose_origin(other.to_poly())
 
     def to_json(self) -> list[dict[str, object]]:
         """Debug dump of the canonical term list; no stable wire format promised."""
@@ -402,6 +484,32 @@ class PolyGaussianForm:
                            tuple(x + y for x, y in zip(d2, bp_extra)))
                     _add_term(out, key, endo.scale(coeff))
         return PolyGaussianForm(self.ctx, out)
+
+    def compose_origin(self, other: "PolyGaussianForm") -> ExteriorEndo:
+        """The value at Z = Z' = 0 of `self.compose(other)`, without forming the product.
+
+        Only terms of self with no unprimed factors reach Z = 0, and only
+        terms of other with no primed factors reach Z' = 0.  Each mode's
+        middle moment must then leave no xi and no xibar' power, so it keeps
+        only its k = wp = wb term.
+        """
+        z = self.ctx.zero_multi
+        left = [(g, d, e) for (a, b, g, d), e in self.terms.items() if a == z and b == z]
+        right = [(a, b, e) for (a, b, g, d), e in other.terms.items() if g == z and d == z]
+        acc = self.ctx.alg.zero_endo()
+        for g1, d1, e1 in left:
+            for a2, b2, e2 in right:
+                coeff = _ONE
+                for j in range(len(z)):
+                    wp, wb = g1[j] + a2[j], d1[j] + b2[j]
+                    if wp != wb:
+                        break
+                    coeff = coeff * _mode_moment(wp, wb)[-1][2]
+                else:
+                    endo = e1 @ e2
+                    if not endo.is_zero():
+                        acc = acc + endo.scale(coeff)
+        return acc
 
 
 def _poly_apply_b(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:

@@ -4,7 +4,8 @@ From a geometry jet this module freezes the first- and second-order
 perturbation operators of the rescaled square of the Dirac-type operator as
 explicit composites of oscillator primitives, pushes the model kernel
 through the six-term second-order resolvent expansion, and reads the
-coefficient off at the origin.  Nothing here shares code with the closed
+coefficient off at the origin, computing only what the origin values read
+(see `compute_F2_terms`).  Nothing here shares code with the closed
 formula: agreement of the two routes is the package's flagship certificate.
 
 Conventions used when dispatching frame sums to oscillator primitives
@@ -66,10 +67,7 @@ def _gradient_polys(jet: GeometryJet) -> list[Series]:
 
 def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
     n = state.ctx.n
-    acc = TwoPointState(state.ctx, {})
-    for e, c in p.terms.items():
-        acc = acc + state.mul_monomial(e[:n], e[n:]).scale(c)
-    return acc
+    return state.mul_poly({(e[:n], e[n:]): c for e, c in p.terms.items()})
 
 
 def _apply_nabla0(state: TwoPointState, a: int) -> TwoPointState:
@@ -321,7 +319,18 @@ def engine_context(jet: GeometryJet) -> OscillatorContext:
 
 def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
                      check: bool = True) -> dict[str, ExteriorEndo]:
-    """Origin values of the six resolvent-expansion terms, keyed by name."""
+    """Origin values of the six resolvent-expansion terms, keyed by name.
+
+    Only what the origin values read is computed.  No primitive the
+    operators are made of (apply_b, apply_bdag, mul_xi, mul_xibar,
+    apply_endo, apply_L0, scale), and none of the projections and
+    resolvents, lowers the primed multi-indices (gamma, delta) of a term,
+    and the origin reads only gamma = delta = 0.  So the last O1 of the
+    double-resolved and iterated-resolvent terms is applied to the
+    primed-free part of its input alone (`restrict_second_zero`).  The
+    kernel sandwich is evaluated at the origin without forming the product
+    (`PolyGaussianForm.compose_origin`).
+    """
     if check:
         rep = validate_jet(jet)
         if not rep.ok:
@@ -332,11 +341,11 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
     pn = ctx.kernel_projector()
 
     resolved_once = o1(pn).project_Nperp().resolvent_L20()
-    t1 = o1(resolved_once).project_Nperp().resolvent_L20()
+    # the last O1 of t1 and t6 sees only the primed-free terms: see the docstring
+    t1 = o1(resolved_once.restrict_second_zero()).project_Nperp().resolvent_L20()
     t2 = o2(pn).project_Nperp().resolvent_L20()
     rp = resolved_once.to_poly()
-    t5 = rp.compose(rp.adjoint())
-    t6 = o1(resolved_once.resolvent_L20()).project_N()
+    t6 = o1(resolved_once.resolvent_L20().restrict_second_zero()).project_N()
 
     v1 = t1.evaluate_origin()
     v2 = t2.evaluate_origin()
@@ -345,7 +354,7 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
         "resolved-second-order": v2,
         "double-resolved-gradient-adjoint": v1.adjoint(),
         "resolved-second-order-adjoint": v2.adjoint(),
-        "kernel-sandwich": t5.evaluate_origin(),
+        "kernel-sandwich": rp.compose_origin(rp.adjoint()),
         "iterated-resolvent": t6.evaluate_origin(),
     }
 

@@ -227,9 +227,10 @@ class ExactScalar:
         return out
 
     def to_json(self) -> list[dict[str, object]]:
+        den = self._den
         return [
-            {"pi_pow": k, "re": str(re), "im": str(im)}
-            for k, re, im in self.terms()
+            {"pi_pow": k, "re": _ratio_str(re, den), "im": _ratio_str(im, den)}
+            for k, (re, im) in sorted(self._num.items())
         ]
 
     @classmethod
@@ -241,19 +242,25 @@ class ExactScalar:
         would load as its binary value rather than the number written.
         """
         if not isinstance(data, list):
-            return cls.rational(_exact_rational(data))
-        terms: dict[int, tuple[Fraction, Fraction]] = {}
+            p, q = _exact_rational(data)
+            return _reduced({0: (p, 0)}, q)
+        parts: list[tuple[int, int, int, int, int]] = []
+        den = 1
         for item in data:
             if not isinstance(item, dict) or not _is_int(item.get("pi_pow")):
                 raise ValueError(f"bad scalar term {item!r}: need an integer pi_pow")
-            k = item["pi_pow"]
-            re = _exact_rational(item.get("re", "0"))
-            im = _exact_rational(item.get("im", "0"))
-            if k in terms:
-                r0, i0 = terms[k]
+            re, re_den = _exact_rational(item.get("re", "0"))
+            im, im_den = _exact_rational(item.get("im", "0"))
+            parts.append((item["pi_pow"], re, re_den, im, im_den))
+            den = lcm(den, re_den, im_den)
+        num: Numerators = {}
+        for k, re, re_den, im, im_den in parts:
+            re, im = re * (den // re_den), im * (den // im_den)
+            if k in num:
+                r0, i0 = num[k]
                 re, im = r0 + re, i0 + im
-            terms[k] = (re, im)
-        return cls(terms)
+            num[k] = (re, im)
+        return _reduced(num, den)
 
 
 def _is_int(x: object) -> bool:
@@ -265,14 +272,27 @@ def _is_int(x: object) -> bool:
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def _exact_rational(x: object) -> Fraction:
-    """An int or a "p" / "p/q" string payload as a Fraction; ValueError for anything else."""
-    if not (_is_int(x) or isinstance(x, str) and _RATIONAL_RE.fullmatch(x)):
+def _exact_rational(x: object) -> tuple[int, int]:
+    """An int or a "p" / "p/q" string payload as integers (p, q), q > 0, not
+    necessarily in lowest terms; ValueError for anything else."""
+    if _is_int(x):
+        return x, 1
+    if not (isinstance(x, str) and _RATIONAL_RE.fullmatch(x)):
         raise ValueError(f"bad scalar payload {x!r}: need an int or a \"p\" or \"p/q\" string")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"bad scalar payload {x!r}: zero denominator") from None
+    p, _, q = x.partition("/")
+    if not q:
+        return int(p), 1
+    if int(q) == 0:
+        raise ValueError(f"bad scalar payload {x!r}: zero denominator")
+    return int(p), int(q)
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms as str(Fraction(p, q)) writes it, for q > 0."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _format_gaussian(re: Fraction, im: Fraction) -> str:

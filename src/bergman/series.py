@@ -123,22 +123,16 @@ class Series:
         out_cap = cap if cap is not None else min(m.cap for m in maps)
         nv = maps[0].nvars
         acc = Series.zero(nv, out_cap)
-        pow_cache: dict[tuple[int, int], Series] = {}
-
-        def power(j: int, k: int) -> Series:
-            key = (j, k)
-            if key not in pow_cache:
-                if k == 0:
-                    pow_cache[key] = Series.const(nv, out_cap, rat(1))
-                else:
-                    pow_cache[key] = power(j, k - 1) * maps[j].truncate(out_cap)
-            return pow_cache[key]
-
+        # powers[j][k] = maps[j]^k, extended as far as a term needs
+        powers = [[Series.const(nv, out_cap, rat(1))] for _ in maps]
         for e, c in self.terms.items():
             term = Series.const(nv, out_cap, c)
             for j, k in enumerate(e):
                 if k:
-                    term = term * power(j, k)
+                    table = powers[j]
+                    while len(table) <= k:
+                        table.append(table[-1] * maps[j].truncate(out_cap))
+                    term = term * table[k]
             acc = acc + term
         return acc
 

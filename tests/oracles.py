@@ -2,8 +2,9 @@
 
 Each one recomputes a library operation by a different route: scalar
 arithmetic on `Fraction` pairs, the oscillator L0 as a raw differential
-operator on the polynomial form, the 2-form Clifford action by raw Clifford
-products, and the det-sector compression identity block by block.
+operator on the polynomial form, multiplication by a polynomial one
+monomial and one factor at a time, the 2-form Clifford action by raw
+Clifford products, and the det-sector compression identity block by block.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bergman.exterior import CompFn, ExteriorAlgebra, ExteriorEndo
-from bergman.oscillator import PolyGaussianForm, TermKey, _bump, _poly_apply_b
+from bergman.oscillator import PolyGaussianForm, TermKey, TwoPointState, _bump, _poly_apply_b
 from bergman.scalars import ExactScalar, _format_gaussian, rat
+from bergman.series import Series
 
 
 class FractionScalar:
@@ -126,6 +128,22 @@ def _poly_apply_bdag(mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, 
             else:
                 out[key] = c
     return out
+
+
+def apply_poly_by_monomials(state: TwoPointState, p: Series) -> TwoPointState:
+    """Multiplication by the polynomial p(xi, xibar) as a sum of states: each
+    monomial one `mul_xi` / `mul_xibar` factor at a time."""
+    n = state.ctx.n
+    acc = TwoPointState(state.ctx, {})
+    for e, c in p.terms.items():
+        s = state
+        for j in range(n):
+            for _ in range(e[j]):
+                s = s.mul_xi(j)
+            for _ in range(e[n + j]):
+                s = s.mul_xibar(j)
+        acc = acc + s.scale(c)
+    return acc
 
 
 def action_two_form_bruteforce(alg: ExteriorAlgebra, comp: CompFn) -> ExteriorEndo:

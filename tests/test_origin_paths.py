@@ -1,0 +1,168 @@
+"""Differential tests of the engine's origin-only paths.
+
+The engine reads each expansion term only at Z = Z' = 0, and computes no
+more than that value needs: the origin value straight from the normal-ordered
+terms, the kernel sandwich without forming the product, the last O1 on the
+primed-free part of its input only, and multiplication by a polynomial in
+one pass.  Each path is compared here with the full computation it replaces.
+"""
+
+import random
+
+import pytest
+
+from bergman.errors import DegreeCapError
+from bergman.oscillator import OscillatorContext, TwoPointState
+from bergman.perturbation import (
+    _apply_poly,
+    _gradient_polys,
+    _var,
+    build_O1,
+    build_O2,
+    engine_context,
+)
+from bergman.scalars import rat
+from bergman.series import Series
+
+from oracles import apply_poly_by_monomials
+
+SIGNATURES = ((2, 1), (3, 2))
+
+
+def _endos(ctx):
+    alg = ctx.alg
+    out = [alg.identity(), alg.project_det(ctx.q)]
+    for j in range(1, ctx.n + 1):
+        for k in range(1, ctx.n + 1):
+            out.append(alg.wedge(j) @ alg.contract(k))
+    return [e for e in out if not e.is_zero()]
+
+
+def _random_scalar(rng):
+    return rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-2, 2), rng.randint(-1, 1))
+
+
+def random_terms(ctx, rng, size, top):
+    """A state of random normal-ordered terms; about half have alpha = beta and
+    no primed factor, the others arbitrary multi-indices up to `top`."""
+    z = ctx.zero_multi
+    endos = _endos(ctx)
+
+    def multi():
+        return tuple(rng.randint(0, top) for _ in range(ctx.n))
+
+    terms = {}
+    for _ in range(size):
+        a = multi()
+        key = (a, a, z, z) if rng.random() < 0.5 else (a, multi(), multi(), multi())
+        endo = rng.choice(endos).scale(_random_scalar(rng))
+        terms[key] = terms[key] + endo if key in terms else endo
+    return TwoPointState(ctx, terms)
+
+
+def primed_state(ctx, rng, ops=3):
+    """A sum of short random chains of primitives, primed factors included."""
+    acc = TwoPointState(ctx, {})
+    for endo in rng.sample(_endos(ctx), 2):
+        s = ctx.vacuum().apply_endo(endo)
+        for _ in range(ops):
+            j = rng.randrange(ctx.n)
+            s = rng.choice([
+                lambda t: t.apply_b(j),
+                lambda t: t.mul_xi(j),
+                lambda t: t.mul_xibar(j),
+                lambda t: t.mul_primed(j, rng.random() < 0.5),
+            ])(s)
+        acc = acc + s.scale(_random_scalar(rng))
+    return acc
+
+
+@pytest.mark.parametrize("n,q", SIGNATURES)
+def test_evaluate_origin_matches_polynomial_form(n, q):
+    ctx = OscillatorContext(n, q, degree_cap=40)
+    rng = random.Random(101 + n)
+    nonzero = 0
+    for _ in range(25):
+        s = random_terms(ctx, rng, size=6, top=3)
+        got = s.evaluate_origin()
+        assert got == s.to_poly().evaluate_origin()
+        nonzero += not got.is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("n,q", SIGNATURES)
+def test_compose_origin_matches_the_product(n, q):
+    ctx = OscillatorContext(n, q, degree_cap=40)
+    rng = random.Random(200 + n)
+    nonzero = 0
+    for _ in range(5):
+        x = random_terms(ctx, rng, size=3, top=2).to_poly()
+        y = random_terms(ctx, rng, size=3, top=2).to_poly()
+        for left, right in ((x, y), (x, x.adjoint())):
+            got = left.compose_origin(right)
+            assert got == left.compose(right).evaluate_origin()
+            nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
+def test_kernel_sandwich_matches_the_product(jet_cache):
+    """The engine's own sandwich input, at (2,1) and (3,2)."""
+    for jet in (jet_cache("random", 2, 1, 5), jet_cache("random", 3, 2, 9)):
+        ctx = engine_context(jet)
+        o1 = build_O1(jet, ctx)
+        rp = o1(ctx.kernel_projector()).project_Nperp().resolvent_L20().to_poly()
+        got = rp.compose_origin(rp.adjoint())
+        assert not got.is_zero()
+        assert got == rp.compose(rp.adjoint()).evaluate_origin()
+
+
+@pytest.mark.parametrize("n,q,seed", [(2, 1, 5), (3, 2, 9)])
+def test_operators_never_lower_primed_indices(jet_cache, n, q, seed):
+    """restrict(O(x)) = restrict(O(restrict(x))): what lets the engine apply its
+    last O1 to the primed-free terms alone."""
+    jet = jet_cache("random", n, q, seed)
+    ctx = engine_context(jet)
+    rng = random.Random(303 + n)
+    primed = 0
+    for op in (build_O1(jet, ctx), build_O2(jet, ctx)):
+        for _ in range(4):
+            x = primed_state(ctx, rng)
+            free = x.restrict_second_zero()
+            primed += free != x
+            assert op(x).restrict_second_zero() == op(free).restrict_second_zero()
+    assert primed >= 4
+
+
+def _random_poly(n, rng, degree):
+    terms = {}
+    for _ in range(4):
+        e = [0] * (2 * n)
+        for _ in range(rng.randint(1, degree)):
+            e[rng.randrange(2 * n)] += 1
+        terms[tuple(e)] = _random_scalar(rng)
+    return Series(2 * n, 4, terms)
+
+
+@pytest.mark.parametrize("n,q,seed", [(2, 1, 5), (3, 2, 9)])
+def test_apply_poly_matches_the_monomial_chain(jet_cache, n, q, seed):
+    jet = jet_cache("random", n, q, seed)
+    ctx = engine_context(jet)
+    rng = random.Random(404 + n)
+    polys = _gradient_polys(jet) + [_var(n, 0) * _var(n, n), _random_poly(n, rng, 3)]
+    for p in polys:
+        for _ in range(3):
+            x = primed_state(ctx, rng)
+            assert _apply_poly(x, p) == apply_poly_by_monomials(x, p)
+
+
+def test_apply_poly_degree_cap():
+    s = OscillatorContext(2, 1, degree_cap=4).vacuum().mul_xi(0).mul_primed(1)
+    p = _var(2, 0) * _var(2, 3)  # xi_1 xibar_2
+    got = _apply_poly(s, p)
+    assert max(sum(map(sum, key)) for key in got.terms) == 4
+    assert got == apply_poly_by_monomials(s, p)
+    low = OscillatorContext(2, 1, degree_cap=3).vacuum().mul_xi(0).mul_primed(1)
+    with pytest.raises(DegreeCapError, match="term degree 4 exceeds cap 3"):
+        _apply_poly(low, p)
+    with pytest.raises(DegreeCapError):
+        apply_poly_by_monomials(low, p)

@@ -143,6 +143,22 @@ def test_from_json_roundtrips_or_raises_value_error(payload):
     assert ExactScalar.from_json(a.to_json()) == a
 
 
+_ratio_payloads = (st.integers(-60, 60)
+                   | st.integers(-60, 60).map(str)
+                   | st.tuples(st.integers(-60, 60), st.integers(1, 12)).map("{0[0]}/{0[1]}".format))
+
+
+@given(st.lists(st.tuples(_powers, _ratio_payloads, _ratio_payloads), max_size=4),
+       _ratio_payloads)
+def test_from_json_agrees_with_fraction_parsing(items, single):
+    """Unreduced p/q strings, ints and repeated pi powers read as `Fraction` reads them."""
+    payload = [{"pi_pow": k, "re": re, "im": im} for k, re, im in items]
+    want = sum((FractionScalar({k: (Fraction(re), Fraction(im))}) for k, re, im in items),
+               FractionScalar())
+    _assert_agree(ExactScalar.from_json(payload), want)
+    _assert_agree(ExactScalar.from_json(single), FractionScalar({0: (Fraction(single), 0)}))
+
+
 def test_string_forms():
     assert str(ExactScalar.zero()) == "0"
     assert str(ExactScalar.pi(1)) == "pi"
