@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import product
-from operator import add, getitem
+from operator import getitem
 
 from .errors import (
     DegenerateCurvatureError,
@@ -56,13 +56,16 @@ from .jet_checks import (  # noqa: F401  (re-exported: these are geometry operat
     lambda_scalars,
     validate_jet,
 )
-from .scalars import ExactScalar, rat
+from .scalars import ExactScalar, rat, sum_products
 from .series import (
     Series,
+    mat_compose,
     mat_inverse,
     mat_mul,
     mat_sqrt,
     mat_zero,
+    sum_of_products,
+    vec_mat,
 )
 
 Tensor1 = tuple[ExactScalar, ...]
@@ -502,18 +505,28 @@ def _contract_last(t, m):
     """Contract the last slot of `t` with the first slot of the matrix `m`.
 
     With m = g(0) this lowers an index of values at the base point; with the
-    series inverse metric it raises an index of series.  Zero factors are
-    skipped; a series sum keeps the minimum cap of all its factors.
+    series inverse metric it raises an index of series.  Each entry is one
+    fused sum over the nonzero factor pairs; a series sum keeps the minimum
+    cap of all its factors.
     """
-    if isinstance(t[0], list):
-        return [_contract_last(x, m) for x in t]
-    out = []
-    for d in range(len(m[0])):
-        pairs = [(x, row[d]) for x, row in zip(t, m)]
-        zero = (Series.zero(t[0].nvars, min(s.cap for pair in pairs for s in pair))
-                if isinstance(t[0], Series) else _ZERO)
-        out.append(sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), zero))
-    return out
+    rows = _rows(t)
+    if isinstance(rows[0][0], Series):
+        out = vec_mat(rows, m)
+    else:
+        out = [[sum_products([(x, r[d]) for x, r in zip(row, m)
+                              if not (x.is_zero() or r[d].is_zero())])
+                for d in range(len(m[0]))] for row in rows]
+    return _nest(t, iter(out))
+
+
+def _rows(t) -> list:
+    """The last-slot vectors of a tensor of nested lists, in order."""
+    return [r for x in t for r in _rows(x)] if isinstance(t[0], list) else [t]
+
+
+def _nest(t, rows):
+    """The vectors of the iterator `rows` nested as the last-slot vectors of `t`."""
+    return [_nest(x, rows) for x in t] if isinstance(t[0], list) else next(rows)
 
 
 def _relabel(t, q: int, rank: int):
@@ -585,29 +598,25 @@ def _antisym_torsion(gamma_ch, g, n):
                 tvec[n + i][n + j][n + k] = t.conj()
 
     def lowered(a, b, c):
-        terms = [tvec[a][b][d] * g[d][c] for d in range(dim) if not tvec[a][b][d].is_zero()]
-        return reduce(add, terms) if terms else zero
+        pairs = [(tvec[a][b][d], g[d][c]) for d in range(dim) if not tvec[a][b][d].is_zero()]
+        if not pairs:
+            return zero
+        return sum_of_products(pairs, dim, min(min(x.cap, y.cap) for x, y in pairs))
 
     low = _table(dim, 3, lowered)
     return _table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
 
 
 def _nabla_J(J, gamma):
-    """Series of nabla J, output slot last: [a][b][c] = (nabla_a J)^c_b."""
+    """Series of nabla J, output slot last: [a][b][c] = (nabla_a J)^c_b,
+    that is d_a J + J Gamma_a - Gamma_a J with (Gamma_a)[b][d] = Gamma^d_ab.
+
+    Each entry keeps the minimum cap of all its operands, zero ones included.
+    """
     dim = len(gamma)
-
-    def entry(a, b, c):
-        s = _deriv(J[b][c], a)
-        # a zero product would only lower the cap of the sum: keep its cap, skip its terms
-        cap = s.cap
-        for d in range(dim):
-            for x, y, sign in ((gamma[a][d][c], J[b][d], 1), (gamma[a][b][d], J[d][c], -1)):
-                cap = min(cap, x.cap, y.cap)
-                if not (x.is_zero() or y.is_zero()):
-                    s = s + x * y if sign > 0 else s - x * y
-        return s.truncate(cap) if cap < s.cap else s
-
-    return _table(dim, 3, entry)
+    products = [(vec_mat(J, gamma[a]), vec_mat(gamma[a], J)) for a in range(dim)]
+    return _table(dim, 3, lambda a, b, c:
+                  _deriv(J[b][c], a) + products[a][0][b][c] - products[a][1][b][c])
 
 
 def _cov0(t, slots):
@@ -661,38 +670,56 @@ def _aux_curvature(phi_e, n, rk_e):
     return out
 
 
+def _normal_coordinates(gamma, gam0):
+    """The cubic Taylor polynomial of the exponential map, z^a as a series in w:
+
+        z^a = w^a - 1/2 G^a_bc w^b w^c - 1/6 d_d G^a_bc w^d w^b w^c
+                  + 1/3 G^a_bc G^c_ef w^b w^e w^f,
+
+    with G = gamma(0).  Each coefficient is one sum of products over the
+    index tuples that reach its monomial.
+    """
+    dim = len(gam0)
+
+    def mono(*idx):
+        e = [0] * dim
+        for i in idx:
+            e[i] += 1
+        return tuple(e)
+
+    minus_half, minus_sixth, minus_two_thirds = rat("-1/2"), rat("-1/6"), rat("-2/3")
+    quad = [{} for _ in range(dim)]
+    cubic = [{} for _ in range(dim)]
+    for b, c, a in product(range(dim), repeat=3):
+        if not gam0[b][c][a].is_zero():
+            quad[a].setdefault(mono(b, c), []).append((gam0[b][c][a], minus_half))
+        for d in range(dim):
+            dgam = _d0(gamma[b][c][a], d)
+            if not dgam.is_zero():
+                cubic[a].setdefault(mono(d, b, c), []).append((dgam, minus_sixth))
+    quad = [{e: sum_products(p) for e, p in qa.items()} for qa in quad]
+    # 1/3 G^a_bc G^c_ef is -2/3 G^a_bc times the w^e w^f coefficient of z^c
+    for b, c, a in product(range(dim), repeat=3):
+        g = gam0[b][c][a]
+        if not g.is_zero():
+            for e, v in quad[c].items():
+                f = list(e)
+                f[b] += 1
+                cubic[a].setdefault(tuple(f), []).append((g, v * minus_two_thirds))
+    return [Series(dim, 3, {mono(a): rat(1), **quad[a],
+                            **{e: sum_products(p) for e, p in cubic[a].items()}})
+            for a in range(dim)]
+
+
 def _radial_gauge_derivatives(RL, gamma, gam0):
     """Exp-map pullback of the curvature form; first/second coordinate derivatives."""
     dim = len(RL)
-    cap3 = 3
-    w = [Series.var(dim, cap3, a) for a in range(dim)]
-    zmap = []
-    for a in range(dim):
-        c2 = Series.zero(dim, cap3)
-        for b in range(dim):
-            for c in range(dim):
-                if not gam0[b][c][a].is_zero():
-                    c2 = c2 + (w[b] * w[c]).scale(gam0[b][c][a].scale("-1/2"))
-        zmap.append(w[a] + c2)
-    for a in range(dim):
-        c3 = Series.zero(dim, cap3)
-        for d in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    dgam = _d0(gamma[b][c][a], d)
-                    if not dgam.is_zero():
-                        c3 = c3 + (w[d] * w[b] * w[c]).scale(dgam)
-        for b in range(dim):
-            for c in range(dim):
-                if not gam0[b][c][a].is_zero():
-                    c2c = zmap[c] - w[c]
-                    c3 = c3 + (w[b] * c2c).scale(gam0[b][c][a].scale(4))
-        zmap[a] = zmap[a] + c3.scale(rat("-1/6"))
+    zmap = _normal_coordinates(gamma, gam0)
 
     # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d], as jac (comp jac^T)
     jac = _table(dim, 2, lambda a, c: _deriv(zmap[c], a))
     jac_t = _table(dim, 2, lambda d, b: jac[b][d])
-    comp = _table(dim, 2, lambda c, d: RL[c][d].compose(zmap, cap=2))
+    comp = mat_compose(RL, zmap, cap=2)
     pulled = mat_mul(jac, mat_mul(comp, jac_t))
     return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
             _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -328,12 +328,39 @@ def _reduced(num: Numerators, den: int) -> ExactScalar:
             g = gcd(g, a, b)
     if has_zero:
         num = {k: v for k, v in num.items() if v[0] or v[1]}
-        if not num:
-            return _CACHED_ZERO
+    if not num:
+        return _CACHED_ZERO
     if g != 1:
         num = {k: (a // g, b // g) for k, (a, b) in num.items()}
         den //= g
     return _make(num, den)
+
+
+def sum_products(pairs: Sequence[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
+    """sum x * y over `pairs`: every product summed over the least common
+    denominator, then one gcd pass (`_reduced`) for the whole sum."""
+    den = 1
+    for x, y in pairs:
+        d = x._den * y._den
+        if den % d:
+            den = den // gcd(den, d) * d
+    num: Numerators = {}
+    for x, y in pairs:
+        n2 = y._num
+        m = den // (x._den * y._den)
+        for k1, (a, b) in x._num.items():
+            if m != 1:
+                a, b = a * m, b * m
+            for k2, (c, d) in n2.items():
+                k = k1 + k2
+                re = a * c - b * d
+                im = a * d + b * c
+                if k in num:
+                    r0, i0 = num[k]
+                    num[k] = (r0 + re, i0 + im)
+                else:
+                    num[k] = (re, im)
+    return _reduced(num, den)
 
 
 _CACHED_ZERO = _make({}, 1)

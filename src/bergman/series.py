@@ -14,6 +14,19 @@ series as a truncated jet lower the cap themselves (the geometry pipeline
 does so at every derivative), and the minimum cap then propagates through
 `+` and `*`.
 
+Products are graded: the right factor is bucketed by total degree once, and
+a left term of degree d meets only the buckets of degree <= cap - d, so no
+product above the cap is ever formed.  A sum of products (`sum_of_products`,
+each entry of `mat_mul` and `vec_mat`) is fused: every term pair of every
+product goes into one table keyed by the output monomial, and each output
+coefficient is then one `scalars.sum_products` call, normalized by a single
+gcd pass; `x * y` is the one-pair case.  `mat_compose` substitutes into a
+whole matrix through one table of monomial images, each formed once.  Every
+ring result is built by one internal constructor that only drops zero
+coefficients: it never sees a term above the cap, because each operation
+keeps to the cap itself.  The public `Series(nvars, cap, terms)` still
+filters both.
+
 Matrices of series support exact inversion by Newton iteration seeded at
 the exact constant-term inverse, which terminates after O(log cap) sweeps
 because the error degree doubles each step, and exact square roots of
@@ -23,9 +36,10 @@ which is exact once k reaches the cap.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
-from .scalars import ExactScalar, rat
+from .scalars import ExactScalar, rat, sum_products
 
 Exps = tuple[int, ...]
 
@@ -64,51 +78,35 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         cap = min(self.cap, other.cap)
-        out = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        for e, c in other.terms.items():
-            if sum(e) > cap:
-                continue
+        out = dict(self.terms) if self.cap == cap else _below(self.terms, cap)
+        for e, c in (other.terms if other.cap == cap else _below(other.terms, cap)).items():
             out[e] = out[e] + c if e in out else c
-        return Series(self.nvars, cap, out)
+        return _series(self.nvars, cap, out)
 
     def __neg__(self) -> "Series":
-        return Series(self.nvars, self.cap, {e: -c for e, c in self.terms.items()})
+        return _series(self.nvars, self.cap, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
         cap = min(self.cap, other.cap)
-        out: dict[Exps, ExactScalar] = {}
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > cap:
-                continue
-            for e2, d2, c2 in right:
-                if d1 + d2 > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return Series(self.nvars, cap, out)
+        return _fused(self.nvars, cap, [(_graded(self), _graded(other))])
 
     def scale(self, c: ExactScalar) -> "Series":
-        return Series(self.nvars, self.cap, {e: v * c for e, v in self.terms.items()})
+        return _series(self.nvars, self.cap, {e: v * c for e, v in self.terms.items()})
 
     def truncate(self, cap: int) -> "Series":
-        return Series(self.nvars, cap, self.terms)
+        return _series(self.nvars, cap, self.terms if cap >= self.cap else _below(self.terms, cap))
 
     # -- calculus ------------------------------------------------------------------
 
     def diff(self, j: int) -> "Series":
         out: dict[Exps, ExactScalar] = {}
         for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            d = e[:j] + (e[j] - 1,) + e[j + 1:]
-            out[d] = c.scale(e[j]) if d not in out else out[d] + c.scale(e[j])
-        return Series(self.nvars, self.cap, out)
+            if e[j]:
+                out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c.scale(e[j])
+        return _series(self.nvars, self.cap, out)
 
     def coeff(self, exps: Exps) -> ExactScalar:
         return self.terms.get(tuple(exps), ExactScalar.zero())
@@ -117,33 +115,14 @@ class Series:
         return self.terms.get((0,) * self.nvars, ExactScalar.zero())
 
     def compose(self, maps: Sequence["Series"], cap: int | None = None) -> "Series":
-        """Substitute maps[j] (constant-free) for variable j."""
-        if len(maps) != self.nvars:
-            raise ValueError("need one substitution per variable")
-        out_cap = cap if cap is not None else min(m.cap for m in maps)
-        nv = maps[0].nvars
-        acc = Series.zero(nv, out_cap)
-        # powers[j][k] = maps[j]^k, extended as far as a term needs
-        powers = [[Series.const(nv, out_cap, rat(1))] for _ in maps]
-        for e, c in self.terms.items():
-            term = Series.const(nv, out_cap, c)
-            for j, k in enumerate(e):
-                if k:
-                    table = powers[j]
-                    while len(table) <= k:
-                        table.append(table[-1] * maps[j].truncate(out_cap))
-                    term = term * table[k]
-            acc = acc + term
-        return acc
+        """Substitute maps[j] (constant-free) for variable j; see `mat_compose`."""
+        return mat_compose([[self]], maps, cap)[0][0]
 
     def conj(self) -> "Series":
         """Formal conjugation: swap the paired variables, conjugate coefficients."""
         n = self.nvars // 2
-        out: dict[Exps, ExactScalar] = {}
-        for e, c in self.terms.items():
-            swapped = e[n:] + e[:n]
-            out[swapped] = c.conjugate()
-        return Series(self.nvars, self.cap, out)
+        return _series(self.nvars, self.cap,
+                       {e[n:] + e[:n]: c.conjugate() for e, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -160,6 +139,62 @@ class Series:
         for e in sorted(self.terms):
             parts.append(f"{self.terms[e]}*w^{e}")
         return "Series(" + " + ".join(parts) + ")"
+
+
+_new = object.__new__
+
+
+def _series(nvars: int, cap: int, terms: dict[Exps, ExactScalar]) -> Series:
+    """The ring results' constructor: `terms` has no term above `cap`; zeros are dropped."""
+    s = _new(Series)
+    s.nvars = nvars
+    s.cap = cap
+    s.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+    return s
+
+
+def _below(terms: dict[Exps, ExactScalar], cap: int) -> dict[Exps, ExactScalar]:
+    return {e: c for e, c in terms.items() if sum(e) <= cap}
+
+
+Graded = list[list[tuple[Exps, ExactScalar]]]
+
+
+def _graded(s: Series) -> Graded:
+    """The terms of `s` bucketed by degree: entry d holds the terms of degree d."""
+    out: Graded = [[] for _ in range(s.cap + 1)]
+    for e, c in s.terms.items():
+        out[sum(e)].append((e, c))
+    return out
+
+
+def _fused(nvars: int, cap: int, pairs: Sequence[tuple[Graded, Graded]]) -> Series:
+    """sum x * y over the graded pairs, truncated at `cap`.
+
+    A left term of degree d meets only the right buckets of degree <= cap - d,
+    so no product above the cap is formed; each output coefficient is one
+    `sum_products` over all the pairs that reach it.
+    """
+    acc: dict[Exps, list[tuple[ExactScalar, ExactScalar]]] = {}
+    for left, right in pairs:
+        for d1, terms in enumerate(left[:cap + 1]):
+            if not terms:
+                continue
+            reach = [t for bucket in right[:cap - d1 + 1] for t in bucket]
+            for e1, c1 in terms:
+                for e2, c2 in reach:
+                    e = tuple(map(add, e1, e2))
+                    if e in acc:
+                        acc[e].append((c1, c2))
+                    else:
+                        acc[e] = [(c1, c2)]
+    return _series(nvars, cap, {e: sum_products(p) for e, p in acc.items()})
+
+
+def sum_of_products(pairs: Sequence[tuple[Series, Series]], nvars: int, cap: int) -> Series:
+    """sum x * y over `pairs`, truncated at `cap`, as one fused sum: no
+    intermediate product series, one normalization per coefficient."""
+    return _fused(nvars, cap, [(_graded(x), _graded(y)) for x, y in pairs])
 
 
 Matrix = list[list[Series]]
@@ -189,19 +224,84 @@ def mat_scale(a: Matrix, c: ExactScalar) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Each entry is one fused sum; it keeps the minimum cap of its nonzero products."""
     dim = len(a)
+    nvars, zero_cap = a[0][0].nvars, a[0][0].cap
+    ga = [[_graded(x) for x in row] for row in a]
+    gb = [[_graded(y) for y in row] for row in b]
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = None
-            for k in range(dim):
-                if a[i][k].is_zero() or b[k][j].is_zero():
-                    continue
-                p = a[i][k] * b[k][j]
-                acc = p if acc is None else acc + p
-            row.append(acc if acc is not None else Series.zero(a[0][0].nvars, a[0][0].cap))
+            ks = [k for k in range(dim) if not (a[i][k].is_zero() or b[k][j].is_zero())]
+            cap = min((min(a[i][k].cap, b[k][j].cap) for k in ks), default=zero_cap)
+            row.append(_fused(nvars, cap, [(ga[i][k], gb[k][j]) for k in ks]))
         out.append(row)
+    return out
+
+
+def vec_mat(rows: Sequence[Sequence[Series]], m: Matrix) -> Matrix:
+    """Each row vector times `m`, with `m` graded once for all rows.
+
+    Entry d of a row is one fused sum; it keeps the minimum cap of all its
+    factors, zero ones included.
+    """
+    nvars = m[0][0].nvars
+    gm = [[_graded(y) for y in row] for row in m]
+    out = []
+    for t in rows:
+        gt = [_graded(x) for x in t]
+        row = []
+        for d in range(len(m[0])):
+            cap = min(min(x.cap, m[k][d].cap) for k, x in enumerate(t))
+            ks = [k for k, x in enumerate(t) if not (x.is_zero() or m[k][d].is_zero())]
+            row.append(_fused(nvars, cap, [(gt[k], gm[k][d]) for k in ks]))
+        out.append(row)
+    return out
+
+
+def mat_compose(a: Matrix, maps: Sequence[Series], cap: int | None = None) -> Matrix:
+    """Substitute maps[j] for variable j in every entry of `a`, truncated at
+    `cap` (default: the least cap of the maps).
+
+    The maps must be constant-free: otherwise every term of an entry, however
+    high, reaches every degree of the result, and the truncated entry does not
+    determine it.  The image of each monomial is formed once, as the image of
+    a monomial one degree lower times one map, and shared by every entry.
+    """
+    if any(s.nvars != len(maps) for row in a for s in row):
+        raise ValueError("need one substitution per variable")
+    nv = maps[0].nvars
+    out_cap = cap if cap is not None else min(m.cap for m in maps)
+    if any(not m.value0().is_zero() for m in maps):
+        raise ValueError("substitutions must be constant-free")
+    maps = [m.truncate(out_cap) for m in maps]
+    images = {(0,) * len(maps): Series.const(nv, out_cap, rat(1))}
+    # a monomial of degree > out_cap has a zero image: every map starts at degree 1
+    for e in {e for row in a for s in row for e in s.terms if sum(e) <= out_cap}:
+        chain = []  # (monomial, its first variable) down to the first known image
+        while e not in images:
+            j = next(i for i, k in enumerate(e) if k)
+            chain.append((e, j))
+            e = e[:j] + (e[j] - 1,) + e[j + 1:]
+        for f, j in reversed(chain):
+            images[f] = images[f[:j] + (f[j] - 1,) + f[j + 1:]] * maps[j]
+    out = []
+    for row in a:
+        out_row = []
+        for s in row:
+            acc: dict[Exps, list[tuple[ExactScalar, ExactScalar]]] = {}
+            for e, c in s.terms.items():
+                image = images.get(e)
+                if image is None:
+                    continue
+                for f, v in image.terms.items():
+                    if f in acc:
+                        acc[f].append((c, v))
+                    else:
+                        acc[f] = [(c, v)]
+            out_row.append(_series(nv, out_cap, {f: sum_products(p) for f, p in acc.items()}))
+        out.append(out_row)
     return out
 
 

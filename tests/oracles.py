@@ -1,7 +1,9 @@
 """Independent oracles that only the tests call.
 
 Each one recomputes a library operation by a different route: scalar
-arithmetic on `Fraction` pairs, the oscillator L0 as a raw differential
+arithmetic on `Fraction` pairs, series products and sums one term pair at a
+time, substitution into a series one entry at a time, the exp-map
+substitution as a sum of variable products, the oscillator L0 as a raw differential
 operator on the polynomial form, multiplication by a polynomial one
 monomial and one factor at a time, the 2-form Clifford action by raw
 Clifford products, and the det-sector compression identity block by block.
@@ -10,11 +12,12 @@ Clifford products, and the det-sector compression identity block by block.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from bergman.exterior import CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.oscillator import PolyGaussianForm, TermKey, TwoPointState, _bump, _poly_apply_b
 from bergman.scalars import ExactScalar, _format_gaussian, rat
-from bergman.series import Series
+from bergman.series import Exps, Series
 
 
 class FractionScalar:
@@ -94,6 +97,82 @@ class FractionScalar:
 
     def to_json(self) -> list[dict[str, object]]:
         return [{"pi_pow": k, "re": str(re), "im": str(im)} for k, re, im in self.terms()]
+
+
+def series_add_pairwise(x: Series, y: Series) -> Series:
+    """x + y term by term, truncated at the lesser cap."""
+    cap = min(x.cap, y.cap)
+    out = {e: c for e, c in x.terms.items() if sum(e) <= cap}
+    for e, c in y.terms.items():
+        if sum(e) > cap:
+            continue
+        out[e] = out[e] + c if e in out else c
+    return Series(x.nvars, cap, out)
+
+
+def series_mul_pairwise(x: Series, y: Series) -> Series:
+    """x * y over every pair of terms, dropping the products above the lesser cap."""
+    cap = min(x.cap, y.cap)
+    out: dict[Exps, ExactScalar] = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            if sum(e1) + sum(e2) > cap:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return Series(x.nvars, cap, out)
+
+
+def compose_per_entry(s: Series, maps: list[Series], cap: int | None = None) -> Series:
+    """maps[j] substituted for variable j of `s`, one term and one power at a time."""
+    out_cap = cap if cap is not None else min(m.cap for m in maps)
+    nv = maps[0].nvars
+    maps = [Series(nv, out_cap, m.terms) for m in maps]
+    acc = Series.zero(nv, out_cap)
+    powers = [[Series.const(nv, out_cap, rat(1))] for _ in maps]
+    for e, c in s.terms.items():
+        term = Series.const(nv, out_cap, c)
+        for j, k in enumerate(e):
+            if k:
+                table = powers[j]
+                while len(table) <= k:
+                    table.append(series_mul_pairwise(table[-1], maps[j]))
+                term = series_mul_pairwise(term, table[k])
+        acc = series_add_pairwise(acc, term)
+    return acc
+
+
+def normal_coordinates_by_products(gamma, gam0) -> list[Series]:
+    """The cubic exp-map substitution as sums of `Series.var` products: the
+    quadratic part first, then the cubic part, which reads the quadratic
+    part of the other coordinates."""
+    dim = len(gam0)
+    mul, add = series_mul_pairwise, series_add_pairwise
+    w = [Series.var(dim, 3, a) for a in range(dim)]
+
+    def d0(s, d):
+        return s.coeff(tuple(int(i == d) for i in range(dim)))
+
+    zmap = []
+    for a in range(dim):
+        c2 = Series.zero(dim, 3)
+        for b, c in product(range(dim), repeat=2):
+            if not gam0[b][c][a].is_zero():
+                c2 = add(c2, mul(w[b], w[c]).scale(gam0[b][c][a].scale("-1/2")))
+        zmap.append(add(w[a], c2))
+    for a in range(dim):
+        c3 = Series.zero(dim, 3)
+        for d, b, c in product(range(dim), repeat=3):
+            dgam = d0(gamma[b][c][a], d)
+            if not dgam.is_zero():
+                c3 = add(c3, mul(mul(w[d], w[b]), w[c]).scale(dgam))
+        for b, c in product(range(dim), repeat=2):
+            if not gam0[b][c][a].is_zero():
+                c2c = add(zmap[c], -w[c])
+                c3 = add(c3, mul(w[b], c2c).scale(gam0[b][c][a].scale(4)))
+        zmap[a] = add(zmap[a], c3.scale(rat("-1/6")))
+    return zmap
 
 
 def apply_L0_directly(form: PolyGaussianForm) -> PolyGaussianForm:

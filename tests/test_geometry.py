@@ -20,7 +20,8 @@ from bergman.geometry import (
     validate_jet,
 )
 from bergman.scalars import ExactScalar, rat
-from bergman.series import Series
+from bergman.series import Series, mat_compose
+from oracles import compose_per_entry, normal_coordinates_by_products
 
 
 def allzero(t):
@@ -211,6 +212,32 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
     for gam0 in gam0s:
         assert allzero(geometry._cov0(g, [(gam0, False)] * 2))
         assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2))
+
+
+@pytest.mark.parametrize("n, q", [(2, 1), (3, 2)])
+def test_normal_coordinates_match_the_product_construction(monkeypatch, n, q):
+    """On the Christoffel data of a random seed-5 build, the exp-map substitution
+    built coefficient by coefficient equals the sum of `Series.var` products, and
+    substituting it into the curvature matrix at once equals doing it per entry."""
+    seen = []
+    real = geometry._radial_gauge_derivatives
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_radial_gauge_derivatives", spy)
+    jet_from_potential(random_potential(n, q, 5), n=n, q=q)
+    [(RL, gamma, gam0)] = seen
+    got = geometry._normal_coordinates(gamma, gam0)
+    want = normal_coordinates_by_products(gamma, gam0)
+    assert [s.cap for s in got] == [s.cap for s in want] == [3] * (2 * n)
+    assert got == want
+    assert all(any(sum(e) == 3 for e in s.terms) for s in got)
+    comp = mat_compose(RL, got, 2)
+    for row, rl_row in zip(comp, RL):
+        for s, rl in zip(row, rl_row):
+            assert s.cap == 2 and s == compose_per_entry(rl, want, 2)
 
 
 def test_random_potential_is_seed_stable():

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from bergman.scalars import ExactScalar, rat
+from bergman.scalars import ExactScalar, rat, sum_products
 from oracles import FractionScalar
 
 _coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -51,6 +51,23 @@ def test_operations_agree_with_fraction_oracle(ta, tb, k, re, im):
         _assert_agree(a / rat(re, im, k), a_old / FractionScalar({k: (re, im)}))
     assert (a == b) == (a_old == b_old)
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+@given(st.lists(st.tuples(_term_lists, _term_lists), max_size=4),
+       st.integers(min_value=0, max_value=4))
+def test_sum_products_agrees_with_fraction_oracle(pairs, cancel):
+    """Empty term lists are zero factors; the first `cancel` pairs come back negated."""
+    def old(ts):
+        return sum((FractionScalar({p: (x, y)}) for p, x, y in ts), FractionScalar())
+
+    ts = pairs + [([(k, -x, -y) for k, x, y in ta], tb) for ta, tb in pairs[:cancel]]
+    ts += [([], tb) for _, tb in pairs[:1]] + [(ta, []) for ta, _ in pairs[:1]]
+    got = sum_products([(_build(ta), _build(tb)) for ta, tb in ts])
+    want = sum((old(ta) * old(tb) for ta, tb in ts), FractionScalar())
+    _assert_agree(got, want)
+    assert got == sum((_build(ta) * _build(tb) for ta, tb in ts), ExactScalar.zero())
+    if cancel >= len(pairs):
+        assert got == ExactScalar.zero()
 
 
 def test_canonical_form():
