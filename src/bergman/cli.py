@@ -94,6 +94,14 @@ def _load_valid_jet(path: str) -> GeometryJet | None:
     return None
 
 
+def _write_jet(jet: GeometryJet, path: str) -> int:
+    text = jet.to_text(file=True)  # built first, so a failure leaves no partial file
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"wrote jet {jet.jet_id} to {path}")
+    return EXIT_OK
+
+
 def _check_dimensions(args) -> None:
     """Reject out-of-range dimension and tensor-power arguments before any work."""
     n, q = getattr(args, "n", None), getattr(args, "q", None)
@@ -118,16 +126,12 @@ def _check_dimensions(args) -> None:
 def cmd_jet_build(args) -> int:
     phi_l = _load_potential(args.potential, args.n)
     phi_e = _load_potential(args.potential_e, args.n) if args.potential_e else None
-    body: dict = {}
-    jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e, json_out=body)
+    jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e)
     report = validate_jet(jet)
     if not report.ok:
         _emit(report.to_json())
         return EXIT_VALIDATION
-    with open(args.out, "w") as fh:
-        json.dump(body, fh, sort_keys=True, indent=1)
-    print(f"wrote jet {jet.jet_id} to {args.out}")
-    return EXIT_OK
+    return _write_jet(jet, args.out)
 
 
 def cmd_jet_random(args) -> int:
@@ -137,12 +141,7 @@ def cmd_jet_random(args) -> int:
         phi = fs_product_potential(args.n, args.q)
     else:
         phi = random_potential(args.n, args.q, args.seed)
-    body: dict = {}
-    jet = jet_from_potential(phi, n=args.n, q=args.q, rk_e=args.rk_e, json_out=body)
-    with open(args.out, "w") as fh:
-        json.dump(body, fh, sort_keys=True, indent=1)
-    print(f"wrote jet {jet.jet_id} to {args.out}")
-    return EXIT_OK
+    return _write_jet(jet_from_potential(phi, n=args.n, q=args.q, rk_e=args.rk_e), args.out)
 
 
 def cmd_b1_closed_form(args) -> int:

@@ -38,7 +38,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import getitem
 
@@ -56,7 +56,7 @@ from .jet_checks import (  # noqa: F401  (re-exported: these are geometry operat
     lambda_scalars,
     validate_jet,
 )
-from .scalars import ExactScalar, rat, sum_products
+from .scalars import ExactScalar, _ratio_str, rat, sum_products
 from .series import (
     Series,
     mat_compose,
@@ -274,18 +274,30 @@ class GeometryJet:
 
     # -- serialization -------------------------------------------------------
 
+    def to_text(self, *, file: bool = False) -> str:
+        """The jet's canonical JSON text, written straight from its scalars.
+
+        By default the compact text without `jet_id` (sorted keys, separators
+        "," and ":"): its sha256 defines the id.  With `file=True` the jet
+        file: sorted keys, indent 1, `jet_id` included, no trailing newline.
+        Both are byte for byte what `json.dumps` writes of `to_json()`.
+        """
+        level = 2 if file else None
+        fields = {"schema": json.dumps(JET_SCHEMA), "n": str(self.n), "q": str(self.q),
+                  "rk_e": str(self.rk_e), "frame": json.dumps(_FRAME),
+                  "rX": _payload(self.rX, *_punctuation(level))}
+        for name, rank in _TENSOR_FIELDS.items():
+            fields[name] = _text(getattr(self, name), rank + 2 * (name == "RE"), level, {})
+        if file:
+            fields["jet_id"] = json.dumps(self.jet_id or _digest(self.to_text()))
+            return "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in sorted(fields.items())) + "\n}"
+        return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(fields.items())) + "}"
+
     def to_json(self) -> dict[str, object]:
-        body = {
-            "schema": JET_SCHEMA,
-            "n": self.n,
-            "q": self.q,
-            "rk_e": self.rk_e,
-            "frame": "xi-adapted complex frame; index a<n is d/dxi_{a+1}, a+n its conjugate",
-            "rX": self.rX.to_json(),
-        }
-        for name in _TENSOR_FIELDS:
-            body[name] = _dump(getattr(self, name))
-        body["jet_id"] = self.jet_id or jet_digest(body)
+        """The jet's JSON body as a dict, `jet_id` included."""
+        text = self.to_text()
+        body = json.loads(text)
+        body["jet_id"] = self.jet_id or _digest(text)
         return body
 
     @classmethod
@@ -306,44 +318,82 @@ class GeometryJet:
         for name, rank in _TENSOR_FIELDS.items():
             matrix = (rk_e, rk_e) if name == "RE" else ()
             tensors[name] = _load(data[name], (2 * n,) * rank + matrix, name)
-        return _with_id(cls(n=n, q=q, rk_e=rk_e, rX=_load(data["rX"], (), "rX"), **tensors))
+        return _with_id(cls(n=n, q=q, rk_e=rk_e, rX=_load_scalar(data["rX"], "rX"), **tensors))
 
 
-def _dump(t):
-    """Nested lists of scalar payloads from nested tuples of scalars."""
-    if isinstance(t, ExactScalar):
-        return t.to_json()
-    return [_dump(x) for x in t]
+_FRAME = "xi-adapted complex frame; index a<n is d/dxi_{a+1}, a+n its conjugate"
+
+
+@lru_cache(maxsize=None)  # one entry per nesting level of the schema
+def _punctuation(level: int | None):
+    """Open, separator and close of a non-empty list whose items sit at indent
+    `level` (None: the compact layout), and the formatter of a scalar item there."""
+    if level is None:
+        return "[", ",", "]", '{{"im":"{}","pi_pow":{},"re":"{}"}}'.format
+    inner, key = "\n" + " " * level, "\n" + " " * (level + 1)
+    return ("[" + inner, "," + inner, "\n" + " " * (level - 1) + "]",
+            ("{{" + key + '"im": "{}",' + key + '"pi_pow": {},' + key + '"re": "{}"'
+             + inner + "}}").format)
+
+
+def _text(t, rank: int, level: int | None, seen: dict) -> str:
+    """JSON text of nested tuples `rank` >= 1 deep over scalars, as `json.dumps`
+    of their payloads writes it; the items of `t` sit at indent `level`.
+
+    `seen` maps each scalar already written at the innermost level, by its
+    fields, to its text: a jet repeats most of its values (a dense (3,2) jet
+    holds about 1,600 distinct values in 4,000 nonzero entries).
+    """
+    start, sep, end, _ = _punctuation(level)
+    deeper = None if level is None else level + 1
+    if rank > 1:
+        return start + sep.join([_text(x, rank - 1, deeper, seen) for x in t]) + end
+    punct = _punctuation(deeper)
+    out = []
+    for s in t:
+        key = (s._den, *s._num.items())
+        text = seen.get(key)
+        if text is None:
+            text = seen[key] = _payload(s, *punct)
+        out.append(text)
+    return start + sep.join(out) + end
+
+
+def _payload(s: ExactScalar, start: str, sep: str, end: str, item) -> str:
+    """The text of `s.to_json()`, one {"im", "pi_pow", "re"} item per pi-power."""
+    num, den = s._num, s._den
+    if not num:
+        return "[]"
+    return start + sep.join([item(_ratio_str(b, den), k, _ratio_str(a, den))
+                             for k, (a, b) in sorted(num.items())]) + end
 
 
 def _load(t: object, shape: tuple[int, ...], name: str):
     """Nested tuples of scalars from JSON, checked against `shape`."""
-    if not shape:
-        try:
-            return ExactScalar.from_json(t)
-        except ValueError as exc:
-            raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
     if not isinstance(t, list) or len(t) != shape[0]:
         raise InvalidJetError(f"{name} does not have the shape of the jet: "
                               f"expected a list of {shape[0]} entries")
-    return tuple(_load(x, shape[1:], name) for x in t)
+    if len(shape) > 1:
+        return tuple([_load(x, shape[1:], name) for x in t])
+    # about half of a jet's payloads are [], the zero scalar
+    return tuple([_ZERO if x == [] else _load_scalar(x, name) for x in t])
 
 
-def jet_digest(body: dict[str, object]) -> str:
-    payload = {k: v for k, v in body.items() if k != "jet_id"}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _load_scalar(t: object, name: str) -> ExactScalar:
+    try:
+        return ExactScalar.from_json(t)
+    except ValueError as exc:
+        raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
 
 
-def _with_id(jet: GeometryJet, json_out: dict | None = None) -> GeometryJet:
-    """The jet with its content digest as `jet_id`; `jet` must have none yet.
+def _digest(text: str) -> str:
+    """The `jet_id` of a jet's compact text: the first 16 hex digits of its sha256."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    The digest hashes the JSON body; if `json_out` is given, the body is stored in it.
-    """
-    body = jet.to_json()
-    if json_out is not None:
-        json_out.update(body)
-    return replace(jet, jet_id=body["jet_id"])
+
+def _with_id(jet: GeometryJet) -> GeometryJet:
+    """The jet with its content digest as `jet_id`."""
+    return replace(jet, jet_id=_digest(jet.to_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +404,9 @@ _CAP = 2  # all derived fields need at most two more derivatives at 0
 
 
 def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None, *,
-                       n: int, q: int, rk_e: int = 1,
-                       json_out: dict | None = None) -> GeometryJet:
-    """Run the full truncated-series pipeline on a normalized potential.
-
-    If `json_out` is given, the jet's JSON body (`GeometryJet.to_json`) is
-    stored in it: the digest is computed from it anyway.
-    """
-    # the body is built after the pipeline's intermediate series are freed: built
-    # among them, a kept body pins their memory and raises the peak RSS
-    return _with_id(_build_jet(phi_l, phi_e, n, q, rk_e), json_out)
+                       n: int, q: int, rk_e: int = 1) -> GeometryJet:
+    """Run the full truncated-series pipeline on a normalized potential."""
+    return _with_id(_build_jet(phi_l, phi_e, n, q, rk_e))
 
 
 def _build_jet(phi_l: Series | dict, phi_e: Series | dict | None,

@@ -193,7 +193,7 @@ def validate_jet(jet) -> CheckReport:
             w = tensor[p(idx[0])]
             for i in idx[1:]:
                 w = w[p(i)]
-            if v.conjugate() != (-w if anti else w):
+            if not (v.conjugate().negates(w) if anti else v.conjugate() == w):
                 ok = False
                 detail = f"component {idx} violates {kind}"
                 break
@@ -209,10 +209,10 @@ def validate_jet(jet) -> CheckReport:
     reality("dRL1", jet.dRL1, 3, anti=True)
 
     rep.add("riemann-antisym-front",
-            all(jet.RTX[a][b][c][d] == -jet.RTX[b][a][c][d]
+            all(jet.RTX[a][b][c][d].negates(jet.RTX[b][a][c][d])
                 for a, b, c, d in _indices(dim, 4)))
     rep.add("riemann-antisym-back",
-            all(jet.RTX[a][b][c][d] == -jet.RTX[a][b][d][c]
+            all(jet.RTX[a][b][c][d].negates(jet.RTX[a][b][d][c])
                 for a, b, c, d in _indices(dim, 4)))
     rep.add("riemann-pair-symmetry",
             all(jet.RTX[a][b][c][d] == jet.RTX[c][d][a][b]
@@ -229,16 +229,16 @@ def validate_jet(jet) -> CheckReport:
     rep.add_equal("scalar-curvature-contraction", jet.rX, ric_scalar)
 
     rep.add("torsion-totally-antisymmetric",
-            all(jet.Tas[a][b][c] == -jet.Tas[b][a][c]
-                and jet.Tas[a][b][c] == -jet.Tas[a][c][b]
+            all(jet.Tas[a][b][c].negates(jet.Tas[b][a][c])
+                and jet.Tas[a][b][c].negates(jet.Tas[a][c][b])
                 for a, b, c in _indices(dim, 3)))
     rep.add("s-tensor-from-torsion",
             all(jet.SB[a][b][c] == jet.Tas[a][b][c].scale("-1/2")
                 for a, b, c in _indices(dim, 3)))
     rep.add("four-form-totally-antisymmetric",
-            all(jet.dTas[a][b][c][d] == -jet.dTas[b][a][c][d]
-                and jet.dTas[a][b][c][d] == -jet.dTas[a][c][b][d]
-                and jet.dTas[a][b][c][d] == -jet.dTas[a][b][d][c]
+            all(jet.dTas[a][b][c][d].negates(jet.dTas[b][a][c][d])
+                and jet.dTas[a][b][c][d].negates(jet.dTas[a][c][b][d])
+                and jet.dTas[a][b][c][d].negates(jet.dTas[a][b][d][c])
                 for a, b, c, d in _indices(dim, 4)))
 
     rep.add("structure-derivative-cyclic",
@@ -274,11 +274,11 @@ def validate_jet(jet) -> CheckReport:
     rep.add("second-derivative-antisymmetrization", ok, detail)
 
     rep.add("curvature-derivative-antisym",
-            all(jet.dRL1[k][a][b] == -jet.dRL1[k][b][a]
+            all(jet.dRL1[k][a][b].negates(jet.dRL1[k][b][a])
                 for k, a, b in _indices(dim, 3)))
     rep.add("curvature-second-derivative-symmetries",
             all(jet.dRL2[k][l][a][b] == jet.dRL2[l][k][a][b]
-                and jet.dRL2[k][l][a][b] == -jet.dRL2[k][l][b][a]
+                and jet.dRL2[k][l][a][b].negates(jet.dRL2[k][l][b][a])
                 for k, l, a, b in _indices(dim, 4)))
 
     minus_two_pi_i = ExactScalar.rational(0, -2, 1)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -110,23 +111,7 @@ class ExactScalar:
             return other
         if not other._num:
             return self
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            den, num, m2 = d1, dict(self._num), 1
-        else:
-            g = gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
-            den = d1 * m1
-            num = {k: (a * m1, b * m1) for k, (a, b) in self._num.items()}
-        for k, (c, d) in other._num.items():
-            if m2 != 1:
-                c, d = c * m2, d * m2
-            if k in num:
-                a, b = num[k]
-                num[k] = (a + c, b + d)
-            else:
-                num[k] = (c, d)
-        return _reduced(num, den)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "ExactScalar":
         return _make({k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
@@ -134,7 +119,20 @@ class ExactScalar:
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self + (-other)
+        if not other._num:
+            return self
+        return _combine(self, other, -1)
+
+    def negates(self, other: "ExactScalar") -> bool:
+        """Whether self == -other, without forming -other."""
+        n1, n2 = self._num, other._num
+        if self._den != other._den or len(n1) != len(n2):
+            return False
+        for k, (a, b) in n1.items():
+            c = n2.get(k)
+            if c is None or a != -c[0] or b != -c[1]:
+                return False
+        return True
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
@@ -269,22 +267,28 @@ def _is_int(x: object) -> bool:
 
 # The form str(Fraction) writes.  Fraction() itself also takes exponents,
 # decimals, underscores and spaces; "1e1000000" would expand to a million digits.
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _exact_rational(x: object) -> tuple[int, int]:
     """An int or a "p" / "p/q" string payload as integers (p, q), q > 0, not
     necessarily in lowest terms; ValueError for anything else."""
-    if _is_int(x):
-        return x, 1
-    if not (isinstance(x, str) and _RATIONAL_RE.fullmatch(x)):
+    pq = _parse_ratio(x) if isinstance(x, str) else (x, 1) if _is_int(x) else None
+    if pq is None:
         raise ValueError(f"bad scalar payload {x!r}: need an int or a \"p\" or \"p/q\" string")
-    p, _, q = x.partition("/")
-    if not q:
-        return int(p), 1
-    if int(q) == 0:
+    if not pq[1]:
         raise ValueError(f"bad scalar payload {x!r}: zero denominator")
-    return int(p), int(q)
+    return pq
+
+
+@lru_cache(maxsize=4096)  # a jet file repeats a few hundred distinct strings
+def _parse_ratio(x: str) -> tuple[int, int] | None:
+    """(p, q) of a "p" or "p/q" string, q = 0 included; None for any other string."""
+    m = _RATIONAL_RE.fullmatch(x)
+    if m is None:
+        return None
+    p, q = m.groups()
+    return int(p), int(q) if q else 1
 
 
 def _ratio_str(p: int, q: int) -> str:
@@ -334,6 +338,27 @@ def _reduced(num: Numerators, den: int) -> ExactScalar:
         num = {k: (a // g, b // g) for k, (a, b) in num.items()}
         den //= g
     return _make(num, den)
+
+
+def _combine(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
+    """x + sign * y for sign = 1 or -1, over the lcm of the denominators."""
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        den, num, m2 = d1, dict(x._num), sign
+    else:
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, sign * (d1 // g)
+        den = d1 * m1
+        num = {k: (a * m1, b * m1) for k, (a, b) in x._num.items()}
+    for k, (c, d) in y._num.items():
+        if m2 != 1:
+            c, d = c * m2, d * m2
+        if k in num:
+            a, b = num[k]
+            num[k] = (a + c, b + d)
+        else:
+            num[k] = (c, d)
+    return _reduced(num, den)
 
 
 def sum_products(pairs: Sequence[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:

@@ -87,7 +87,11 @@ class Series:
         return _series(self.nvars, self.cap, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        cap = min(self.cap, other.cap)
+        out = dict(self.terms) if self.cap == cap else _below(self.terms, cap)
+        for e, c in (other.terms if other.cap == cap else _below(other.terms, cap)).items():
+            out[e] = out[e] - c if e in out else -c
+        return _series(self.nvars, cap, out)
 
     def __mul__(self, other: "Series") -> "Series":
         cap = min(self.cap, other.cap)

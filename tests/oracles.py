@@ -1,20 +1,24 @@
 """Independent oracles that only the tests call.
 
-Each one recomputes a library operation by a different route: scalar
-arithmetic on `Fraction` pairs, series products and sums one term pair at a
-time, substitution into a series one entry at a time, the exp-map
-substitution as a sum of variable products, the oscillator L0 as a raw differential
-operator on the polynomial form, multiplication by a polynomial one
+Each one recomputes a library operation by a different route: a jet's
+JSON body as a dict of scalar payloads, scalar arithmetic on `Fraction`
+pairs, series products and sums one term pair at a time, substitution into
+a series one entry at a time, the exp-map substitution as a sum of
+variable products, the oscillator L0 as a raw differential operator on
+the polynomial form, multiplication by a polynomial one
 monomial and one factor at a time, the 2-form Clifford action by raw
 Clifford products, and the det-sector compression identity block by block.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
 from bergman.exterior import CompFn, ExteriorAlgebra, ExteriorEndo
+from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
 from bergman.oscillator import PolyGaussianForm, TermKey, TwoPointState, _bump, _poly_apply_b
 from bergman.scalars import ExactScalar, _format_gaussian, rat
 from bergman.series import Exps, Series
@@ -97,6 +101,32 @@ class FractionScalar:
 
     def to_json(self) -> list[dict[str, object]]:
         return [{"pi_pow": k, "re": str(re), "im": str(im)} for k, re, im in self.terms()]
+
+
+def jet_body(jet: GeometryJet) -> dict[str, object]:
+    """The JSON body of a jet built as a dict, one scalar payload at a time;
+    `jet_id` is the jet's own if it has one, else the digest of the body."""
+    body = {"schema": JET_SCHEMA, "n": jet.n, "q": jet.q, "rk_e": jet.rk_e,
+            "frame": _FRAME, "rX": jet.rX.to_json()}
+    for name in _TENSOR_FIELDS:
+        body[name] = _dump(getattr(jet, name))
+    body["jet_id"] = jet.jet_id or jet_digest(body)
+    return body
+
+
+def _dump(t):
+    """Nested lists of scalar payloads from nested tuples of scalars."""
+    if isinstance(t, ExactScalar):
+        return t.to_json()
+    return [_dump(x) for x in t]
+
+
+def jet_digest(body: dict[str, object]) -> str:
+    """The `jet_id` of a JSON body: the first 16 hex digits of the sha256 of its
+    compact, key-sorted JSON without `jet_id`."""
+    payload = {k: v for k, v in body.items() if k != "jet_id"}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def series_add_pairwise(x: Series, y: Series) -> Series:

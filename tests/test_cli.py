@@ -8,7 +8,8 @@ from bergman import cli
 from bergman.cli import main
 from bergman.closed_form import B1Result
 from bergman.exterior import ExteriorAlgebra
-from bergman.geometry import fs_product_potential, jet_digest, potential_to_dict
+from bergman.geometry import fs_product_potential, potential_to_dict
+from oracles import jet_digest
 
 
 @pytest.fixture()

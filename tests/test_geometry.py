@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -21,7 +23,7 @@ from bergman.geometry import (
 )
 from bergman.scalars import ExactScalar, rat
 from bergman.series import Series, mat_compose
-from oracles import compose_per_entry, normal_coordinates_by_products
+from oracles import compose_per_entry, jet_body, jet_digest, normal_coordinates_by_products
 
 
 def allzero(t):
@@ -158,6 +160,85 @@ def test_jet_json_roundtrip(jet_cache):
     assert clone.dRL2 == jet.dRL2
     assert clone.RE == jet.RE
     assert clone.rX == jet.rX
+
+
+_EMITTER_JETS = {
+    "flat-1-0": ("flat", 1, 0),
+    "random-2-1": ("random", 2, 1, 5),
+    "random-3-2": ("random", 3, 2, 5),
+    "random-4-2": ("random", 4, 2, 5),
+    "twist-3-1-rank-2": ("random", 3, 1, 0, 2, ("1/2", "-7/3", "5")),
+}
+
+
+def _map_payloads(t, fn):
+    """`t` with `fn` applied to every scalar payload (a list of items, or [])."""
+    if not t or isinstance(t[0], dict):
+        return fn(t)
+    return [_map_payloads(x, fn) for x in t]
+
+
+def _items(body):
+    out = []
+    for name in ("rX", *_TENSOR_FIELDS):
+        _map_payloads(body[name], out.extend)
+    return out
+
+
+@pytest.mark.parametrize("case", _EMITTER_JETS)
+def test_jet_text_matches_the_dict_oracle(jet_cache, case):
+    """The emitter's two layouts are byte for byte `json.dumps` of the body
+    built as a dict, its compact text hashes to the id, and a file reads back
+    to the same text."""
+    jet = jet_cache(*_EMITTER_JETS[case])
+    body = jet_body(jet)
+    text = jet.to_text(file=True)
+    assert text == json.dumps(body, sort_keys=True, indent=1)
+    del body["jet_id"]
+    assert jet.to_text() == json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert jet.jet_id == jet_digest(body)
+    assert jet.to_json() == {**body, "jet_id": jet.jet_id}
+    assert GeometryJet.from_json(json.loads(text)).to_text(file=True) == text
+    assert replace(jet, jet_id="").to_text(file=True) == text
+    if case.startswith("twist"):
+        items = _items(body)
+        assert len({it["pi_pow"] for it in items}) > 1
+        assert any(it["re"].startswith("-") for it in items)
+        assert any("/" in it["re"] + it["im"] for it in items)
+        assert any(m[0][0] and m[1][1] for row in body["RE"] for m in row)
+
+
+def _double(x: str) -> str:
+    p, _, q = x.partition("/")
+    return f"{2 * int(p)}/{2 * int(q or 1)}"
+
+
+_REWRITES = {
+    "unreduced": lambda p: [{**it, "re": _double(it["re"]), "im": _double(it["im"])} for it in p],
+    "integers": lambda p: [{**it, **{k: int(it[k]) for k in ("re", "im") if "/" not in it[k]}}
+                           for it in p],
+    "reordered": lambda p: p[::-1],
+    "split": lambda p: [x for it in p for x in ({**it, "re": str(Fraction(it["re"]) - 1)},
+                                                {"pi_pow": it["pi_pow"], "re": "1", "im": 0})],
+    "zero-items": lambda p: p or [{"pi_pow": 0, "re": "0", "im": 0}],
+}
+
+
+@pytest.mark.parametrize("rewrite", _REWRITES)
+def test_noncanonical_jet_file_gets_the_canonical_id(jet_cache, rewrite):
+    """A file whose payloads are equal but not canonical (unreduced "2/4",
+    integer payloads, items out of order, one pi-power split over two items,
+    zero written out) and whose `jet_id` is stale loads to the canonical jet."""
+    jet = jet_cache("random", 2, 1, 5)
+    text = jet.to_text(file=True)
+    body = json.loads(text)
+    for name in ("rX", *_TENSOR_FIELDS):
+        body[name] = _map_payloads(body[name], _REWRITES[rewrite])
+    assert body != json.loads(text)
+    body["jet_id"] = "0" * 16
+    again = GeometryJet.from_json(json.loads(json.dumps(body, sort_keys=True, indent=1)))
+    assert again.jet_id == jet.jet_id
+    assert again.to_text(file=True) == text
 
 
 def test_lambda_scalars_vanish_without_torsion(jet_cache):

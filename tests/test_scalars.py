@@ -53,6 +53,28 @@ def test_operations_agree_with_fraction_oracle(ta, tb, k, re, im):
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
 
 
+def _old(ts):
+    return sum((FractionScalar({k: (x, y)}) for k, x, y in ts), FractionScalar())
+
+
+@given(_term_lists, _term_lists)
+def test_subtraction_agrees_with_fraction_oracle(ta, tb):
+    """x - y, and whether x == -y, against the oracle, also for a y that cancels x
+    to zero or in part, one over another denominator (y / 7), one with pi-powers
+    disjoint from those of x (y pi^10), one that negates only the real or only
+    the imaginary parts of x, and zero on either side."""
+    cases = [(ta, tb), (ta, ta), (ta, ta + tb), (ta, [(k, x / 7, y / 7) for k, x, y in tb]),
+             (ta, [(k + 10, x, y) for k, x, y in tb]), (ta, [(k, -x, y) for k, x, y in ta]),
+             (ta, [(k, x, -y) for k, x, y in ta]), ([], tb), (ta, [])]
+    for tx, ty in cases:
+        x, y = _build(tx), _build(ty)
+        _assert_agree(x - y, _old(tx) - _old(ty))
+        assert x.negates(y) == (x == -y) == (_old(tx) == -_old(ty))
+    a = _build(ta)
+    assert (a - a).is_zero()
+    assert a.negates(-a) and (-a).negates(a)
+
+
 @given(st.lists(st.tuples(_term_lists, _term_lists), max_size=4),
        st.integers(min_value=0, max_value=4))
 def test_sum_products_agrees_with_fraction_oracle(pairs, cancel):

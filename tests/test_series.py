@@ -122,6 +122,22 @@ def test_ring_operations_match_the_pairwise_oracles(cx, cy):
         assert got == series_mul_pairwise(x, Series.const(nvars, cx, c))
 
 
+@pytest.mark.parametrize("cx, cy", _MIXED_CAPS)
+def test_subtraction_matches_the_pairwise_oracle(cx, cy):
+    """x - y against x + (-y) term by term, for a y independent of x, one
+    sharing all of x's terms (x + y), and x itself (a zero difference)."""
+    rng = random.Random(100 + 10 * cx + cy)
+    for nvars in (1, 2, 4):
+        x, y = _random_series(rng, nvars, cx), _random_series(rng, nvars, cy)
+        cap = min(cx, cy)
+        for other in (y, x + y, x.truncate(cy)):
+            got = x - other
+            _assert_well_formed(got, cap)
+            neg = Series(nvars, other.cap, {e: -c for e, c in other.terms.items()})
+            assert got == series_add_pairwise(x, neg)
+        assert (x - x.truncate(cy)).terms == {}
+
+
 def test_cancelling_products_store_no_zero_coefficient():
     w0, w1 = Series.var(2, 3, 0), Series.var(2, 3, 1)
     p = (w0 + w1) * (w0 - w1)  # the w0 w1 coefficients cancel
