@@ -17,10 +17,20 @@ materializes an exact matrix when that power is even.
 Complex frame labels: an integer a in 0..2n-1 denotes v_{a+1} for a < n and
 vb_{a-n+1} for a >= n.  Metric pairing partners v_j <-> vb_j implement frame
 resolutions of identity without ever leaving exact arithmetic.
+
+Clifford quantization of forms.  An even, totally antisymmetric form acts
+through the quantization map of Berline-Getzler-Vergne (Heat Kernels and
+Dirac Operators, 3.1): a sum over increasing label words w of the form's
+value on the partner word times Q(w), the antisymmetrized product of the
+bare Clifford factors of w.  Q(w) depends only on the algebra, so each
+algebra builds it once, by expansion along the first factor.  The 2-form
+action `action_two_form` is half the degree-2 case.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .scalars import ExactScalar, rat
@@ -30,7 +40,6 @@ CompFn = Callable[[int, int], ExactScalar]
 _ZERO = ExactScalar.zero()
 _ONE = ExactScalar.one()
 _HALF = ExactScalar.rational("1/2")
-_HALF_NEG = ExactScalar.rational("-1/2")
 
 
 def _lex_words(n: int) -> list[tuple[int, ...]]:
@@ -56,7 +65,7 @@ class ExteriorAlgebra:
         self.words = _lex_words(n)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words) * rk_e
-        self._blocks: list | None = None
+        self._quantized_words: dict[tuple[int, ...], dict[tuple[int, int], ExactScalar]] = {}
 
     def basis_index(self, word: tuple[int, ...], e: int = 0) -> int:
         return self.word_index[word] * self.rk_e + e
@@ -172,76 +181,55 @@ class ExteriorAlgebra:
         return (self.clifford_factor(a) * self.clifford_factor(b)).as_endo()
 
     def clifford_of_form(self, degree: int, comp: Callable[[tuple[int, ...]], ExactScalar]) -> "ExteriorEndo":
-        """Clifford contraction of a totally antisymmetric degree-d form.
+        """Clifford quantization of a totally antisymmetric degree-d form.
 
         `comp` returns the form on complex frame labels.  For an orthonormal
         real frame the operator is sum_{i1<...<id} B(e_{i1},..) c(e_{i1}).. ;
         summing the complex resolution of identity in every slot yields
         (1/d!) sum_{a1..ad} B(partner(a1),..,partner(ad)) c(V_{a1})..c(V_{ad}).
+        As B is antisymmetric, the orders of one label set add up to the
+        increasing word w, so the sum is 2^(d/2)/d! sum_w B(partner(w)) Q(w),
+        with 2^(d/2) collecting the sqrt(2) of each factor (Berline-Getzler-
+        Vergne, Heat Kernels and Dirac Operators, 3.1).
         Only even degrees are supported (odd ones would strand a sqrt(2)).
         """
         if degree % 2:
             raise ValueError("only even-degree forms act within exact arithmetic")
-        labels = range(2 * self.n)
-        acc = self.zero_endo()
-        fact = 1
-        for k in range(2, degree + 1):
-            fact *= k
-        # depth-first over the label words whose Clifford product is nonzero
-        stack: list[tuple[tuple[int, ...], CliffordFactor | None]] = [((), None)]
-        while stack:
-            prefix, factor = stack.pop()
-            if len(prefix) == degree:
-                coeff = comp(tuple(self.partner(a) for a in prefix))
-                if not coeff.is_zero():
-                    acc = acc + factor.as_endo().scale(coeff)
-                continue
-            for a in reversed(labels):
-                nxt = self.clifford_factor(a) if factor is None else factor * self.clifford_factor(a)
-                if not nxt.matrix.is_zero():
-                    stack.append((prefix + (a,), nxt))
-        return acc.scale_fraction(1, fact)
-
-    def action_two_form(self, comp: CompFn) -> "ExteriorEndo":
-        """(1/4) A(e_i, e_j) c(e_i) c(e_j) for an antisymmetric bilinear A.
-
-        `comp(a, b)` gives A on complex frame labels (either a 2-form or
-        <A' . , .> for a skew-adjoint endomorphism A').  Expanding the real
-        frame sum through the complex resolution gives the four-block form:
-        a scalar block, a wedge-contract block, a double contraction block
-        and a double wedge block.
-        """
-        n = self.n
-        scalar = ExactScalar.zero()
-        for j in range(n):
-            scalar = scalar + comp(j, n + j)
-        out = dict(self.scalar_endo(scalar * _HALF_NEG).entries)
-        for (a, b), half, product in self._two_form_blocks():
-            c = comp(a, b)
+        scale = ExactScalar.rational(f"{2 ** (degree // 2)}/{factorial(degree)}")
+        out: dict[tuple[int, int], ExactScalar] = {}
+        for w in combinations(range(2 * self.n), degree):
+            c = comp(tuple(self.partner(a) for a in w))
             if c.is_zero():
                 continue
-            if half:
-                c = c * _HALF
-            for key, v in product.items():
+            c = c * scale
+            for key, v in self._quantized(w).items():
                 out[key] = out[key] + v * c if key in out else v * c
         return ExteriorEndo(self, out)
 
-    def _two_form_blocks(self) -> list[tuple[tuple[int, int], bool, dict]]:
-        """The operator products of `action_two_form`, built once per algebra:
-        (label pair of the coefficient, whether it is halved, product entries).
+    def action_two_form(self, comp: CompFn) -> "ExteriorEndo":
+        """(1/4) A(e_i, e_j) c(e_i) c(e_j) for an antisymmetric bilinear A:
+        half the Clifford quantization of A.
+
+        `comp(a, b)` gives A on complex frame labels (either a 2-form or
+        <A' . , .> for a skew-adjoint endomorphism A').
+        """
+        return self.clifford_of_form(2, lambda w: comp(*w)).scale(_HALF)
+
+    def _quantized(self, word: tuple[int, ...]) -> dict[tuple[int, int], ExactScalar]:
+        """Q(word) for an increasing label word: the signed sum over all orders
+        of the word of the product of its bare Clifford factors (the matrices
+        of `clifford_factor`), built once per algebra by expanding along the
+        first factor, Q(w) = sum_i (-1)^i m_{w_i} Q(w without w_i).
         Entries, not endomorphisms, so that the algebra holds no reference to itself."""
-        if self._blocks is None:
-            n = self.n
-            blocks = []
-            for j in range(n):
-                for k in range(n):
-                    blocks += [
-                        ((j, n + k), False, self.wedge(k + 1) @ self.contract(j + 1)),
-                        ((j, k), True, self.contract(j + 1) @ self.contract(k + 1)),
-                        ((n + j, n + k), True, self.wedge(j + 1) @ self.wedge(k + 1)),
-                    ]
-            self._blocks = [(pair, half, p.entries) for pair, half, p in blocks]
-        return self._blocks
+        entries = self._quantized_words.get(word)
+        if entries is None:
+            acc = self.identity() if not word else self.zero_endo()
+            for i, a in enumerate(word):
+                rest = ExteriorEndo(self, self._quantized(word[:i] + word[i + 1:]))
+                term = self.clifford_factor(a).matrix @ rest
+                acc = acc - term if i % 2 else acc + term
+            entries = self._quantized_words[word] = acc.entries
+        return entries
 
 
 class ExteriorEndo:
@@ -291,9 +279,6 @@ class ExteriorEndo:
         if c.is_zero():
             return ExteriorEndo(self.alg, {})
         return ExteriorEndo(self.alg, {k: v * c for k, v in self.entries.items()})
-
-    def scale_fraction(self, p: int, q: int = 1) -> "ExteriorEndo":
-        return self.scale(ExactScalar.rational(f"{p}/{q}"))
 
     def adjoint(self) -> "ExteriorEndo":
         return ExteriorEndo(

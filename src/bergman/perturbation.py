@@ -14,8 +14,8 @@ Conventions used when dispatching frame sums to oscillator primitives
 * sum_i T(e_i) Op(e_i)   ->  2 sum_a T(d_partner(a)) Op(d_a)
 * nabla_0 along d/dxi_j is -b_j/2, along d/dxibar_j is +b_j^+/2,
 * multiplication by the radial coordinate Z_a is mul_xi / mul_xibar,
-* Clifford bilinears are assembled from exact factor pairs in the
-  holomorphic frame, with v-frame components twice the coordinate ones.
+* Clifford actions of forms are taken in the holomorphic frame, where a
+  d-form's v-frame components are 2^(d/2) times the coordinate ones.
 """
 
 from __future__ import annotations
@@ -93,24 +93,16 @@ def _v_to_xi(n: int, q: int, label: int) -> int:
     return j if j < q else n + j
 
 
-def _quarter_cc(alg: ExteriorAlgebra, q: int, comp_xi) -> ExteriorEndo:
-    """(1/4) <A e_i, e_j> c(e_i) c(e_j) from xi-frame components of A."""
+def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, comp_xi) -> ExteriorEndo:
+    """Clifford contraction of a degree-d form given by xi-frame components
+    `comp_xi(a_1, .., a_d)`; its v-frame components are 2^(d/2) times those."""
     n = alg.n
-
-    def comp_v(l: int, m: int) -> ExactScalar:
-        return comp_xi(_v_to_xi(n, q, l), _v_to_xi(n, q, m)).scale(2)
-
-    return alg.action_two_form(comp_v)
-
-
-def _clifford_four_form(alg: ExteriorAlgebra, q: int, comp4_xi) -> ExteriorEndo:
-    """Clifford contraction of a 4-form given by xi-frame components."""
-    n = alg.n
+    factor = 2 ** (degree // 2)
 
     def comp_v(labels: tuple[int, ...]) -> ExactScalar:
-        return comp4_xi(tuple(_v_to_xi(n, q, l) for l in labels)).scale(4)
+        return comp_xi(*(_v_to_xi(n, q, l) for l in labels)).scale(factor)
 
-    return alg.clifford_of_form(4, comp_v)
+    return alg.clifford_of_form(degree, comp_v)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +144,10 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
     cliff: list[tuple[int, ExteriorEndo]] = []
     for a in range(dim):
-        endo = _quarter_cc(ctx.alg, jet.q,
-                           lambda b, c, a=a: jet.nablaBJ[a][b][c])
-        endo = endo.scale(ExactScalar.rational(0, -4, 1))  # -4 pi i
+        endo = _clifford_form(ctx.alg, jet.q, 2,
+                              lambda b, c, a=a: jet.nablaBJ[a][b][c])
+        # -4 pi i times the quarter action, which is half the contraction
+        endo = endo.scale(ExactScalar.rational(0, -2, 1))
         if not endo.is_zero():
             cliff.append((a, endo))
 
@@ -242,8 +235,7 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
 def build_psi_endo(jet: GeometryJet, alg: ExteriorAlgebra) -> ExteriorEndo:
     """Quarter of the Clifford action of the torsion 4-form."""
-    psi = _clifford_four_form(alg, jet.q,
-                              lambda t: jet.dTas[t[0]][t[1]][t[2]][t[3]])
+    psi = _clifford_form(alg, jet.q, 4, lambda a, b, c, d: jet.dTas[a][b][c][d])
     return psi.scale(rat("1/4"))
 
 
@@ -254,40 +246,40 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     n, q = jet.n, jet.q
     dim = 2 * n
     alg = ctx.alg
-    part = lambda a: (a + n) % dim
     prime = build_O2_prime(jet, ctx)
 
-    # spinor-connection curvature coupled to b / b+
+    # spinor-connection curvature coupled to b / b+: its quarter action plus
+    # half the trace
     rbl: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
         for b in list(range(n)) + [n + j for j in range(n)]:
-            endo = _quarter_cc(alg, q, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
+            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
             tr = jet.trRT10[a][b]
             if not tr.is_zero():
-                endo = endo + alg.scalar_endo(tr.scale("1/2"))
+                endo = endo + alg.scalar_endo(tr)
             if not endo.is_zero():
-                rbl[(a, b)] = endo
+                rbl[(a, b)] = endo.scale(rat("1/2"))
 
     # structure-map second derivative, Clifford action, coefficient -2 pi i
     d2j_endo: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
         for b in range(dim):
-            endo = _quarter_cc(alg, q, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
+            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
             if not endo.is_zero():
-                d2j_endo[(a, b)] = endo.scale(ExactScalar.rational(0, -2, 1))
+                # -2 pi i times the quarter action, which is half the contraction
+                d2j_endo[(a, b)] = endo.scale(ExactScalar.rational(0, -1, 1))
 
     # constant Clifford blocks
-    mixed_form = _quarter_cc(alg, q, lambda a, b: jet.trRT10[a][b].scale("1/2")).scale(rat(2))
+    mixed_form = _clifford_form(alg, q, 2, lambda a, b: jet.trRT10[a][b].scale("1/2"))
+    # (1/2) R^E(e_l, e_m) c(e_l) c(e_m) with prefactor 2: twice the quarter
+    # action, so the full contraction, one aux-matrix entry (r, s) at a time
     re_cliff = alg.zero_endo()
-    for a in range(dim):
-        for b in range(dim):
-            mat = jet.RE[part(a)][part(b)]
-            if all(x.is_zero() for row in mat for x in row):
-                continue
-            # (1/2) R^E(e_l, e_m) c c: prefactor 2, quarter-sum 1/4, v-frame
-            # components twice the coordinate ones: net coefficient 1
-            pair = alg.clifford_pair(_v_to_xi(n, q, a), _v_to_xi(n, q, b))
-            re_cliff = re_cliff + (pair @ alg.endo_from_aux_matrix(mat))
+    for r, s in product(range(jet.rk_e), repeat=2):
+        form = _clifford_form(alg, q, 2, lambda a, b, r=r, s=s: jet.RE[a][b][r][s])
+        if not form.is_zero():
+            unit = [[rat(1) if (i, j) == (r, s) else _ZERO for j in range(jet.rk_e)]
+                    for i in range(jet.rk_e)]
+            re_cliff = re_cliff + form @ alg.endo_from_aux_matrix(unit)
     psi = build_psi_endo(jet, alg)
     const_endo = mixed_form + re_cliff + alg.scalar_endo(jet.rX.scale("1/4")) - psi
 

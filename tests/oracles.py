@@ -7,7 +7,8 @@ a series one entry at a time, the exp-map substitution as a sum of
 variable products, the oscillator L0 as a raw differential operator on
 the polynomial form, multiplication by a polynomial one
 monomial and one factor at a time, the 2-form Clifford action by raw
-Clifford products, and the det-sector compression identity block by block.
+Clifford products, the Clifford action of a form as a sum over ordered
+label words, and the det-sector compression identity block by block.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
-from bergman.exterior import CompFn, ExteriorAlgebra, ExteriorEndo
+from bergman.exterior import CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
 from bergman.oscillator import PolyGaussianForm, TermKey, TwoPointState, _bump, _poly_apply_b
 from bergman.scalars import ExactScalar, _format_gaussian, rat
@@ -264,7 +266,27 @@ def action_two_form_bruteforce(alg: ExteriorAlgebra, comp: CompFn) -> ExteriorEn
             if c.is_zero():
                 continue
             acc = acc + alg.clifford_pair(a, b).scale(c)
-    return acc.scale_fraction(1, 4)
+    return acc.scale(rat("1/4"))
+
+
+def clifford_of_form_walk(alg: ExteriorAlgebra, degree: int, comp) -> ExteriorEndo:
+    """`alg.clifford_of_form(degree, comp)` as the sum over ordered label words:
+    (1/d!) sum_{a1..ad} comp(partner(a1), .., partner(ad)) c(V_a1)..c(V_ad),
+    walked depth first over the words whose Clifford product is nonzero."""
+    acc = alg.zero_endo()
+    stack: list[tuple[tuple[int, ...], CliffordFactor | None]] = [((), None)]
+    while stack:
+        prefix, factor = stack.pop()
+        if len(prefix) == degree:
+            coeff = comp(tuple(alg.partner(a) for a in prefix))
+            if not coeff.is_zero():
+                acc = acc + factor.as_endo().scale(coeff)
+            continue
+        for a in range(2 * alg.n):
+            nxt = alg.clifford_factor(a) if factor is None else factor * alg.clifford_factor(a)
+            if not nxt.matrix.is_zero():
+                stack.append((prefix + (a,), nxt))
+    return acc.scale(ExactScalar.rational(f"1/{factorial(degree)}"))
 
 
 def compress_two_form(alg: ExteriorAlgebra, q: int, comp_xi: CompFn) -> ExteriorEndo:

@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergman.exterior import ExteriorAlgebra, ExteriorElement
 from bergman.scalars import ExactScalar, rat
 
-from oracles import action_two_form_bruteforce, compress_two_form
+from oracles import action_two_form_bruteforce, clifford_of_form_walk, compress_two_form
 
 
 def random_scalar(rng):
@@ -182,6 +184,37 @@ def test_quarter_action_is_half_of_full_contraction():
     comp = random_two_form(rng, 4)
     full = alg.clifford_of_form(2, lambda t: comp(*t))
     assert full == alg.action_two_form(comp).scale(rat(2))
+
+
+@st.composite
+def antisymmetric_forms(draw):
+    """(n, rk_e, degree, comp) for a random totally antisymmetric form: values
+    drawn on a few increasing label words, extended by the sign of the order."""
+    n = draw(st.integers(1, 4))
+    rk_e = draw(st.sampled_from([1, 2]))
+    degree = draw(st.sampled_from([2, 4]))
+    words = list(combinations(range(2 * n), degree))
+    scalars = st.builds(ExactScalar.rational, st.integers(-3, 3), st.integers(-3, 3),
+                        st.integers(-1, 1))
+    values = draw(st.dictionaries(st.sampled_from(words), scalars, max_size=6)) if words else {}
+
+    def comp(labels):
+        if len(set(labels)) < len(labels):
+            return ExactScalar.zero()
+        v = values.get(tuple(sorted(labels)), ExactScalar.zero())
+        inversions = sum(a > b for a, b in combinations(labels, 2))
+        return -v if inversions % 2 else v
+
+    return n, rk_e, degree, comp
+
+
+@settings(max_examples=50, deadline=None)
+@given(antisymmetric_forms())
+def test_clifford_of_form_matches_the_ordered_word_walk(form):
+    """The sum over increasing words equals the sum over every ordered word."""
+    n, rk_e, degree, comp = form
+    alg = ExteriorAlgebra(n, rk_e)
+    assert alg.clifford_of_form(degree, comp) == clifford_of_form_walk(alg, degree, comp)
 
 
 def test_compression_lemma():

@@ -344,6 +344,34 @@ def test_aux_twist_enters_curvature(jet_cache):
     assert validate_jet(jet).ok
 
 
+@pytest.mark.parametrize("n,q,seed,rk_e,twist", [
+    (2, 1, 5, 1, None), (3, 2, 5, 1, None), (4, 2, 5, 1, None),
+    (3, 1, 5, 2, ("1/2", "-1/3", "1/4")),
+])
+def test_clifford_inputs_are_skew(jet_cache, n, q, seed, rk_e, twist):
+    """The 2-forms the engine hands to the Clifford map are skew: nablaBJ[a] in
+    its last two slots, RB[a][b] and nablaB2J[a][b] in (c, d), trRT10, and
+    each aux-matrix entry of RE.  The map reads each form on increasing
+    label words only, so a form that is not skew would lose its symmetric part."""
+    jet = jet_cache("random", n, q, seed, rk_e=rk_e, twist=twist)
+    dim = 2 * n
+    forms = {
+        "nablaBJ": jet.nablaBJ,
+        "RB": [m for row in jet.RB for m in row],
+        "nablaB2J": [m for row in jet.nablaB2J for m in row],
+        "trRT10": [jet.trRT10],
+        "RE": [[[jet.RE[c][d][r][s] for d in range(dim)] for c in range(dim)]
+               for r, s in product(range(rk_e), repeat=2)],
+    }
+    for name, mats in forms.items():
+        live = any(not x.is_zero() for m in mats for row in m for x in row)
+        assert live or (name == "RE" and twist is None), name
+        for i, m in enumerate(mats):
+            for c in range(dim):
+                for d in range(c, dim):
+                    assert m[c][d].negates(m[d][c]), (name, i, c, d)
+
+
 def test_series_basics():
     s = Series(2, 3, {(1, 0): rat(2), (0, 2): rat(1)})
     t = Series.var(2, 3, 0)
