@@ -103,7 +103,7 @@ def _write_jet(jet: GeometryJet, path: str) -> int:
 
 
 def _check_dimensions(args) -> None:
-    """Reject out-of-range dimension and tensor-power arguments before any work."""
+    """Reject out-of-range or conflicting arguments before any work."""
     n, q = getattr(args, "n", None), getattr(args, "q", None)
     if n is not None and n < 1:
         raise UsageError(f"--n must be at least 1, not {n}")
@@ -116,6 +116,13 @@ def _check_dimensions(args) -> None:
         raise UsageError(f"--p must lie between 0 and {MAX_SECTIONS_POWER}, not {p}")
     if hasattr(args, "pmin") and not 2 <= args.pmin <= args.pmax:
         raise UsageError("need 2 <= --pmin <= --pmax")
+    if getattr(args, "fit", False) and args.pmax - args.pmin < n:
+        raise UsageError(f"--fit needs --n + 1 = {n + 1} samples, so --pmax - --pmin >= {n}")
+    points = getattr(args, "points", None)
+    if points is not None and points < 1:
+        raise UsageError(f"--points must be at least 1, not {points}")
+    if getattr(args, "flat", False) and args.fs:
+        raise UsageError("--flat and --fs exclude each other")
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ _TWO = rat(2)
 _FACTOR_RE = re.compile(r"(z|zb)([0-9]{1,9})(?:\^([0-9]{1,9}))?")
 
 
-def parse_potential(data: dict[str, object], n: int, cap: int = 4) -> Series:
-    """Build a series from a monomial-coefficient map.
+def parse_potential(data: dict[str, object], n: int) -> Series:
+    """Build a series truncated at degree 4 from a monomial-coefficient map.
 
     Keys are space-separated factors `z<j>` / `zb<j>` with optional `^k`,
     1-based, e.g. "z1^2 zb1 zb2"; values are scalar payloads accepted by
@@ -115,7 +115,7 @@ def parse_potential(data: dict[str, object], n: int, cap: int = 4) -> Series:
             raise InvalidPotentialError(f"bad coefficient of {key!r}: {exc}") from None
         e = tuple(exps)
         terms[e] = terms.get(e, _ZERO) + c
-    return Series(2 * n, cap, terms)
+    return Series(2 * n, 4, terms)
 
 
 def potential_to_dict(phi: Series) -> dict[str, object]:
@@ -403,21 +403,17 @@ def _with_id(jet: GeometryJet) -> GeometryJet:
 _CAP = 2  # all derived fields need at most two more derivatives at 0
 
 
-def jet_from_potential(phi_l: Series | dict, phi_e: Series | dict | None = None, *,
+def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
                        n: int, q: int, rk_e: int = 1) -> GeometryJet:
     """Run the full truncated-series pipeline on a normalized potential."""
     return _with_id(_build_jet(phi_l, phi_e, n, q, rk_e))
 
 
-def _build_jet(phi_l: Series | dict, phi_e: Series | dict | None,
+def _build_jet(phi_l: Series, phi_e: Series | None,
                n: int, q: int, rk_e: int) -> GeometryJet:
     """The jet of `jet_from_potential`, without its `jet_id`."""
     if not 0 <= q <= n:
         raise ValueError("signature index out of range")
-    if isinstance(phi_l, dict):
-        phi_l = parse_potential(phi_l, n)
-    if isinstance(phi_e, dict):
-        phi_e = parse_potential(phi_e, n)
     dim = 2 * n
     if phi_l.nvars != dim:
         raise ValueError("potential variable count does not match n")

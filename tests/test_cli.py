@@ -151,6 +151,11 @@ BAD_DIMENSIONS = {
     "cp1-sections-negative-p": ["model", "cp1-sections", "--p", "-3"],
     "random-rk-e-zero": ["jet", "random", "--n", "2", "--q", "1", "--rk-e", "0"],
     "build-rk-e-zero": ["jet", "build", "--n", "2", "--q", "1", "--rk-e", "0"],
+    "cp1-product-fit-too-few-samples": ["model", "cp1-product", "--n", "3", "--q", "1",
+                                        "--pmin", "2", "--pmax", "3", "--fit"],
+    "cp1-sections-zero-points": ["model", "cp1-sections", "--p", "3", "--points", "0"],
+    "cp1-sections-negative-points": ["model", "cp1-sections", "--p", "3", "--points", "-2"],
+    "random-flat-and-fs": ["jet", "random", "--n", "2", "--q", "1", "--flat", "--fs"],
 }
 
 
