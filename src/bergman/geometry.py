@@ -64,7 +64,6 @@ from .series import (
     mat_mul,
     mat_sqrt,
     mat_zero,
-    sum_of_products,
     vec_mat,
 )
 
@@ -150,17 +149,12 @@ def fs_product_potential(n: int, q: int) -> Series:
     Each factor is the degree-4 truncation of +-log(1 + pi |z_j|^2) in
     normalized coordinates: +-(pi |z_j|^2 - pi^2 |z_j|^4 / 2).
     """
-    terms: dict[tuple[int, ...], ExactScalar] = {}
+    terms = dict(flat_potential(n, q).terms)
     for j in range(n):
-        sign = -1 if j < q else 1
         e = [0] * (2 * n)
-        e[j] = 1
-        e[n + j] = 1
-        terms[tuple(e)] = ExactScalar.pi(1, sign)
-        e4 = [0] * (2 * n)
-        e4[j] = 2
-        e4[n + j] = 2
-        terms[tuple(e4)] = ExactScalar.pi(2, f"{-sign}/2")
+        e[j] = 2
+        e[n + j] = 2
+        terms[tuple(e)] = ExactScalar.pi(2, "1/2" if j < q else "-1/2")
     return Series(2 * n, 4, terms)
 
 
@@ -454,7 +448,9 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
 
     # Hermitian structure on the holomorphic tangent bundle and its torsion
     h = _table(n, 2, lambda j, k: g[j][n + k])
-    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), mat_inverse(h))
+    # g pairs unbarred with barred slots only, so h^-1 is a block of g^-1
+    hinv = _table(n, 2, lambda j, k: ginv[n + j][k])
+    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), hinv)
     tas = _antisym_torsion(gamma_ch, g, n)
 
     sb_low = _table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
@@ -587,8 +583,8 @@ def _relabel(t, q: int, rank: int):
 
 def _christoffels(g, ginv):
     dim = len(g)
-    low = _table(dim, 3, lambda a, b, c:
-                 (_deriv(g[b][c], a) + _deriv(g[a][c], b) - _deriv(g[a][b], c)).scale(_HALF))
+    dg = _table(dim, 3, lambda a, b, c: _deriv(g[b][c], a))
+    low = _table(dim, 3, lambda a, b, c: (dg[a][b][c] + dg[b][a][c] - dg[c][a][b]).scale(_HALF))
     return _contract_last(low, ginv)
 
 
@@ -635,14 +631,7 @@ def _antisym_torsion(gamma_ch, g, n):
                 t = gamma_ch[i][j][k] - gamma_ch[j][i][k]
                 tvec[i][j][k] = t
                 tvec[n + i][n + j][n + k] = t.conj()
-
-    def lowered(a, b, c):
-        pairs = [(tvec[a][b][d], g[d][c]) for d in range(dim) if not tvec[a][b][d].is_zero()]
-        if not pairs:
-            return zero
-        return sum_of_products(pairs, dim, min(min(x.cap, y.cap) for x, y in pairs))
-
-    low = _table(dim, 3, lowered)
+    low = _contract_last(tvec, g)
     return _table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
 
 
@@ -664,11 +653,12 @@ def _cov0(t, slots):
     `slots` has one entry per slot of `t`: None leaves the slot alone, and
     (gam0, raised) transports it with the connection whose values at 0 are
     gam0[m][a][b] = Gamma^b_ma.  A lowered slot i adds -Gamma^f_mi t_(..f..),
-    a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero Christoffel
-    values and nonzero entries of t(0) are visited.
+    a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero series of t,
+    nonzero Christoffel values and nonzero entries of t(0) are visited.
     """
     dim, rank = len(t), len(slots)
-    entries = [(idx, reduce(getitem, idx, t)) for idx in product(range(dim), repeat=rank)]
+    entries = [(idx, s) for idx in product(range(dim), repeat=rank)
+               if not (s := reduce(getitem, idx, t)).is_zero()]
     out = {(m, *idx): _d0(s, m) for idx, s in entries for m in range(dim)}
     t0 = [(idx, s.value0()) for idx, s in entries if not s.value0().is_zero()]
     for p, slot in enumerate(slots):
@@ -684,8 +674,8 @@ def _cov0(t, slots):
         for idx, v in t0:
             for m, i, c in moves[idx[p]]:
                 key = (m, *idx[:p], i, *idx[p + 1:])
-                out[key] = out[key] + c * v
-    return _table(dim, rank + 1, lambda *key: out[key])
+                out[key] = out.get(key, _ZERO) + c * v
+    return _table(dim, rank + 1, lambda *key: out.get(key, _ZERO))
 
 
 def _ext_deriv3(t):

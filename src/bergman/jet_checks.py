@@ -285,6 +285,19 @@ def validate_jet(jet) -> CheckReport:
     rep.add("curvature-derivative-matches-structure-derivative",
             all(jet.dRL1[k][a][b] == minus_two_pi_i * jet.nablaXJ[k][a][b]
                 for k, a, b in _indices(dim, 3)))
+
+    # the engine's Clifford map reads these forms on increasing label words
+    # only, so it would drop the symmetric part of a form that is not skew
+    rep.add("clifford-forms-skew",
+            all(jet.trRT10[c][d].negates(jet.trRT10[d][c])
+                and all(jet.RE[c][d][r][s].negates(jet.RE[d][c][r][s])
+                        for r, s in _indices(jet.rk_e, 2))
+                for c, d in _indices(dim, 2))
+            and all(jet.nablaBJ[a][c][d].negates(jet.nablaBJ[a][d][c])
+                    for a, c, d in _indices(dim, 3))
+            and all(jet.RB[a][b][c][d].negates(jet.RB[a][b][d][c])
+                    and jet.nablaB2J[a][b][c][d].negates(jet.nablaB2J[a][b][d][c])
+                    for a, b, c, d in _indices(dim, 4)))
     return rep
 
 

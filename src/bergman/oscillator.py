@@ -227,27 +227,19 @@ class TwoPointState:
             _add_term(out, (_bump(a, j, -1), b, g, d), endo.scale(c))
         return TwoPointState(self.ctx, out)
 
-    def _map_terms(self, images, j: int) -> "TwoPointState":
-        out: dict[TermKey, ExteriorEndo] = {}
-        for key, endo in self.terms.items():
-            for k2, c in images(key, j):
-                _add_term(out, k2, endo if c is _ONE else endo.scale(c))
-        return TwoPointState(self.ctx, out)
-
     def mul_xi(self, j: int) -> "TwoPointState":
-        return self._map_terms(_xi_images, j)
+        return self.mul_poly({(self.ctx.unit(j), self.ctx.zero_multi): _ONE})
 
     def mul_xibar(self, j: int) -> "TwoPointState":
-        return self._map_terms(_xibar_images, j)
+        return self.mul_poly({(self.ctx.zero_multi, self.ctx.unit(j)): _ONE})
 
     def mul_poly(self, poly: dict[tuple[Multi, Multi], ExactScalar]) -> "TwoPointState":
         """Multiply by the polynomial sum c xi^a xibar^b, given as {(a, b): c}.
 
         One pass: each term's scalar images under every monomial are summed
         first, so each sector endomorphism is scaled once per output term.
-        Every term that multiplying factor by factor (`mul_xi`, `mul_xibar`)
-        would form is formed here too, one input term at a time, and checked
-        against the degree cap.
+        Every term that multiplying one factor at a time would form is formed
+        here too, one input term at a time, and checked against the degree cap.
         """
         cap = self.ctx.degree_cap
         out: dict[TermKey, ExteriorEndo] = {}

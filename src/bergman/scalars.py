@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -38,20 +38,6 @@ class ExactScalar:
     """An element of Q(i)[pi, pi^-1]: integer numerators by pi-power over one denominator."""
 
     __slots__ = ("_num", "_den")
-
-    def __init__(self, terms: Mapping[int, tuple[RationalLike, RationalLike]] | None = None):
-        coeffs = {}
-        for k, (re, im) in (terms or {}).items():
-            re, im = Fraction(re), Fraction(im)
-            if re or im:
-                coeffs[int(k)] = (re, im)
-        # with reduced fractions, the lcm of the denominators is already coprime
-        # to the scaled numerators, so the form is canonical without a gcd pass
-        den = lcm(*(x.denominator for pair in coeffs.values() for x in pair))
-        self._num = {k: (re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator))
-                     for k, (re, im) in coeffs.items()}
-        self._den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -67,7 +53,9 @@ class ExactScalar:
     def rational(cls, re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> "ExactScalar":
         if type(re) is int and type(im) is int:
             return _make({pi_pow: (re, im)}, 1) if re or im else _CACHED_ZERO
-        return cls({pi_pow: (re, im)})
+        (a, p), (b, q) = [(x.numerator, x.denominator) if isinstance(x, Fraction)
+                          else _exact_rational(x) for x in (re, im)]
+        return _reduced({pi_pow: (a * q, b * p)}, p * q)
 
     @classmethod
     def i(cls) -> "ExactScalar":

@@ -104,6 +104,23 @@ def test_validation_failure_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_a_form_that_is_not_skew_fails_validation(tmp_path, capsys):
+    """The Clifford map reads trRT10 on increasing label words only, so a jet
+    whose trRT10 has a symmetric part is refused before either route runs."""
+    path = tmp_path / "jet.json"
+    assert main(["jet", "random", "--n", "3", "--q", "2", "--seed", "5",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    body = json.loads(path.read_text())
+    assert body["trRT10"][0][3] != []
+    body["trRT10"][0][3] = body["trRT10"][3][0]
+    path.write_text(json.dumps(body))
+    code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
+    assert code == 3
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == \
+        ["clifford-forms-skew"]
+
+
 def test_engine_terms_output(jet_file, capsys):
     code, out = run_captured(capsys, ["b1", "engine", "--jet", str(jet_file), "--terms"])
     assert code == 0
@@ -213,7 +230,7 @@ PINNED_STDOUT = {
     "b1 crosscheck --jet JET":
         "963e9af8eedca730d992df19478fc5437f64ba11e97e073f41a66dcbc27508b8",
     "identities --jet JET":
-        "a7192d30e882764c7b8f2e491e4ed3a981eb8eb230608d7a5205d9808ade3819",
+        "0051422a6605e6dc59c2d2004c607577d914b5c526832f6a00a2209a3cc98ed0",
     "selftest":
         "e8a79f207f511d1ba5a25fda2f5c2c290dd6866cab6a22c9cbc36b57f0829756",
 }

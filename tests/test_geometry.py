@@ -22,7 +22,7 @@ from bergman.geometry import (
     validate_jet,
 )
 from bergman.scalars import ExactScalar, rat
-from bergman.series import Series, mat_compose
+from bergman.series import Series, mat_compose, mat_inverse
 from oracles import compose_per_entry, jet_body, jet_digest, normal_coordinates_by_products
 
 
@@ -293,6 +293,32 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
     for gam0 in gam0s:
         assert allzero(geometry._cov0(g, [(gam0, False)] * 2))
         assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2))
+
+
+@pytest.mark.parametrize("n, q, twist", [
+    (2, 1, None), (3, 2, None), (4, 2, None), (3, 1, ("1/2", "-1/3", "1/4")),
+])
+def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
+    """g pairs unbarred with barred slots only, so the inverse of its block
+    h[j][k] = g[j][n+k] is the block ginv[n+j][k] of g^-1, in value and cap:
+    the Chern connection reads h^-1 there instead of inverting h again."""
+    seen = []
+    real = geometry.mat_inverse
+
+    def spy(a):
+        seen.append((a, real(a)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(geometry, "mat_inverse", spy)
+    phi_e = None if twist is None else parse_potential(
+        {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
+    jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=1 if twist is None else 2)
+    [(g, ginv)] = seen
+    dim = 2 * n
+    assert all(g[a][b].is_zero() for a, b in product(range(dim), repeat=2) if (a < n) == (b < n))
+    hinv = mat_inverse([[g[j][n + k] for k in range(n)] for j in range(n)])
+    for j, k in product(range(n), repeat=2):
+        assert hinv[j][k] == ginv[n + j][k] and hinv[j][k].cap == ginv[n + j][k].cap, (j, k)
 
 
 @pytest.mark.parametrize("n, q", [(2, 1), (3, 2)])

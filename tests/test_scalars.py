@@ -198,6 +198,31 @@ def test_from_json_agrees_with_fraction_parsing(items, single):
     _assert_agree(ExactScalar.from_json(single), FractionScalar({0: (Fraction(single), 0)}))
 
 
+_parts = _ratio_payloads | _coeffs
+
+
+@given(_parts, _parts, _powers, _parts, _parts)
+def test_rational_constructors_agree_with_fraction_oracle(re, im, k, re2, im2):
+    """`rational`, `rat`, `pi` and `scale` on int, `Fraction` and "p" / "p/q"
+    string parts, unreduced, negative and zero-numerator ones included."""
+    want = FractionScalar({k: (Fraction(re), Fraction(im))})
+    _assert_agree(ExactScalar.rational(re, im, k), want)
+    _assert_agree(rat(re, im, k), want)
+    _assert_agree(ExactScalar.pi(k, re), FractionScalar({k: (Fraction(re), 0)}))
+    x, x_old = rat(re2, im2), FractionScalar({0: (Fraction(re2), Fraction(im2))})
+    _assert_agree(x.scale(re, im, k), x_old.scale(re, im, k))
+
+
+@pytest.mark.parametrize("part", [
+    pytest.param("1.5", id="'1.5'"), pytest.param(" 1/2", id="' 1/2'"), "1/0", 0.5, True,
+])
+def test_rational_constructors_refuse_inexact_parts(part):
+    for make in (lambda: ExactScalar.rational(part), lambda: rat(0, part),
+                 lambda: ExactScalar.pi(1, part), lambda: rat(1).scale(0, part)):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_string_forms():
     assert str(ExactScalar.zero()) == "0"
     assert str(ExactScalar.pi(1)) == "pi"
