@@ -33,7 +33,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .scalars import ExactScalar, rat
+from .scalars import ExactScalar, rat, sum_products
 
 CompFn = Callable[[int, int], ExactScalar]
 
@@ -66,6 +66,7 @@ class ExteriorAlgebra:
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words) * rk_e
         self._quantized_words: dict[tuple[int, ...], dict[tuple[int, int], ExactScalar]] = {}
+        self._bare_factors: dict[int, dict[tuple[int, int], ExactScalar]] = {}
 
     def basis_index(self, word: tuple[int, ...], e: int = 0) -> int:
         return self.word_index[word] * self.rk_e + e
@@ -163,9 +164,15 @@ class ExteriorAlgebra:
 
     def clifford_factor(self, a: int) -> "CliffordFactor":
         """The single Clifford factor c(V_a) with its sqrt(2) tracked aside."""
-        if a < self.n:
-            return CliffordFactor(self.wedge(a + 1), 1)
-        return CliffordFactor(-self.contract(a - self.n + 1), 1)
+        return CliffordFactor(ExteriorEndo(self, self._bare_factor(a)), 1)
+
+    def _bare_factor(self, a: int) -> dict[tuple[int, int], ExactScalar]:
+        """The entries of the matrix of c(V_a), built once per algebra."""
+        entries = self._bare_factors.get(a)
+        if entries is None:
+            m = self.wedge(a + 1) if a < self.n else -self.contract(a - self.n + 1)
+            entries = self._bare_factors[a] = m.entries
+        return entries
 
     def clifford_vector(self, coeffs: dict[int, ExactScalar]) -> "CliffordFactor":
         """c(v) for v = sum coeffs[a] V_a over complex frame labels."""
@@ -196,15 +203,14 @@ class ExteriorAlgebra:
         if degree % 2:
             raise ValueError("only even-degree forms act within exact arithmetic")
         scale = ExactScalar.rational(f"{2 ** (degree // 2)}/{factorial(degree)}")
-        out: dict[tuple[int, int], ExactScalar] = {}
+        pairs: dict[tuple[int, int], list[tuple[ExactScalar, ExactScalar]]] = {}
         for w in combinations(range(2 * self.n), degree):
             c = comp(tuple(self.partner(a) for a in w))
             if c.is_zero():
                 continue
-            c = c * scale
             for key, v in self._quantized(w).items():
-                out[key] = out[key] + v * c if key in out else v * c
-        return ExteriorEndo(self, out)
+                pairs.setdefault(key, []).append((c, v))
+        return ExteriorEndo(self, {key: sum_products(p) * scale for key, p in pairs.items()})
 
     def action_two_form(self, comp: CompFn) -> "ExteriorEndo":
         """(1/4) A(e_i, e_j) c(e_i) c(e_j) for an antisymmetric bilinear A:
@@ -226,7 +232,7 @@ class ExteriorAlgebra:
             acc = self.identity() if not word else self.zero_endo()
             for i, a in enumerate(word):
                 rest = ExteriorEndo(self, self._quantized(word[:i] + word[i + 1:]))
-                term = self.clifford_factor(a).matrix @ rest
+                term = ExteriorEndo(self, self._bare_factor(a)) @ rest
                 acc = acc - term if i % 2 else acc + term
             entries = self._quantized_words[word] = acc.entries
         return entries

@@ -73,6 +73,7 @@ Tensor3 = tuple[Tensor2, ...]
 Tensor4 = tuple[Tensor3, ...]
 
 _ZERO = ExactScalar.zero()
+_ONE = ExactScalar.one()
 _I = ExactScalar.i()
 _HALF = rat("1/2")
 _TWO = rat(2)
@@ -541,16 +542,17 @@ def _contract_last(t, m):
 
     With m = g(0) this lowers an index of values at the base point; with the
     series inverse metric it raises an index of series.  Each entry is one
-    fused sum over the nonzero factor pairs; a series sum keeps the minimum
-    cap of all its factors.
+    fused sum over the nonzero factor pairs, the nonzero entries of each
+    column of a value matrix listed once; a series sum keeps the minimum cap
+    of all its factors.
     """
     rows = _rows(t)
     if isinstance(rows[0][0], Series):
         out = vec_mat(rows, m)
     else:
-        out = [[sum_products([(x, r[d]) for x, r in zip(row, m)
-                              if not (x.is_zero() or r[d].is_zero())])
-                for d in range(len(m[0]))] for row in rows]
+        cols = [[(r, v) for r, v in enumerate(col) if not v.is_zero()] for col in zip(*m)]
+        out = [[sum_products([(row[r], v) for r, v in col if not row[r].is_zero()])
+                for col in cols] for row in rows]
     return _nest(t, iter(out))
 
 
@@ -654,13 +656,16 @@ def _cov0(t, slots):
     (gam0, raised) transports it with the connection whose values at 0 are
     gam0[m][a][b] = Gamma^b_ma.  A lowered slot i adds -Gamma^f_mi t_(..f..),
     a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero series of t,
-    nonzero Christoffel values and nonzero entries of t(0) are visited.
+    nonzero Christoffel values and nonzero entries of t(0) are visited, and
+    each output entry with corrections is one fused sum of them and the
+    derivative.
     """
     dim, rank = len(t), len(slots)
     entries = [(idx, s) for idx in product(range(dim), repeat=rank)
                if not (s := reduce(getitem, idx, t)).is_zero()]
     out = {(m, *idx): _d0(s, m) for idx, s in entries for m in range(dim)}
     t0 = [(idx, s.value0()) for idx, s in entries if not s.value0().is_zero()]
+    pairs: dict[tuple[int, ...], list] = {}
     for p, slot in enumerate(slots):
         if slot is None:
             continue
@@ -674,7 +679,12 @@ def _cov0(t, slots):
         for idx, v in t0:
             for m, i, c in moves[idx[p]]:
                 key = (m, *idx[:p], i, *idx[p + 1:])
-                out[key] = out.get(key, _ZERO) + c * v
+                if key not in pairs:
+                    d = out.get(key, _ZERO)
+                    pairs[key] = [] if d.is_zero() else [(d, _ONE)]
+                pairs[key].append((c, v))
+    for key, terms in pairs.items():
+        out[key] = sum_products(terms)
     return _table(dim, rank + 1, lambda *key: out.get(key, _ZERO))
 
 

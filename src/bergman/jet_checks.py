@@ -183,7 +183,7 @@ def validate_jet(jet) -> CheckReport:
     rep = CheckReport()
 
     def reality(name, tensor, rank, anti=False):
-        kind = "anti-reality" if anti else "reality"
+        kind, sign = ("anti-reality", -1) if anti else ("reality", 1)
         ok = True
         detail = ""
         for idx in _indices(dim, rank):
@@ -193,7 +193,7 @@ def validate_jet(jet) -> CheckReport:
             w = tensor[p(idx[0])]
             for i in idx[1:]:
                 w = w[p(i)]
-            if not (v.conjugate().negates(w) if anti else v.conjugate() == w):
+            if not v.conjugates(w, sign):
                 ok = False
                 detail = f"component {idx} violates {kind}"
                 break

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from math import comb, factorial
+from typing import Iterable
 
 from .errors import DegreeCapError, KernelComponentError, UsageError
 from .exterior import ExteriorAlgebra, ExteriorEndo
@@ -165,6 +166,20 @@ def _monomial_images(key: TermKey, xi: Multi, xibar: Multi,
                             _check_degree(k, cap)
                         cur[k] = s
     return cur
+
+
+def sum_states(ctx: OscillatorContext, plus: Iterable["TwoPointState"],
+               minus: Iterable["TwoPointState"] = ()) -> "TwoPointState":
+    """sum(plus) - sum(minus) in one pass: the term dicts are merged into one
+    and the state is built once, instead of once per partial sum."""
+    terms: dict[TermKey, ExteriorEndo] = {}
+    for s in plus:
+        for k, v in s.terms.items():
+            _add_term(terms, k, v)
+    for s in minus:
+        for k, v in s.terms.items():
+            terms[k] = terms[k] - v if k in terms else -v
+    return TwoPointState(ctx, terms)
 
 
 class TwoPointState:
@@ -357,10 +372,8 @@ class TwoPointState:
     def from_poly(cls, poly: "PolyGaussianForm") -> "TwoPointState":
         ctx = poly.ctx
         z = ctx.zero_multi
-        acc = TwoPointState(ctx, {})
-        for (a, b, g, d), endo in poly.terms.items():
-            acc = acc + TwoPointState(ctx, {(z, z, g, d): endo}).mul_poly({(a, b): _ONE})
-        return acc
+        return sum_states(ctx, [TwoPointState(ctx, {(z, z, g, d): endo}).mul_poly({(a, b): _ONE})
+                                for (a, b, g, d), endo in poly.terms.items()])
 
     def restrict_second_zero(self) -> "TwoPointState":
         """Kernel against second argument zero: primed monomials drop out."""

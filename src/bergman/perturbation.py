@@ -27,7 +27,7 @@ from .closed_form import B1Result
 from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet, validate_jet
-from .oscillator import OscillatorContext, TwoPointState
+from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
 from .series import Series
 
@@ -124,13 +124,13 @@ def build_O1_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     two_thirds = rat("2/3")
 
     def op(state: TwoPointState) -> TwoPointState:
-        acc = TwoPointState(state.ctx, {})
+        plus, minus = [], []
         for j in range(n):
             if not hplus[j].is_zero():
-                acc = acc - _apply_poly(state.apply_bdag(j), hplus[j]).scale(two_thirds)
+                minus.append(_apply_poly(state.apply_bdag(j), hplus[j]).scale(two_thirds))
             if not hminus[j].is_zero():
-                acc = acc + _apply_poly(state, hminus[j]).apply_b(j).scale(two_thirds)
-        return acc
+                plus.append(_apply_poly(state, hminus[j]).apply_b(j).scale(two_thirds))
+        return sum_states(state.ctx, plus, minus)
 
     return op
 
@@ -152,10 +152,8 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
             cliff.append((a, endo))
 
     def op(state: TwoPointState) -> TwoPointState:
-        acc = prime(state)
-        for a, endo in cliff:
-            acc = acc + _apply_poly(state.apply_endo(endo), _var(n, a))
-        return acc
+        return sum_states(state.ctx, [prime(state)] + [
+            _apply_poly(state.apply_endo(endo), _var(n, a)) for a, endo in cliff])
 
     return op
 
@@ -210,25 +208,27 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
         (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat(2))
 
     def op(state: TwoPointState) -> TwoPointState:
-        acc = TwoPointState(state.ctx, {})
-        for (a, b), p in kpoly.items():
-            acc = acc + _apply_poly(_apply_nabla0(_apply_nabla0(state, b), a), p)
+        plus = [_apply_poly(_apply_nabla0(_apply_nabla0(state, b), a), p)
+                for (a, b), p in kpoly.items()]
+        minus = []
         for a in range(dim):
             der = None
             if not single[a].is_zero() or single_aux[a]:
                 der = _apply_nabla0(state, a)
             if not single[a].is_zero():
-                acc = acc + _apply_poly(der, single[a])
+                plus.append(_apply_poly(der, single[a]))
             for c, endo in single_aux[a]:
-                acc = acc + _apply_poly(der.apply_endo(endo), _var(n, c))
+                plus.append(_apply_poly(der.apply_endo(endo), _var(n, c)))
         if not divergence.is_zero():
-            acc = acc + _apply_poly(state, divergence)
+            plus.append(_apply_poly(state, divergence))
         if not gradient_sq.is_zero():
-            acc = acc + _apply_poly(state, gradient_sq)
+            plus.append(_apply_poly(state, gradient_sq))
         if not commutator_n.is_zero():
-            ns = _apply_poly(state, commutator_n)
-            acc = acc - (ns.apply_L0() - _apply_poly(state.apply_L0(), commutator_n)).scale(rat("1/12"))
-        return acc
+            # -[L0, N] / 12 for N the commutator polynomial
+            twelfth = rat("1/12")
+            minus.append(_apply_poly(state, commutator_n).apply_L0().scale(twelfth))
+            plus.append(_apply_poly(state.apply_L0(), commutator_n).scale(twelfth))
+        return sum_states(state.ctx, plus, minus)
 
     return op
 
@@ -284,18 +284,17 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     const_endo = mixed_form + re_cliff + alg.scalar_endo(jet.rX.scale("1/4")) - psi
 
     def op(state: TwoPointState) -> TwoPointState:
-        acc = prime(state)
+        plus, minus = [prime(state)], []
         for (a, b), endo in rbl.items():
             if b < n:
-                moved = state.apply_bdag(b).apply_endo(endo).scale(rat(-1))
+                minus.append(_apply_poly(state.apply_bdag(b).apply_endo(endo), _var(n, a)))
             else:
-                moved = state.apply_b(b - n).apply_endo(endo)
-            acc = acc + _apply_poly(moved, _var(n, a))
+                plus.append(_apply_poly(state.apply_b(b - n).apply_endo(endo), _var(n, a)))
         for (a, b), endo in d2j_endo.items():
-            acc = acc + _apply_poly(state.apply_endo(endo), _var(n, a) * _var(n, b))
+            plus.append(_apply_poly(state.apply_endo(endo), _var(n, a) * _var(n, b)))
         if not const_endo.is_zero():
-            acc = acc + state.apply_endo(const_endo)
-        return acc
+            plus.append(state.apply_endo(const_endo))
+        return sum_states(state.ctx, plus, minus)
 
     return op
 

@@ -122,6 +122,17 @@ class ExactScalar:
                 return False
         return True
 
+    def conjugates(self, other: "ExactScalar", sign: int = 1) -> bool:
+        """Whether other == sign * conj(self) for sign = 1 or -1, without forming conj(self)."""
+        n1, n2 = self._num, other._num
+        if self._den != other._den or len(n1) != len(n2):
+            return False
+        for k, (a, b) in n1.items():
+            c = n2.get(k)
+            if c is None or c[0] != sign * a or c[1] != -sign * b:
+                return False
+        return True
+
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         if not isinstance(other, ExactScalar):
             return NotImplemented
@@ -351,7 +362,11 @@ def _combine(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
 
 def sum_products(pairs: Sequence[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
     """sum x * y over `pairs`: every product summed over the least common
-    denominator, then one gcd pass (`_reduced`) for the whole sum."""
+    denominator, then one gcd pass (`_reduced`) for the whole sum.  A single
+    pair is `x * y`, which has fast paths for monomials and integers."""
+    if len(pairs) == 1:
+        (x, y), = pairs
+        return x * y
     den = 1
     for x, y in pairs:
         d = x._den * y._den

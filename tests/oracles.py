@@ -4,11 +4,13 @@ Each one recomputes a library operation by a different route: a jet's
 JSON body as a dict of scalar payloads, scalar arithmetic on `Fraction`
 pairs, series products and sums one term pair at a time, substitution into
 a series one entry at a time, the exp-map substitution as a sum of
-variable products, the oscillator L0 as a raw differential operator on
-the polynomial form, multiplication by a polynomial one
-monomial and one factor at a time, the 2-form Clifford action by raw
-Clifford products, the Clifford action of a form as a sum over ordered
-label words, and the det-sector compression identity block by block.
+variable products, the base-point covariant derivative with its
+connection corrections added one term at a time, the oscillator L0 as a
+raw differential operator on the polynomial form, multiplication by a
+polynomial one monomial and one factor at a time, the 2-form Clifford
+action by raw Clifford products, the Clifford action of a form as a sum
+over ordered label words, and the det-sector compression identity block by
+block.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import factorial
+from operator import getitem
 
 from bergman.exterior import CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
@@ -255,6 +259,35 @@ def apply_poly_by_monomials(state: TwoPointState, p: Series) -> TwoPointState:
                 s = s.mul_xibar(j)
         acc = acc + s.scale(c)
     return acc
+
+
+def cov0_per_term(t, slots):
+    """`geometry._cov0(t, slots)` with each Christoffel correction added to
+    its output entry one term at a time, `out[key] + c * v`, over every index
+    (zero ones included)."""
+    dim, rank = len(t), len(slots)
+    series = {idx: reduce(getitem, idx, t) for idx in product(range(dim), repeat=rank)}
+    out = {}
+    for idx, s in series.items():
+        for m in range(dim):
+            out[(m, *idx)] = s.coeff(tuple(int(a == m) for a in range(s.nvars)))
+    for p, slot in enumerate(slots):
+        if slot is None:
+            continue
+        gam0, raised = slot
+        for idx, s in series.items():
+            v, f = s.value0(), idx[p]
+            for m, i in product(range(dim), repeat=2):
+                c = gam0[m][f][i] if raised else -gam0[m][i][f]
+                key = (m, *idx[:p], i, *idx[p + 1:])
+                out[key] = out[key] + c * v
+    return _nested(out, dim, rank + 1, ())
+
+
+def _nested(entries: dict, dim: int, rank: int, prefix: tuple[int, ...]) -> list:
+    if rank == 0:
+        return entries[prefix]
+    return [_nested(entries, dim, rank - 1, prefix + (a,)) for a in range(dim)]
 
 
 def action_two_form_bruteforce(alg: ExteriorAlgebra, comp: CompFn) -> ExteriorEndo:

@@ -23,7 +23,13 @@ from bergman.geometry import (
 )
 from bergman.scalars import ExactScalar, rat
 from bergman.series import Series, mat_compose, mat_inverse
-from oracles import compose_per_entry, jet_body, jet_digest, normal_coordinates_by_products
+from oracles import (
+    compose_per_entry,
+    cov0_per_term,
+    jet_body,
+    jet_digest,
+    normal_coordinates_by_products,
+)
 
 
 def allzero(t):
@@ -293,6 +299,27 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
     for gam0 in gam0s:
         assert allzero(geometry._cov0(g, [(gam0, False)] * 2))
         assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2))
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
+def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
+    """Every `_cov0` call of the pipeline (the two curvatures, covTas, nablaXJ
+    and nablaB2J) gives the tensor that adding each Christoffel correction
+    one term at a time gives; the calls move slots with the Levi-Civita and
+    the Bismut Gamma(0), each raised and lowered."""
+    calls = []
+    real = geometry._cov0
+
+    def spy(t, slots):
+        calls.append((t, slots, real(t, slots)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(geometry, "_cov0", spy)
+    jet_from_potential(random_potential(n, q, 5), n=n, q=q)
+    moves = {(id(slot[0]), slot[1]) for _, slots, _ in calls for slot in slots if slot}
+    assert len(moves) == 4
+    for t, slots, got in calls:
+        assert got == cov0_per_term(t, slots)
 
 
 @pytest.mark.parametrize("n, q, twist", [

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bergman.errors import DegreeCapError, KernelComponentError, UsageError
-from bergman.oscillator import OscillatorContext, TwoPointState, _mode_moment
+from bergman.oscillator import OscillatorContext, TwoPointState, _mode_moment, sum_states
 from bergman.scalars import ExactScalar, rat
 
 from oracles import apply_L0_directly
@@ -103,6 +104,29 @@ def test_round_trip_random_states(ctx):
     for _ in range(200):
         s = random_state(ctx, rng, ops=4)
         assert TwoPointState.from_poly(s.to_poly()) == s
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.booleans(),
+                          st.sampled_from([-2, -1, 1, 3])), max_size=6),
+       st.booleans())
+def test_sum_states_equals_the_fold(ctx, draws, cancel):
+    """One-pass sum of plus and minus states against the left fold of + and -.
+    Few seeds, so summands often share terms and cancel in part; with
+    `cancel` every summand comes back with the opposite sign, so the sum is
+    zero.  No zero term may survive either way."""
+    summands = [(minus, random_state(ctx, random.Random(seed)).scale(rat(k)))
+                for seed, minus, k in draws]
+    if cancel:
+        summands += [(not minus, s) for minus, s in summands]
+    fold = TwoPointState(ctx, {})
+    for minus, s in summands:
+        fold = fold - s if minus else fold + s
+    got = sum_states(ctx, [s for minus, s in summands if not minus],
+                     [s for minus, s in summands if minus])
+    assert got == fold
+    assert all(not v.is_zero() for v in got.terms.values())
+    if cancel:
+        assert got.is_zero()
 
 
 def test_projection_partition(ctx):

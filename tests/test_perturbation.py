@@ -219,6 +219,15 @@ def test_flagship_crosscheck_three_dimensional(jet_cache):
     assert b1_engine(jet, check=False).endo == b1_formula(jet, check=False).endo
 
 
+def test_flagship_crosscheck_four_dimensional(jet_cache):
+    """The smallest size with q >= 2 and n - q >= 2, which every block of the
+    closed form needs; the engine's operators sum the most terms here."""
+    jet = jet_cache("random", 4, 2, 5)
+    eng = b1_engine(jet, check=False)
+    assert eng.endo == b1_formula(jet, check=False).endo
+    assert str(eng.trace) == "1/6 - 75/16*pi"
+
+
 @pytest.mark.parametrize("n,q,seed,perm", [
     (2, 0, 9, (1, 0)), (2, 2, 9, (1, 0)), (3, 1, 0, (0, 2, 1)),
 ])

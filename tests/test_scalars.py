@@ -59,10 +59,11 @@ def _old(ts):
 
 @given(_term_lists, _term_lists)
 def test_subtraction_agrees_with_fraction_oracle(ta, tb):
-    """x - y, and whether x == -y, against the oracle, also for a y that cancels x
-    to zero or in part, one over another denominator (y / 7), one with pi-powers
-    disjoint from those of x (y pi^10), one that negates only the real or only
-    the imaginary parts of x, and zero on either side."""
+    """x - y, whether x == -y and whether y == +-conj(x), against the oracle,
+    also for a y that cancels x to zero or in part, one over another
+    denominator (y / 7), one with pi-powers disjoint from those of x (y pi^10),
+    one that negates only the real or only the imaginary parts of x (+-conj(x)),
+    and zero on either side."""
     cases = [(ta, tb), (ta, ta), (ta, ta + tb), (ta, [(k, x / 7, y / 7) for k, x, y in tb]),
              (ta, [(k + 10, x, y) for k, x, y in tb]), (ta, [(k, -x, y) for k, x, y in ta]),
              (ta, [(k, x, -y) for k, x, y in ta]), ([], tb), (ta, [])]
@@ -70,6 +71,9 @@ def test_subtraction_agrees_with_fraction_oracle(ta, tb):
         x, y = _build(tx), _build(ty)
         _assert_agree(x - y, _old(tx) - _old(ty))
         assert x.negates(y) == (x == -y) == (_old(tx) == -_old(ty))
+        conj = _old(tx).conjugate()
+        assert x.conjugates(y) == (x.conjugate() == y) == (_old(ty) == conj)
+        assert x.conjugates(y, -1) == x.conjugate().negates(y) == (_old(ty) == -conj)
     a = _build(ta)
     assert (a - a).is_zero()
     assert a.negates(-a) and (-a).negates(a)
@@ -78,7 +82,9 @@ def test_subtraction_agrees_with_fraction_oracle(ta, tb):
 @given(st.lists(st.tuples(_term_lists, _term_lists), max_size=4),
        st.integers(min_value=0, max_value=4))
 def test_sum_products_agrees_with_fraction_oracle(pairs, cancel):
-    """Empty term lists are zero factors; the first `cancel` pairs come back negated."""
+    """Empty term lists are zero factors; the first `cancel` pairs come back
+    negated.  No pair, one pair and many pairs: one pair is the product,
+    taken through its monomial and integer fast paths."""
     def old(ts):
         return sum((FractionScalar({p: (x, y)}) for p, x, y in ts), FractionScalar())
 
@@ -90,6 +96,8 @@ def test_sum_products_agrees_with_fraction_oracle(pairs, cancel):
     assert got == sum((_build(ta) * _build(tb) for ta, tb in ts), ExactScalar.zero())
     if cancel >= len(pairs):
         assert got == ExactScalar.zero()
+    for ta, tb in ts + [(ta, [(0, Fraction(-3), Fraction(0))]) for ta, _ in pairs[:1]]:
+        _assert_agree(sum_products([(_build(ta), _build(tb))]), old(ta) * old(tb))
 
 
 def test_canonical_form():
