@@ -74,6 +74,7 @@ Tensor4 = tuple[Tensor3, ...]
 
 _ZERO = ExactScalar.zero()
 _ONE = ExactScalar.one()
+_MINUS_ONE = rat(-1)
 _I = ExactScalar.i()
 _HALF = rat("1/2")
 _TWO = rat(2)
@@ -533,8 +534,8 @@ def _d0(s: Series, *slots: int) -> ExactScalar:
     e = [0] * s.nvars
     for a in slots:
         e[a] += 1
-    c = s.coeff(tuple(e))
-    return c.scale(2) if 2 in e else c
+    c = s.terms.get(tuple(e), _ZERO)
+    return c * _TWO if 2 in e else c
 
 
 def _contract_last(t, m):
@@ -551,8 +552,7 @@ def _contract_last(t, m):
         out = vec_mat(rows, m)
     else:
         cols = [[(r, v) for r, v in enumerate(col) if not v.is_zero()] for col in zip(*m)]
-        out = [[sum_products([(row[r], v) for r, v in col if not row[r].is_zero()])
-                for col in cols] for row in rows]
+        out = [[sum_products([(row[r], v) for r, v in col]) for col in cols] for row in rows]
     return _nest(t, iter(out))
 
 
@@ -663,8 +663,11 @@ def _cov0(t, slots):
     dim, rank = len(t), len(slots)
     entries = [(idx, s) for idx in product(range(dim), repeat=rank)
                if not (s := reduce(getitem, idx, t)).is_zero()]
-    out = {(m, *idx): _d0(s, m) for idx, s in entries for m in range(dim)}
-    t0 = [(idx, s.value0()) for idx, s in entries if not s.value0().is_zero()]
+    # d_m t at 0 is the coefficient of w_m; only the nonzero ones are kept
+    units = [tuple(int(a == m) for a in range(dim)) for m in range(dim)]
+    out = {(m, *idx): c for idx, s in entries for m, u in enumerate(units)
+           if (c := s.terms.get(u)) is not None}
+    t0 = [(idx, v) for idx, s in entries if not (v := s.value0()).is_zero()]
     pairs: dict[tuple[int, ...], list] = {}
     for p, slot in enumerate(slots):
         if slot is None:
@@ -680,8 +683,8 @@ def _cov0(t, slots):
             for m, i, c in moves[idx[p]]:
                 key = (m, *idx[:p], i, *idx[p + 1:])
                 if key not in pairs:
-                    d = out.get(key, _ZERO)
-                    pairs[key] = [] if d.is_zero() else [(d, _ONE)]
+                    d = out.get(key)
+                    pairs[key] = [] if d is None else [(d, _ONE)]
                 pairs[key].append((c, v))
     for key, terms in pairs.items():
         out[key] = sum_products(terms)
@@ -689,8 +692,12 @@ def _cov0(t, slots):
 
 
 def _ext_deriv3(t):
-    return _table(len(t), 4, lambda a, b, c, d: (
-        _d0(t[b][c][d], a) - _d0(t[a][c][d], b) + _d0(t[a][b][d], c) - _d0(t[a][b][c], d)))
+    """Exterior derivative at the base point of a series 3-form; each entry is
+    one fused sum of its four signed derivatives."""
+    dt = _cov0(t, [None] * 3)
+    return _table(len(t), 4, lambda a, b, c, d: sum_products([
+        (dt[a][b][c][d], _ONE), (dt[b][a][c][d], _MINUS_ONE),
+        (dt[c][a][b][d], _ONE), (dt[d][a][b][c], _MINUS_ONE)]))
 
 
 def _aux_curvature(phi_e, n, rk_e):

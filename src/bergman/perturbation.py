@@ -70,11 +70,11 @@ def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
     return state.mul_poly({(e[:n], e[n:]): c for e, c in p.terms.items()})
 
 
-def _apply_nabla0(state: TwoPointState, a: int) -> TwoPointState:
+def _lower(state: TwoPointState, a: int) -> TwoPointState:
+    """b_a for a < n, else b^+_(a-n): nabla_0 along d_a without its factor
+    -1/2 resp. 1/2, which the operators fold into their coefficients."""
     n = state.ctx.n
-    if a < n:
-        return state.apply_b(a).scale(rat("-1/2"))
-    return state.apply_bdag(a - n).scale(rat("1/2"))
+    return state.apply_b(a) if a < n else state.apply_bdag(a - n)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +97,10 @@ def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, comp_xi) -> Exteri
     """Clifford contraction of a degree-d form given by xi-frame components
     `comp_xi(a_1, .., a_d)`; its v-frame components are 2^(d/2) times those."""
     n = alg.n
-    factor = 2 ** (degree // 2)
+    factor = rat(2 ** (degree // 2))
 
     def comp_v(labels: tuple[int, ...]) -> ExactScalar:
-        return comp_xi(*(_v_to_xi(n, q, l) for l in labels)).scale(factor)
+        return comp_xi(*(_v_to_xi(n, q, l) for l in labels)) * factor
 
     return alg.clifford_of_form(degree, comp_v)
 
@@ -118,18 +118,17 @@ def build_O1_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     right, which makes the vanishing of the kernel-to-kernel block manifest.
     """
     n = jet.n
-    grad = _gradient_polys(jet)
+    # both couplings carry 2/3, folded into the polynomials
+    grad = [p.scale(rat("2/3")) for p in _gradient_polys(jet)]
     hplus, hminus = grad[:n], grad[n:]
-
-    two_thirds = rat("2/3")
 
     def op(state: TwoPointState) -> TwoPointState:
         plus, minus = [], []
         for j in range(n):
             if not hplus[j].is_zero():
-                minus.append(_apply_poly(state.apply_bdag(j), hplus[j]).scale(two_thirds))
+                minus.append(_apply_poly(state.apply_bdag(j), hplus[j]))
             if not hminus[j].is_zero():
-                plus.append(_apply_poly(state, hminus[j]).apply_b(j).scale(two_thirds))
+                plus.append(_apply_poly(state, hminus[j]).apply_b(j))
         return sum_states(state.ctx, plus, minus)
 
     return op
@@ -142,18 +141,18 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     dim = 2 * n
     prime = build_O1_prime(jet, ctx)
 
-    cliff: list[tuple[int, ExteriorEndo]] = []
+    cliff: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
         endo = _clifford_form(ctx.alg, jet.q, 2,
                               lambda b, c, a=a: jet.nablaBJ[a][b][c])
         # -4 pi i times the quarter action, which is half the contraction
         endo = endo.scale(ExactScalar.rational(0, -2, 1))
         if not endo.is_zero():
-            cliff.append((a, endo))
+            cliff.append((_var(n, a), endo))
 
     def op(state: TwoPointState) -> TwoPointState:
         return sum_states(state.ctx, [prime(state)] + [
-            _apply_poly(state.apply_endo(endo), _var(n, a)) for a, endo in cliff])
+            _apply_poly(state.apply_endo(endo), z) for z, endo in cliff])
 
     return op
 
@@ -166,6 +165,9 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     dim = 2 * n
     alg = ctx.alg
     part = lambda a: (a + n) % dim
+    # each coefficient of a nabla_0 along d_a carries its factor (see
+    # `_lower`), so the operator lowers the state once per label a
+    nabla0 = [rat("-1/2") if a < n else rat("1/2") for a in range(dim)]
 
     # (1/3) <R(Z, e_i) Z, e_j> nabla_i nabla_j ; double frame resolution
     kpoly: dict[tuple[int, int], Series] = {}
@@ -173,7 +175,7 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
         for b in range(dim):
             p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
             if not p.is_zero():
-                kpoly[(a, b)] = p.scale(rat("4/3"))
+                kpoly[(a, b)] = p.scale(rat("4/3") * nabla0[a] * nabla0[b])
 
     # the cubic curvature polynomial sum dRL2[k][l][m][part(a)] Z_k Z_l Z_m of each a
     cubic = [_zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)])
@@ -186,12 +188,13 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
         pa = part(a)
         linear = _zpoly(n, 1, lambda c: sum(
             (jet.RTX[c][b][part(b)][pa] for b in range(dim)), _ZERO))
-        single.append((linear.scale(rat("4/3")) + cubic[a].scale(rat("-1/4"))).scale(rat(2)))
+        single.append((linear.scale(rat("4/3")) + cubic[a].scale(rat("-1/4")))
+                      .scale(rat(2) * nabla0[a]))
         for c in range(dim):
             mat = jet.RE[c][pa]
             if any(not x.is_zero() for row in mat for x in row):
-                single_aux[a].append((c, alg.endo_from_aux_matrix(
-                    [[x.scale(-2) for x in row] for row in mat])))
+                single_aux[a].append((_var(n, c), alg.endo_from_aux_matrix(
+                    [[x * nabla0[a].scale(-2) for x in row] for row in mat])))
 
     # scalar multiplication pieces
     divergence = Series.zero(dim, _CAP)
@@ -204,30 +207,30 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     for a in range(dim):
         gradient_sq = gradient_sq + (grad[a] * grad[part(a)]).scale(rat("-2/9"))
 
+    # the commutator correction is -[L0, N] / 12 with N = 2 sum RTX[c][a][d][part(a)]
+    # Z_c Z_d; this is N / 12
     commutator_n = _zpoly(n, 2, lambda c, d: sum(
-        (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat(2))
+        (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat("1/6"))
+
+    lowered_labels = sorted({b for _, b in kpoly} | {a for a in range(dim)
+                                                     if not single[a].is_zero() or single_aux[a]})
 
     def op(state: TwoPointState) -> TwoPointState:
-        plus = [_apply_poly(_apply_nabla0(_apply_nabla0(state, b), a), p)
-                for (a, b), p in kpoly.items()]
+        lowered = {a: _lower(state, a) for a in lowered_labels}
+        plus = [_apply_poly(_lower(lowered[b], a), p) for (a, b), p in kpoly.items()]
         minus = []
         for a in range(dim):
-            der = None
-            if not single[a].is_zero() or single_aux[a]:
-                der = _apply_nabla0(state, a)
             if not single[a].is_zero():
-                plus.append(_apply_poly(der, single[a]))
-            for c, endo in single_aux[a]:
-                plus.append(_apply_poly(der.apply_endo(endo), _var(n, c)))
+                plus.append(_apply_poly(lowered[a], single[a]))
+            for z, endo in single_aux[a]:
+                plus.append(_apply_poly(lowered[a].apply_endo(endo), z))
         if not divergence.is_zero():
             plus.append(_apply_poly(state, divergence))
         if not gradient_sq.is_zero():
             plus.append(_apply_poly(state, gradient_sq))
         if not commutator_n.is_zero():
-            # -[L0, N] / 12 for N the commutator polynomial
-            twelfth = rat("1/12")
-            minus.append(_apply_poly(state, commutator_n).apply_L0().scale(twelfth))
-            plus.append(_apply_poly(state.apply_L0(), commutator_n).scale(twelfth))
+            minus.append(_apply_poly(state, commutator_n).apply_L0())
+            plus.append(_apply_poly(state.apply_L0(), commutator_n))
         return sum_states(state.ctx, plus, minus)
 
     return op
@@ -261,13 +264,14 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                 rbl[(a, b)] = endo.scale(rat("1/2"))
 
     # structure-map second derivative, Clifford action, coefficient -2 pi i
-    d2j_endo: dict[tuple[int, int], ExteriorEndo] = {}
+    d2j_endo: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
         for b in range(dim):
             endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
             if not endo.is_zero():
                 # -2 pi i times the quarter action, which is half the contraction
-                d2j_endo[(a, b)] = endo.scale(ExactScalar.rational(0, -1, 1))
+                d2j_endo.append((_var(n, a) * _var(n, b),
+                                 endo.scale(ExactScalar.rational(0, -1, 1))))
 
     # constant Clifford blocks
     mixed_form = _clifford_form(alg, q, 2, lambda a, b: jet.trRT10[a][b].scale("1/2"))
@@ -283,15 +287,17 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     psi = build_psi_endo(jet, alg)
     const_endo = mixed_form + re_cliff + alg.scalar_endo(jet.rX.scale("1/4")) - psi
 
+    zvars = [_var(n, a) for a in range(dim)]
+
     def op(state: TwoPointState) -> TwoPointState:
         plus, minus = [prime(state)], []
         for (a, b), endo in rbl.items():
             if b < n:
-                minus.append(_apply_poly(state.apply_bdag(b).apply_endo(endo), _var(n, a)))
+                minus.append(_apply_poly(state.apply_bdag(b).apply_endo(endo), zvars[a]))
             else:
-                plus.append(_apply_poly(state.apply_b(b - n).apply_endo(endo), _var(n, a)))
-        for (a, b), endo in d2j_endo.items():
-            plus.append(_apply_poly(state.apply_endo(endo), _var(n, a) * _var(n, b)))
+                plus.append(_apply_poly(state.apply_b(b - n).apply_endo(endo), zvars[a]))
+        for z, endo in d2j_endo:
+            plus.append(_apply_poly(state.apply_endo(endo), z))
         if not const_endo.is_zero():
             plus.append(state.apply_endo(const_endo))
         return sum_states(state.ctx, plus, minus)
