@@ -29,6 +29,14 @@ Every covariant derivative and curvature the jet stores is read at the base
 point by one helper, `_cov0`: the derivative of a series tensor at 0 plus one
 Christoffel correction per transported slot, from each connection's values
 at 0, computed once and visited only where they and the tensor are nonzero.
+
+Reality.  For a real potential, the metric derivatives, both connections,
+the torsion, the curvatures, nabla J, the exp-map coordinates and every
+base-point derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
+c(a) = (a + n) mod 2n.  R = d dbar phi and its exp-map pullback are
+imaginary (a minus sign).  Each of these stages builds the entries whose
+first index is < n and mirrors the rest through `_real`; exact,
+conjugation-equivariant arithmetic makes them the entries a direct build gives.
 """
 
 from __future__ import annotations
@@ -417,6 +425,8 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
         raise TruncationInsufficientError("potential must be truncated at degree 4")
     if phi_l.conj() != phi_l:
         raise DegenerateCurvatureError("potential is not real")
+    if phi_e is not None and phi_e.conj() != phi_e:
+        raise DegenerateCurvatureError("auxiliary potential is not real")
     _check_hessian(phi_l, n, q)
 
     # curvature 2-form of the line bundle: R = d dbar phi
@@ -441,12 +451,12 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     g0, ginv0 = _at0(g), _at0(ginv)
 
     # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc
-    J = _contract_last(omega, ginv)
+    J = _contract_real(omega, ginv)
 
     # Levi-Civita data
     gamma = _christoffels(g, ginv)
     gam0 = _at0(gamma)
-    rtx = _contract_last(_curvature(gamma, gam0), g0)
+    rtx = _contract_real(_curvature(gamma, gam0), g0)
 
     # Hermitian structure on the holomorphic tangent bundle and its torsion
     h = _table(n, 2, lambda j, k: g[j][n + k])
@@ -455,9 +465,9 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), hinv)
     tas = _antisym_torsion(gamma_ch, g, n)
 
-    sb_low = _table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
-    sb_up = _contract_last(sb_low, ginv)
-    gamma_b = _table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
+    sb_low = _real_table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
+    sb_up = _contract_real(sb_low, ginv)
+    gamma_b = _real_table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
     gamb0 = _at0(gamma_b)
 
     # the Bismut-side nabla J keeps its series: nablaB2J differentiates it
@@ -479,11 +489,11 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
         "Tas": _at0(tas),
         "covTas": _cov0(tas, [lc, lc, lc]),
         "dTas": _ext_deriv3(tas),
-        "nablaXJ": _contract_last(_cov0(J, [lc, lc_up]), g0),
-        "nablaBJ": _contract_last(_at0(nbj), g0),
-        "nablaB2J": _contract_last(_cov0(nbj, [lc, bis, bis_up]), g0),
+        "nablaXJ": _contract_real(_cov0(J, [lc, lc_up]), g0),
+        "nablaBJ": _contract_real(_at0(nbj), g0),
+        "nablaB2J": _contract_real(_cov0(nbj, [lc, bis, bis_up]), g0),
         "SB": _at0(sb_low),
-        "RB": _contract_last(_curvature(gamma_b, gamb0), g0),
+        "RB": _contract_real(_curvature(gamma_b, gamb0), g0),
     }
     return GeometryJet(
         n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
@@ -515,6 +525,29 @@ def _table(dim: int, rank: int, fn) -> list:
     if rank == 1:
         return [fn(a) for a in range(dim)]
     return [_table(dim, rank - 1, partial(fn, a)) for a in range(dim)]
+
+
+def _real(build, dim: int, sign: int = 1) -> list:
+    """The real (sign = 1) or imaginary (sign = -1) tensor t whose subtensors
+    t[a], a in `firsts`, are `build(firsts)`: t[a] is built for a < n only, and
+    t[c(i1)]..[c(ik)] = sign conj t[i1]..[ik] with c(a) = (a + n) mod 2n."""
+    half = build(range(dim // 2))
+    return half + [_mirror(t, dim // 2, sign) for t in half]
+
+
+def _mirror(t, n: int, sign: int):
+    """sign conj t with every slot index a read at (a + n) mod 2n; zeros are reused."""
+    if isinstance(t, list):
+        return [_mirror(t[(a + n) % len(t)], n, sign) for a in range(len(t))]
+    if t.is_zero():
+        return t
+    c = t.conj() if isinstance(t, Series) else t.conjugate()
+    return c if sign == 1 else -c
+
+
+def _real_table(dim: int, rank: int, fn) -> list:
+    """`_table(dim, rank, fn)` of a real tensor, through `_real`."""
+    return _real(lambda firsts: [_table(dim, rank - 1, partial(fn, a)) for a in firsts], dim)
 
 
 def _at0(t):
@@ -556,6 +589,11 @@ def _contract_last(t, m):
     return _nest(t, iter(out))
 
 
+def _contract_real(t, m):
+    """`_contract_last(t, m)` of a real tensor t and matrix m, through `_real`."""
+    return _real(lambda firsts: _contract_last([t[a] for a in firsts], m), len(t))
+
+
 def _rows(t) -> list:
     """The last-slot vectors of a tensor of nested lists, in order."""
     return [r for x in t for r in _rows(x)] if isinstance(t[0], list) else [t]
@@ -585,9 +623,10 @@ def _relabel(t, q: int, rank: int):
 
 def _christoffels(g, ginv):
     dim = len(g)
-    dg = _table(dim, 3, lambda a, b, c: _deriv(g[b][c], a))
-    low = _table(dim, 3, lambda a, b, c: (dg[a][b][c] + dg[b][a][c] - dg[c][a][b]).scale(_HALF))
-    return _contract_last(low, ginv)
+    dg = _real_table(dim, 3, lambda a, b, c: _deriv(g[b][c], a))
+    low = lambda a, b, c: (dg[a][b][c] + dg[b][a][c] - dg[c][a][b]).scale(_HALF)
+    return _real(lambda firsts: _contract_last(
+        [_table(dim, 2, partial(low, a)) for a in firsts], ginv), dim)
 
 
 def _curvature(gamma, gam0):
@@ -597,7 +636,7 @@ def _curvature(gamma, gam0):
     of Gamma with its output slot transported; R is its antisymmetrization.
     """
     x = _cov0(gamma, [None, None, (gam0, True)])
-    return _table(len(gamma), 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
+    return _real_table(len(gamma), 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
 
 
 def _scalar_curvature(rtx, ginv0) -> ExactScalar:
@@ -626,15 +665,14 @@ def _antisym_torsion(gamma_ch, g, n):
     """Total antisymmetrization of the Chern-connection torsion, as a series 3-form."""
     dim = 2 * n
     zero = Series.zero(dim, _CAP)
-    tvec = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = gamma_ch[i][j][k] - gamma_ch[j][i][k]
-                tvec[i][j][k] = t
-                tvec[n + i][n + j][n + k] = t.conj()
-    low = _contract_last(tvec, g)
-    return _table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
+
+    def tvec(i, j, k):  # the (1,0) torsion block and its conjugate
+        if max(i, j, k) < n:
+            return gamma_ch[i][j][k] - gamma_ch[j][i][k]
+        return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else zero
+
+    low = _contract_real(_real_table(dim, 3, tvec), g)
+    return _real_table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
 
 
 def _nabla_J(J, gamma):
@@ -644,9 +682,12 @@ def _nabla_J(J, gamma):
     Each entry keeps the minimum cap of all its operands, zero ones included.
     """
     dim = len(gamma)
-    products = [(vec_mat(J, gamma[a]), vec_mat(gamma[a], J)) for a in range(dim)]
-    return _table(dim, 3, lambda a, b, c:
-                  _deriv(J[b][c], a) + products[a][0][b][c] - products[a][1][b][c])
+
+    def row(a):
+        left, right = vec_mat(J, gamma[a]), vec_mat(gamma[a], J)
+        return _table(dim, 2, lambda b, c: _deriv(J[b][c], a) + left[b][c] - right[b][c])
+
+    return _real(lambda firsts: [row(a) for a in firsts], dim)
 
 
 def _cov0(t, slots):
@@ -658,44 +699,48 @@ def _cov0(t, slots):
     a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero series of t,
     nonzero Christoffel values and nonzero entries of t(0) are visited, and
     each output entry with corrections is one fused sum of them and the
-    derivative.
+    derivative.  t and the connections are real, so only m < n is built.
     """
     dim, rank = len(t), len(slots)
     entries = [(idx, s) for idx in product(range(dim), repeat=rank)
                if not (s := reduce(getitem, idx, t)).is_zero()]
     # d_m t at 0 is the coefficient of w_m; only the nonzero ones are kept
     units = [tuple(int(a == m) for a in range(dim)) for m in range(dim)]
-    out = {(m, *idx): c for idx, s in entries for m, u in enumerate(units)
-           if (c := s.terms.get(u)) is not None}
     t0 = [(idx, v) for idx, s in entries if not (v := s.value0()).is_zero()]
-    pairs: dict[tuple[int, ...], list] = {}
-    for p, slot in enumerate(slots):
-        if slot is None:
-            continue
-        gam0, raised = slot
-        # moves[f]: (m, i, c) for each term c t_(..f..) that slot index i receives
-        moves = [[] for _ in range(dim)]
-        for m, i, f in product(range(dim), repeat=3):
-            c = gam0[m][f][i] if raised else gam0[m][i][f]
-            if not c.is_zero():
-                moves[f].append((m, i, c if raised else -c))
-        for idx, v in t0:
-            for m, i, c in moves[idx[p]]:
-                key = (m, *idx[:p], i, *idx[p + 1:])
-                if key not in pairs:
-                    d = out.get(key)
-                    pairs[key] = [] if d is None else [(d, _ONE)]
-                pairs[key].append((c, v))
-    for key, terms in pairs.items():
-        out[key] = sum_products(terms)
-    return _table(dim, rank + 1, lambda *key: out.get(key, _ZERO))
+
+    def build(firsts):
+        out = {(m, *idx): c for idx, s in entries for m in firsts
+               if (c := s.terms.get(units[m])) is not None}
+        pairs: dict[tuple[int, ...], list] = {}
+        for p, slot in enumerate(slots):
+            if slot is None:
+                continue
+            gam0, raised = slot
+            # moves[f]: (m, i, c) for each term c t_(..f..) that slot index i receives
+            moves = [[] for _ in range(dim)]
+            for m, i, f in product(firsts, range(dim), range(dim)):
+                c = gam0[m][f][i] if raised else gam0[m][i][f]
+                if not c.is_zero():
+                    moves[f].append((m, i, c if raised else -c))
+            for idx, v in t0:
+                for m, i, c in moves[idx[p]]:
+                    key = (m, *idx[:p], i, *idx[p + 1:])
+                    if key not in pairs:
+                        d = out.get(key)
+                        pairs[key] = [] if d is None else [(d, _ONE)]
+                    pairs[key].append((c, v))
+        for key, terms in pairs.items():
+            out[key] = sum_products(terms)
+        return [_table(dim, rank, lambda *idx: out.get((m, *idx), _ZERO)) for m in firsts]
+
+    return _real(build, dim)
 
 
 def _ext_deriv3(t):
     """Exterior derivative at the base point of a series 3-form; each entry is
     one fused sum of its four signed derivatives."""
     dt = _cov0(t, [None] * 3)
-    return _table(len(t), 4, lambda a, b, c, d: sum_products([
+    return _real_table(len(t), 4, lambda a, b, c, d: sum_products([
         (dt[a][b][c][d], _ONE), (dt[b][a][c][d], _MINUS_ONE),
         (dt[c][a][b][d], _ONE), (dt[d][a][b][c], _MINUS_ONE)]))
 
@@ -706,8 +751,6 @@ def _aux_curvature(phi_e, n, rk_e):
 
     out = [[diag(_ZERO)] * (2 * n) for _ in range(2 * n)]
     if phi_e is not None and not phi_e.is_zero():
-        if phi_e.conj() != phi_e:
-            raise DegenerateCurvatureError("auxiliary potential is not real")
         for a in range(n):
             for b in range(n):
                 v = _d0(phi_e, a, n + b)
@@ -723,7 +766,7 @@ def _normal_coordinates(gamma, gam0):
                   + 1/3 G^a_bc G^c_ef w^b w^e w^f,
 
     with G = gamma(0).  Each coefficient is one sum of products over the
-    index tuples that reach its monomial.
+    index tuples that reach its monomial.  The map is real: only a < n is built.
     """
     dim = len(gam0)
 
@@ -735,26 +778,30 @@ def _normal_coordinates(gamma, gam0):
 
     minus_half, minus_sixth, minus_two_thirds = rat("-1/2"), rat("-1/6"), rat("-2/3")
     quad = [{} for _ in range(dim)]
-    cubic = [{} for _ in range(dim)]
     for b, c, a in product(range(dim), repeat=3):
         if not gam0[b][c][a].is_zero():
             quad[a].setdefault(mono(b, c), []).append((gam0[b][c][a], minus_half))
-        for d in range(dim):
-            dgam = _d0(gamma[b][c][a], d)
-            if not dgam.is_zero():
-                cubic[a].setdefault(mono(d, b, c), []).append((dgam, minus_sixth))
     quad = [{e: sum_products(p) for e, p in qa.items()} for qa in quad]
-    # 1/3 G^a_bc G^c_ef is -2/3 G^a_bc times the w^e w^f coefficient of z^c
-    for b, c, a in product(range(dim), repeat=3):
-        g = gam0[b][c][a]
-        if not g.is_zero():
-            for e, v in quad[c].items():
-                f = list(e)
-                f[b] += 1
-                cubic[a].setdefault(tuple(f), []).append((g, v * minus_two_thirds))
-    return [Series(dim, 3, {mono(a): rat(1), **quad[a],
-                            **{e: sum_products(p) for e, p in cubic[a].items()}})
-            for a in range(dim)]
+
+    def build(firsts):
+        cubic = {a: {} for a in firsts}
+        for b, c, a in product(range(dim), range(dim), firsts):
+            for d in range(dim):
+                dgam = _d0(gamma[b][c][a], d)
+                if not dgam.is_zero():
+                    cubic[a].setdefault(mono(d, b, c), []).append((dgam, minus_sixth))
+            # 1/3 G^a_bc G^c_ef is -2/3 G^a_bc times the w^e w^f coefficient of z^c
+            g = gam0[b][c][a]
+            if not g.is_zero():
+                for e, v in quad[c].items():
+                    f = list(e)
+                    f[b] += 1
+                    cubic[a].setdefault(tuple(f), []).append((g, v * minus_two_thirds))
+        return [Series(dim, 3, {mono(a): rat(1), **quad[a],
+                                **{e: sum_products(p) for e, p in cubic[a].items()}})
+                for a in firsts]
+
+    return _real(build, dim)
 
 
 def _radial_gauge_derivatives(RL, gamma, gam0):
@@ -765,7 +812,9 @@ def _radial_gauge_derivatives(RL, gamma, gam0):
     # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d], as jac (comp jac^T)
     jac = _table(dim, 2, lambda a, c: _deriv(zmap[c], a))
     jac_t = _table(dim, 2, lambda d, b: jac[b][d])
-    comp = mat_compose(RL, zmap, cap=2)
-    pulled = mat_mul(jac, mat_mul(comp, jac_t))
+    # RL is imaginary, and so is its pullback
+    comp = _real(lambda firsts: mat_compose([RL[a] for a in firsts], zmap, cap=2), dim, -1)
+    comp_jac_t = _real(lambda firsts: vec_mat([comp[a] for a in firsts], jac_t), dim, -1)
+    pulled = _real(lambda firsts: vec_mat([jac[a] for a in firsts], comp_jac_t), dim, -1)
     return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
             _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

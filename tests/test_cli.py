@@ -327,6 +327,7 @@ POTENTIAL_CASES = {
     "bad-coefficient": json.dumps({"z1 zb1": [{"pi_pow": 1.7, "re": "1", "im": "0"}]}),
     "exponent-coefficient": json.dumps({"z1 zb1": "1", "z1^2 zb1^2": "1e1000000"}),
     "not-json": "{not json",
+    "not-real": json.dumps({"z1 zb1": "1", "z1^2 zb1": "1"}),
 }
 
 

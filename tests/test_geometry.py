@@ -68,7 +68,7 @@ def test_parse_potential_roundtrips_or_raises_value_error(data):
     assert parse_potential(potential_to_dict(phi), 2) == phi
 
 
-def test_hessian_normalization_enforced():
+def test_hessian_normalization_enforced(monkeypatch):
     phi = parse_potential({"z1 zb1": [{"pi_pow": 1, "re": "2", "im": "0"}]}, 1)
     with pytest.raises(DegenerateCurvatureError):
         jet_from_potential(phi, n=1, q=0)
@@ -80,6 +80,10 @@ def test_hessian_normalization_enforced():
                            "z1^2 zb1": [{"pi_pow": 2, "re": "1", "im": "0"}]}, 1)
     with pytest.raises(DegenerateCurvatureError):
         jet_from_potential(bad, n=1, q=0)
+    # a non-real twist is refused before any stage of the pipeline runs
+    monkeypatch.setattr(geometry, "mat_sqrt", None)
+    with pytest.raises(DegenerateCurvatureError, match="auxiliary potential is not real"):
+        jet_from_potential(flat_potential(1, 0), bad, n=1, q=0)
 
 
 def test_truncation_guard():
@@ -446,14 +450,48 @@ def test_pluriharmonic_change_keeps_the_jet(jet_cache):
     assert jet_from_potential(phi + h + h.conj(), n=2, q=1).jet_id == jet.jet_id
 
 
-@pytest.mark.parametrize("n,q,seed,jet_id", [
-    (3, 1, 0, "1abe9a63ed6793ac"), (3, 2, 5, "1c006ba8baac7139"), (3, 1, 7, "732d22cae15521b4"),
-    (3, 0, 3, "3459c8461deafa13"), (3, 3, 2, "c64b699e172ed2ae"), (4, 2, 5, "1c00aa87501e34cd"),
+_PINNED_JETS = [
+    (3, 1, 0, None, "1abe9a63ed6793ac"), (3, 2, 5, None, "1c006ba8baac7139"),
+    (3, 1, 7, None, "732d22cae15521b4"), (3, 0, 3, None, "3459c8461deafa13"),
+    (3, 3, 2, None, "c64b699e172ed2ae"), (4, 2, 5, None, "1c00aa87501e34cd"),
+    (4, 2, 5, ("1/2", "-1/3", "1/4", "-1/5"), "353c2a76679eeb2b"),
+]
+
+
+@pytest.mark.parametrize("n,q,seed,twist,jet_id", _PINNED_JETS, ids=[
+    f"{n}-{q}-{seed}-{'twisted-' if twist else ''}{jet_id}"
+    for n, q, seed, twist, jet_id in _PINNED_JETS])
+def test_pipeline_jet_ids_are_pinned(jet_cache, n, q, seed, twist, jet_id):
+    """Digests of the full pipeline at n = 3 and 4, one with a rank-2 twist:
+    any change to a series truncation, the metric square root or the exp-map
+    pullback shows here."""
+    rk_e = 1 if twist is None else 2
+    assert jet_cache("random", n, q, seed, rk_e=rk_e, twist=twist).jet_id == jet_id
+
+
+@pytest.mark.parametrize("n,q,twist", [
+    (1, 0, None), (2, 1, None), (2, 2, None), (3, 2, None), (3, 1, ("1/2", "-1/3", "1/4")),
 ])
-def test_pipeline_jet_ids_are_pinned(jet_cache, n, q, seed, jet_id):
-    """Digests of the full pipeline at n = 3 and 4: any change to a series
-    truncation, the metric square root or the exp-map pullback shows here."""
-    assert jet_cache("random", n, q, seed).jet_id == jet_id
+def test_mirrored_stages_match_the_direct_build(jet_cache, monkeypatch, n, q, twist):
+    """Each real stage of the pipeline builds the entries whose first index is
+    < n and fills the rest as their (signed) conjugates through `_real`; building
+    every entry directly gives the same seed-5 jet, field by field."""
+    rk_e = 1 if twist is None else 2
+    mirrored = jet_cache("random", n, q, 5, rk_e=rk_e, twist=twist)
+    built = []
+
+    def direct(build, dim, sign=1):
+        built.append(sign)
+        return build(range(dim))
+
+    monkeypatch.setattr(geometry, "_real", direct)
+    phi_e = None if twist is None else parse_potential(
+        {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
+    jet = jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=rk_e)
+    assert built.count(-1) == 3 and len(built) > 20
+    assert jet.jet_id == mirrored.jet_id and jet.rX == mirrored.rX
+    for name in _TENSOR_FIELDS:
+        assert getattr(jet, name) == getattr(mirrored, name), name
 
 
 def _entry(t, idx):
