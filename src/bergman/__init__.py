@@ -15,19 +15,17 @@ All coefficients live in the field of Gaussian rationals extended by integer
 powers of pi, so every advertised equality is bitwise exact.
 """
 
-from .closed_form import B1Result, b1_formula, b1_kahler, b1_positive, b1_trace
-from .exterior import CliffordFactor, ExteriorAlgebra, ExteriorElement, ExteriorEndo
+from .closed_form import B1Result, b1_formula, b1_trace
+from .exterior import CliffordFactor, ExteriorAlgebra, ExteriorEndo
 from .geometry import (
     GeometryJet,
     flat_potential,
     fs_product_potential,
-    identity_suite,
     jet_from_potential,
-    lambda_scalars,
     parse_potential,
     random_potential,
-    validate_jet,
 )
+from .jet_checks import identity_suite, lambda_scalars, validate_jet
 from .models import (
     cp1_product_trace,
     cp1_sections_kernel,
@@ -49,7 +47,6 @@ __all__ = [
     "CliffordFactor",
     "ExactScalar",
     "ExteriorAlgebra",
-    "ExteriorElement",
     "ExteriorEndo",
     "GeometryJet",
     "OscillatorContext",
@@ -57,8 +54,6 @@ __all__ = [
     "TwoPointState",
     "b1_engine",
     "b1_formula",
-    "b1_kahler",
-    "b1_positive",
     "b1_trace",
     "build_O1",
     "build_O2",

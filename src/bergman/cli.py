@@ -22,12 +22,11 @@ from .geometry import (
     GeometryJet,
     fs_product_potential,
     flat_potential,
-    identity_suite,
     jet_from_potential,
     parse_potential,
     random_potential,
-    validate_jet,
 )
+from .jet_checks import identity_suite, validate_jet
 from .models import (
     MAX_SECTIONS_POWER,
     cp1_product_trace,
@@ -95,6 +94,11 @@ def _load_valid_jet(path: str) -> GeometryJet | None:
 
 
 def _write_jet(jet: GeometryJet, path: str) -> int:
+    """Validate a jet and write it; on failure print the report and write nothing."""
+    report = validate_jet(jet)
+    if not report.ok:
+        _emit(report.to_json())
+        return EXIT_VALIDATION
     text = jet.to_text(file=True)  # built first, so a failure leaves no partial file
     with open(path, "w") as fh:
         fh.write(text)
@@ -133,12 +137,8 @@ def _check_dimensions(args) -> None:
 def cmd_jet_build(args) -> int:
     phi_l = _load_potential(args.potential, args.n)
     phi_e = _load_potential(args.potential_e, args.n) if args.potential_e else None
-    jet = jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e)
-    report = validate_jet(jet)
-    if not report.ok:
-        _emit(report.to_json())
-        return EXIT_VALIDATION
-    return _write_jet(jet, args.out)
+    return _write_jet(jet_from_potential(phi_l, phi_e, n=args.n, q=args.q, rk_e=args.rk_e),
+                      args.out)
 
 
 def cmd_jet_random(args) -> int:

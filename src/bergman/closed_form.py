@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidJetError, NotKahlerError, NotPositiveError
+from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
-from .geometry import GeometryJet, lambda_scalars, validate_jet
-from .jet_checks import s_norm
+from .geometry import GeometryJet
+from .jet_checks import lambda_scalars, s_norm, validate_jet
 from .scalars import ExactScalar, rat
 
 _ZERO = ExactScalar.zero()
@@ -168,67 +168,3 @@ def b1_trace(jet: GeometryJet, check: bool = True) -> ExactScalar:
              + (_trace_form_sum(jet).scale("1/4")
                 - lam.contracted_divergence.scale("1/16")).scale(jet.rk_e))
     return pi_tr * ExactScalar.pi(-1)
-
-
-def b1_kahler(jet: GeometryJet, check: bool = True) -> B1Result:
-    """Torsion-free specialization of the coefficient formula."""
-    if check:
-        _require_valid(jet)
-    if not jet.is_torsion_free():
-        raise NotKahlerError("jet has torsion; the specialized formula does not apply")
-    n, q, rk = jet.n, jet.q, jet.rk_e
-    alg = ExteriorAlgebra(n, rk)
-    proj = alg.project_det(q)
-    nxj = jet.nablaXJ
-
-    block = proj.scale(_trace_form_sum(jet).scale("1/4")
-                       - s_norm(nxj, n, first_barred=False).scale("1/144"))
-    block = block + (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
-
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            for k in range(q + 1, n + 1):
-                for l in range(q + 1, n + 1):
-                    coeff = _ZERO
-                    for m in range(n):
-                        a = nxj[m][j - 1][k - 1]
-                        b = nxj[n + m][n + i - 1][n + l - 1]
-                        if not a.is_zero() and not b.is_zero():
-                            coeff = coeff + a * b
-                    if coeff.is_zero():
-                        continue
-                    op = (alg.wedge(l) @ alg.contract(i) @ proj
-                          @ alg.wedge(j) @ alg.contract(k))
-                    block = block + op.scale(coeff.scale("1/9"))
-
-    # single blocks in adjoint pairs: barred slots left of the projector,
-    # swapped unbarred slots right of it
-    for j in range(1, q + 1):
-        for k in range(q + 1, n + 1):
-            for x, y, op in ((n + j - 1, n + k - 1, alg.wedge(k) @ alg.contract(j) @ proj),
-                             (k - 1, j - 1, proj @ alg.wedge(j) @ alg.contract(k))):
-                curv = _ZERO
-                for i in range(n):
-                    curv = curv + jet.RTX[i][n + i][x][y]
-                # (1/2 tr)(2x) and (1/6)(4x) slot factors
-                coeff = jet.trRT10[x][y] - curv.scale("2/3")
-                block = block + op.scale(coeff.scale("-1/4"))
-                block = block + (op @ alg.endo_from_aux_matrix(
-                    _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
-
-    return _result(jet, block)
-
-
-def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
-    """The classical positive-curvature form: aux curvature trace plus an
-    eighth of the scalar curvature."""
-    if check:
-        _require_valid(jet)
-    if jet.q != 0:
-        raise NotPositiveError("specialization requires signature index q = 0")
-    n, rk = jet.n, jet.rk_e
-    alg = ExteriorAlgebra(n, rk)
-    proj = alg.project_det(0)
-    block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
-    block = block + proj.scale(jet.rX.scale("1/8"))
-    return _result(jet, block)

@@ -35,10 +35,3 @@ class InvalidJetError(BergmanError):
 class InvalidPotentialError(BergmanError, ValueError):
     """A potential map has a bad monomial key or coefficient."""
 
-
-class NotKahlerError(BergmanError):
-    """A Kahler-only specialization was invoked on a jet with torsion."""
-
-
-class NotPositiveError(BergmanError):
-    """A positive-curvature-only specialization was invoked with q > 0."""

@@ -298,16 +298,6 @@ class ExteriorEndo:
                 t = t + v
         return t
 
-    def apply(self, elem: "ExteriorElement") -> "ExteriorElement":
-        out: dict[int, ExactScalar] = {}
-        for (r, c), v in self.entries.items():
-            coeff = elem.coeffs.get(c)
-            if coeff is None:
-                continue
-            acc = v * coeff
-            out[r] = out[r] + acc if r in out else acc
-        return ExteriorElement(self.alg, out)
-
     def row_sector_split(self, q: int) -> dict[int, "ExteriorEndo"]:
         """Group rows by word defect; the defect fixes the degree-operator eigenvalue."""
         buckets: dict[int, dict[tuple[int, int], ExactScalar]] = {}
@@ -346,47 +336,6 @@ class ExteriorEndo:
             rows.append(row)
         return {"n": self.alg.n, "rk_e": self.alg.rk_e, "matrix": rows}
 
-    @classmethod
-    def from_json(cls, alg: ExteriorAlgebra, data: dict[str, object]) -> "ExteriorEndo":
-        entries: dict[tuple[int, int], ExactScalar] = {}
-        matrix = data["matrix"]
-        for r, row in enumerate(matrix):
-            for c, payload in enumerate(row):
-                if payload:
-                    entries[(r, c)] = ExactScalar.from_json(payload)
-        return cls(alg, entries)
-
-
-class ExteriorElement:
-    """A vector in Lambda(W*) tensor C^rkE, sparse over basis indices."""
-
-    __slots__ = ("alg", "coeffs")
-
-    def __init__(self, alg: ExteriorAlgebra, coeffs: dict[int, ExactScalar]):
-        self.alg = alg
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    @classmethod
-    def basis(cls, alg: ExteriorAlgebra, word: tuple[int, ...], e: int = 0) -> "ExteriorElement":
-        return cls(alg, {alg.basis_index(word, e): rat(1)})
-
-    def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return ExteriorElement(self.alg, out)
-
-    def scale(self, c: ExactScalar) -> "ExteriorElement":
-        return ExteriorElement(self.alg, {k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"ExteriorElement({self.coeffs})"
-
 
 class CliffordFactor:
     """A product of Clifford factors with its power of sqrt(2) kept symbolic."""
@@ -404,6 +353,3 @@ class CliffordFactor:
         if self.half_powers % 2:
             raise ValueError("odd number of Clifford factors leaves a stray sqrt(2)")
         return self.matrix.scale(rat(2 ** (self.half_powers // 2)))
-
-    def anticommutator(self, other: "CliffordFactor") -> ExteriorEndo:
-        return (self * other).as_endo() + (other * self).as_endo()

@@ -56,14 +56,7 @@ from .errors import (
     InvalidPotentialError,
     TruncationInsufficientError,
 )
-from .jet_checks import (  # noqa: F401  (re-exported: these are geometry operations)
-    CheckReport,
-    LambdaScalars,
-    _allzero,
-    identity_suite,
-    lambda_scalars,
-    validate_jet,
-)
+from .jet_checks import _allzero
 from .scalars import ExactScalar, _ratio_str, rat, sum_products
 from .series import (
     Series,
@@ -125,21 +118,6 @@ def parse_potential(data: dict[str, object], n: int) -> Series:
         e = tuple(exps)
         terms[e] = terms.get(e, _ZERO) + c
     return Series(2 * n, 4, terms)
-
-
-def potential_to_dict(phi: Series) -> dict[str, object]:
-    n = phi.nvars // 2
-    out: dict[str, object] = {}
-    for e in sorted(phi.terms):
-        factors = []
-        for j in range(n):
-            if e[j]:
-                factors.append(f"z{j+1}" + (f"^{e[j]}" if e[j] > 1 else ""))
-        for j in range(n):
-            if e[n + j]:
-                factors.append(f"zb{j+1}" + (f"^{e[n+j]}" if e[n + j] > 1 else ""))
-        out[" ".join(factors)] = phi.terms[e].to_json()
-    return out
 
 
 def flat_potential(n: int, q: int) -> Series:
@@ -284,7 +262,8 @@ class GeometryJet:
         By default the compact text without `jet_id` (sorted keys, separators
         "," and ":"): its sha256 defines the id.  With `file=True` the jet
         file: sorted keys, indent 1, `jet_id` included, no trailing newline.
-        Both are byte for byte what `json.dumps` writes of `to_json()`.
+        Both are byte for byte what `json.dumps` writes of the jet's JSON
+        body with those options.
         """
         level = 2 if file else None
         fields = {"schema": json.dumps(JET_SCHEMA), "n": str(self.n), "q": str(self.q),
@@ -296,13 +275,6 @@ class GeometryJet:
             fields["jet_id"] = json.dumps(self.jet_id or _digest(self.to_text()))
             return "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in sorted(fields.items())) + "\n}"
         return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(fields.items())) + "}"
-
-    def to_json(self) -> dict[str, object]:
-        """The jet's JSON body as a dict, `jet_id` included."""
-        text = self.to_text()
-        body = json.loads(text)
-        body["jet_id"] = self.jet_id or _digest(text)
-        return body
 
     @classmethod
     def from_json(cls, data: object) -> "GeometryJet":

@@ -12,7 +12,7 @@ expansion coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 def cp1_product_trace(p: int, n: int, q: int) -> int:
@@ -78,37 +78,6 @@ def fit_expansion(samples: list[tuple[int, int | Fraction]],
     return desc
 
 
-# -- a tiny square-zero cohomology ring for the product model ---------------
-
-_Cls = dict[int, Fraction]  # bitmask of factors -> coefficient
-
-
-def _cls_mul(a: _Cls, b: _Cls) -> _Cls:
-    out: _Cls = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if m1 & m2:
-                continue  # squares of factor classes vanish
-            m = m1 | m2
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return out
-
-
-def _cls_scale(a: _Cls, c: Fraction) -> _Cls:
-    return {m: v * c for m, v in a.items()}
-
-
-def _cls_power(a: _Cls, k: int) -> _Cls:
-    out: _Cls = {0: Fraction(1)}
-    for _ in range(k):
-        out = _cls_mul(out, a)
-    return out
-
-
-def _integrate(a: _Cls, n: int) -> Fraction:
-    return a.get((1 << n) - 1, Fraction(0))
-
-
 def rrh_coefficients(n: int, q: int, rk_e: int = 1) -> dict[str, Fraction]:
     """Top two p-coefficients of the global dimension count, three ways.
 
@@ -116,23 +85,23 @@ def rrh_coefficients(n: int, q: int, rk_e: int = 1) -> dict[str, Fraction]:
     volume-weighted expansion-coefficient route must agree exactly; a
     mismatch raises.  Returns the p^n and p^(n-1) coefficients of the
     dimension polynomial itself.
+
+    The class integrals are taken in closed form.  Each factor class x_k
+    squares to zero and x_1 ... x_n integrates to 1, so for linear classes
+    c = sum c_k x_k and t = sum t_k x_k only the squarefree monomials
+    survive: int c^n / n! = prod c_k and int t c^(n-1) / (n-1)! =
+    sum_k t_k prod_{j != k} c_j.
     """
+    if n < 1 or not 0 <= q <= n:
+        raise ValueError("need n >= 1 factors and a signature index 0 <= q <= n")
     dims = dimension_polynomial(n, q, rk_e)
-    pn, pn1 = dims[0], dims[1] if n >= 1 else Fraction(0)
+    pn, pn1 = dims[0], dims[1]
 
     sign = Fraction((-1) ** q)
-    c1_l: _Cls = {1 << k: Fraction(-1 if k < q else 1) for k in range(n)}
-    c1_tx: _Cls = {1 << k: Fraction(2) for k in range(n)}
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    chern_pn = Fraction(rk_e) * _integrate(_cls_power(c1_l, n), n) / fact
-    if n >= 1:
-        fact1 = fact // n if n >= 1 else 1
-        half_tx = _cls_scale(c1_tx, Fraction(rk_e, 2))
-        chern_pn1 = _integrate(_cls_mul(half_tx, _cls_power(c1_l, n - 1)), n) / fact1
-    else:
-        chern_pn1 = Fraction(0)
+    c1_l = [Fraction(-1 if k < q else 1) for k in range(n)]
+    # t = rk_e c_1(TX) / 2, and c_1(TX) is 2 on every factor, so t_k = rk_e
+    chern_pn = rk_e * prod(c1_l)
+    chern_pn1 = rk_e * sum(prod(c1_l[:k] + c1_l[k + 1:]) for k in range(n))
 
     if sign * pn != chern_pn or sign * pn1 != chern_pn1:
         raise AssertionError(

@@ -197,16 +197,10 @@ class TwoPointState:
         return not self.terms
 
     def __add__(self, other: "TwoPointState") -> "TwoPointState":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(out, k, v)
-        return TwoPointState(self.ctx, out)
-
-    def __neg__(self) -> "TwoPointState":
-        return TwoPointState(self.ctx, {k: -v for k, v in self.terms.items()})
+        return sum_states(self.ctx, [self, other])
 
     def __sub__(self, other: "TwoPointState") -> "TwoPointState":
-        return self + (-other)
+        return sum_states(self.ctx, [self], [other])
 
     def scale(self, c: ExactScalar) -> "TwoPointState":
         if c.is_zero():
@@ -269,41 +263,12 @@ class TwoPointState:
                     _add_term(out, k2, endo.scale(s))
         return TwoPointState(self.ctx, out)
 
-    def mul_primed(self, j: int, barred: bool = True) -> "TwoPointState":
-        out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.terms.items():
-            key = (a, b, g, _bump(d, j)) if barred else (a, b, _bump(g, j), d)
-            _add_term(out, key, endo)
-        return TwoPointState(self.ctx, out)
-
-    def differentiate_xi(self, j: int) -> "TwoPointState":
-        # d/dxi_j = (pi xibar_j - b_j)/2
-        return self.mul_xibar(j).scale(ExactScalar.pi(1, "1/2")) \
-            - self.apply_b(j).scale(rat("1/2"))
-
-    def differentiate_xibar(self, j: int) -> "TwoPointState":
-        # d/dxibar_j = (b_j^+ - pi xi_j)/2
-        return self.apply_bdag(j).scale(rat("1/2")) \
-            - self.mul_xi(j).scale(ExactScalar.pi(1, "1/2"))
-
     def apply_L0(self) -> "TwoPointState":
         out: dict[TermKey, ExteriorEndo] = {}
         for (a, b, g, d), endo in self.terms.items():
             tot = sum(a)
             if tot:
                 out[(a, b, g, d)] = endo.scale(ExactScalar.pi(1, 4 * tot))
-        return TwoPointState(self.ctx, out)
-
-    def apply_L20(self) -> "TwoPointState":
-        omega = self.ctx.alg.omega_d(self.ctx.q)
-        out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.terms.items():
-            tot = sum(a)
-            acc = (omega @ endo).scale(rat(-2))
-            if tot:
-                acc = acc + endo.scale(ExactScalar.pi(1, 4 * tot))
-            if not acc.is_zero():
-                out[(a, b, g, d)] = acc
         return TwoPointState(self.ctx, out)
 
     # -- spectral projections and resolvents -----------------------------------
@@ -401,31 +366,11 @@ class TwoPointState:
                 acc = acc + endo.scale(rat(value))
         return acc
 
-    def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
-        return self.to_poly().evaluate_first_zero()
-
     def adjoint(self) -> "TwoPointState":
         return TwoPointState.from_poly(self.to_poly().adjoint())
 
     def compose(self, other: "TwoPointState") -> "TwoPointState":
         return TwoPointState.from_poly(self.to_poly().compose(other.to_poly()))
-
-    def pair(self, other: "TwoPointState") -> ExteriorEndo:
-        """Gram pairing of kernel columns: integral of self(W,0)^* other(W,0)."""
-        return self.to_poly().adjoint().compose_origin(other.to_poly())
-
-    def to_json(self) -> list[dict[str, object]]:
-        """Debug dump of the canonical term list; no stable wire format promised."""
-        out = []
-        for (a, b, g, d) in sorted(self.terms):
-            out.append({
-                "b_word": list(a),
-                "xi": list(b),
-                "primed": list(g),
-                "barred_primed": list(d),
-                "endo": self.terms[(a, b, g, d)].to_json(),
-            })
-        return out
 
 
 class PolyGaussianForm:
@@ -451,12 +396,6 @@ class PolyGaussianForm:
         """Kernel value at Z = Z' = 0 (the vacuum kernel is 1 there)."""
         z = self.ctx.zero_multi
         return self.terms.get((z, z, z, z), self.ctx.alg.zero_endo())
-
-    def evaluate_first_zero(self) -> dict[tuple[Multi, Multi], ExteriorEndo]:
-        """Kernel at Z = 0 as a polynomial in the primed variables."""
-        z = self.ctx.zero_multi
-        return {(g, d): endo for (a, b, g, d), endo in self.terms.items()
-                if a == z and b == z}
 
     def adjoint(self) -> "PolyGaussianForm":
         """Kernel adjoint: swap arguments, conjugate, adjoint the sector part."""

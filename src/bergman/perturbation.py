@@ -26,7 +26,8 @@ from typing import Callable
 from .closed_form import B1Result
 from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
-from .geometry import GeometryJet, validate_jet
+from .geometry import GeometryJet
+from .jet_checks import validate_jet
 from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
 from .series import Series
@@ -314,8 +315,7 @@ def engine_context(jet: GeometryJet) -> OscillatorContext:
     return OscillatorContext(jet.n, jet.q, jet.rk_e)
 
 
-def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
-                     check: bool = True) -> dict[str, ExteriorEndo]:
+def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, ExteriorEndo]:
     """Origin values of the six resolvent-expansion terms, keyed by name.
 
     Only what the origin values read is computed.  No primitive the
@@ -332,7 +332,7 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
         rep = validate_jet(jet)
         if not rep.ok:
             raise InvalidJetError("; ".join(name for name, _ in rep.failures()))
-    ctx = ctx or engine_context(jet)
+    ctx = engine_context(jet)
     o1 = build_O1(jet, ctx)
     o2 = build_O2(jet, ctx)
     pn = ctx.kernel_projector()
@@ -356,15 +356,13 @@ def compute_F2_terms(jet: GeometryJet, ctx: OscillatorContext | None = None,
     }
 
 
-def b1_engine(jet: GeometryJet, ctx: OscillatorContext | None = None,
-              check: bool = True,
+def b1_engine(jet: GeometryJet, check: bool = True,
               terms_out: dict[str, ExteriorEndo] | None = None) -> B1Result:
     """The engine route: compress the expansion value to the degree-q sector.
 
     If `terms_out` is given, the six expansion terms are stored in it.
     """
-    ctx = ctx or engine_context(jet)
-    terms = compute_F2_terms(jet, ctx, check=check)
+    terms = compute_F2_terms(jet, check=check)
     if terms_out is not None:
         terms_out.update(terms)
     f2 = (terms["double-resolved-gradient"]
@@ -373,7 +371,7 @@ def b1_engine(jet: GeometryJet, ctx: OscillatorContext | None = None,
           - terms["resolved-second-order-adjoint"]
           + terms["kernel-sandwich"]
           - terms["iterated-resolvent"])
-    ie = ctx.alg.project_degree(jet.q)
+    ie = f2.alg.project_degree(jet.q)
     endo = ie @ f2 @ ie
     return B1Result(endo=endo, trace=endo.trace(), route="engine",
                     jet_id=jet.jet_id)

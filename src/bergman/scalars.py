@@ -12,8 +12,8 @@ shared denominator `_den` = D > 0 (the layout of FLINT's fmpq_poly).  The
 form is canonical: no entry is (0, 0), gcd(D, every numerator) = 1, and
 zero is the empty map over D = 1.  Every operation restores it with one gcd
 pass over the integers, so equal values have equal fields and `==` and
-`hash` compare structure.  `terms()` and `as_fraction()` hand the
-coefficients out as `Fraction`s; no `Fraction` arithmetic runs inside.
+`hash` compare structure.  `terms()` hands the coefficients out as
+`Fraction`s; no `Fraction` arithmetic runs inside.
 
 Division is deliberately restricted to monomials (a single pi-power with an
 invertible Gaussian-rational coefficient): that is the only division the
@@ -69,20 +69,6 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def is_real(self) -> bool:
-        return all(im == 0 for _, im in self._num.values())
-
-    def is_rational(self) -> bool:
-        return self._num.keys() <= {0} and self.is_real()
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; only valid when pi-free and real."""
-        if not self._num:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not a plain rational: {self}")
-        return Fraction(self._num[0][0], self._den)
 
     def terms(self) -> Iterable[tuple[int, Fraction, Fraction]]:
         den = self._den

@@ -109,7 +109,7 @@ class Series:
         out: dict[Exps, ExactScalar] = {}
         for e, c in self.terms.items():
             if e[j]:
-                out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c.scale(e[j])
+                out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c if e[j] == 1 else c.scale(e[j])
         return _series(self.nvars, self.cap, out)
 
     def coeff(self, exps: Exps) -> ExactScalar:

@@ -8,8 +8,7 @@ tests and the batch acceptance criterion.
 
 from __future__ import annotations
 
-from bergman.geometry import lambda_scalars
-from bergman.jet_checks import frame_norm3, s_norm
+from bergman.jet_checks import frame_norm3, lambda_scalars, s_norm
 from bergman.oscillator import TwoPointState
 from bergman.perturbation import (
     build_O1,
@@ -20,6 +19,8 @@ from bergman.perturbation import (
     engine_context,
 )
 from bergman.scalars import ExactScalar
+
+from oracles import evaluate_first_zero, mul_primed
 
 
 def scaled(state, coeff):
@@ -38,13 +39,13 @@ def first_order_kernel_display(jet, ctx):
                 c = jet.nablaXJ[n + j][n + m][n + i]
                 if not c.is_zero():
                     acc = acc + scaled(
-                        pn.mul_primed(m, True).apply_b(j).apply_b(i), m2i3 * c)
+                        mul_primed(pn, m, True).apply_b(j).apply_b(i), m2i3 * c)
         for m in range(n):
             for l in range(n):
                 c = jet.nablaXJ[n + m][n + l][n + i]
                 if not c.is_zero():
                     acc = acc + scaled(
-                        pn.mul_primed(m, True).mul_primed(l, True).apply_b(i),
+                        mul_primed(mul_primed(pn, m, True), l, True).apply_b(i),
                         m4pi3 * c)
     for j in range(1, q + 1):
         for k in range(q + 1, n + 1):
@@ -52,7 +53,7 @@ def first_order_kernel_display(jet, ctx):
             for m in range(n):
                 c = jet.nablaBJ[n + m][n + j - 1][n + k - 1]
                 if not c.is_zero():
-                    base = pn.apply_b(m) + pn.mul_primed(m, True).scale(ExactScalar.pi(1, 2))
+                    base = pn.apply_b(m) + mul_primed(pn, m, True).scale(ExactScalar.pi(1, 2))
                     acc = acc + scaled(base.apply_endo(op), c.scale(0, -4))
                 c = jet.nablaBJ[m][n + j - 1][n + k - 1]
                 if not c.is_zero():
@@ -289,21 +290,21 @@ def check_all_displays(jet) -> list[str]:
         failures.append("first-order-kernel")
 
     resolved = got.project_Nperp().resolvent_L20()
-    if resolved.evaluate_first_zero() != resolved_first_zero_display(jet, ctx):
+    if evaluate_first_zero(resolved) != resolved_first_zero_display(jet, ctx):
         failures.append("resolved-first-zero")
     if resolved.restrict_second_zero() != resolved_second_zero_display(jet, ctx):
         failures.append("resolved-second-zero")
     adj = resolved.adjoint()
     if adj.restrict_second_zero() != adjoint_second_zero_display(jet, ctx):
         failures.append("adjoint-second-zero")
-    if adj.evaluate_first_zero() != adjoint_first_zero_display(jet, ctx):
+    if evaluate_first_zero(adj) != adjoint_first_zero_display(jet, ctx):
         failures.append("adjoint-first-zero")
 
     o1p = build_O1_prime(jet, ctx)
     if not o1p(resolved).project_Nperp().resolvent_L20().evaluate_origin().is_zero():
         failures.append("scalar-composite-vanishes")
 
-    terms = compute_F2_terms(jet, ctx, check=False)
+    terms = compute_F2_terms(jet, check=False)
     if terms["iterated-resolvent"] != iterated_resolvent_display(jet, ctx):
         failures.append("iterated-resolvent")
     if terms["kernel-sandwich"] != kernel_sandwich_display(jet, ctx):

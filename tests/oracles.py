@@ -11,6 +11,14 @@ polynomial one monomial and one factor at a time, the 2-form Clifford
 action by raw Clifford products, the Clifford action of a form as a sum
 over ordered label words, and the det-sector compression identity block by
 block.
+
+Also here, because no program path runs them: the torsion-free and
+positive-curvature specializations of the closed formula, the square-zero
+cohomology ring of a product of projective lines, a potential written back
+to its JSON map, multiplication by a primed variable, and short
+compositions of oscillator and Clifford primitives (the shifted oscillator
+L0 - 2 omega_d, the derivatives d/dxi and d/dxibar, the Gram pairing of
+kernel columns, a kernel at Z = 0 and the Clifford anticommutator).
 """
 
 from __future__ import annotations
@@ -23,11 +31,31 @@ from itertools import product
 from math import factorial
 from operator import getitem
 
+from bergman.closed_form import (
+    B1Result,
+    _mat_sum_mixed,
+    _require_valid,
+    _result,
+    _scale_mat,
+    _trace_form_sum,
+)
+from bergman.errors import BergmanError
 from bergman.exterior import CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
-from bergman.oscillator import PolyGaussianForm, TermKey, TwoPointState, _bump, _poly_apply_b
+from bergman.jet_checks import s_norm
+from bergman.oscillator import (
+    Multi,
+    PolyGaussianForm,
+    TermKey,
+    TwoPointState,
+    _add_term,
+    _bump,
+    _poly_apply_b,
+)
 from bergman.scalars import ExactScalar, _format_gaussian, rat
 from bergman.series import Exps, Series
+
+_ZERO = ExactScalar.zero()
 
 
 class FractionScalar:
@@ -352,3 +380,181 @@ def compress_two_form(alg: ExteriorAlgebra, q: int, comp_xi: CompFn) -> Exterior
             if not c.is_zero():
                 acc = acc + (alg.wedge(j) @ alg.wedge(k) @ proj).scale(c * rat(2))
     return acc
+
+
+# -- compositions of oscillator and Clifford primitives -----------------------
+
+
+def apply_L20(s: TwoPointState) -> TwoPointState:
+    """The shifted oscillator L0 - 2 omega_d, whose inverse is `resolvent_L20`."""
+    return s.apply_L0() + s.apply_endo(s.ctx.alg.omega_d(s.ctx.q)).scale(rat(-2))
+
+
+def differentiate_xi(s: TwoPointState, j: int) -> TwoPointState:
+    # d/dxi_j = (pi xibar_j - b_j)/2
+    return s.mul_xibar(j).scale(ExactScalar.pi(1, "1/2")) - s.apply_b(j).scale(rat("1/2"))
+
+
+def differentiate_xibar(s: TwoPointState, j: int) -> TwoPointState:
+    # d/dxibar_j = (b_j^+ - pi xi_j)/2
+    return s.apply_bdag(j).scale(rat("1/2")) - s.mul_xi(j).scale(ExactScalar.pi(1, "1/2"))
+
+
+def pair(x: TwoPointState, y: TwoPointState) -> ExteriorEndo:
+    """Gram pairing of kernel columns: integral of x(W,0)^* y(W,0)."""
+    return x.to_poly().adjoint().compose_origin(y.to_poly())
+
+
+def evaluate_first_zero(s: TwoPointState) -> dict[tuple[Multi, Multi], ExteriorEndo]:
+    """Kernel at Z = 0 as a polynomial in the primed variables."""
+    z = s.ctx.zero_multi
+    return {(g, d): endo for (a, b, g, d), endo in s.to_poly().terms.items()
+            if a == z and b == z}
+
+
+def anticommutator(f: CliffordFactor, g: CliffordFactor) -> ExteriorEndo:
+    return (f * g).as_endo() + (g * f).as_endo()
+
+
+def mul_primed(s: TwoPointState, j: int, barred: bool = True) -> TwoPointState:
+    out: dict[TermKey, ExteriorEndo] = {}
+    for (a, b, g, d), endo in s.terms.items():
+        key = (a, b, g, _bump(d, j)) if barred else (a, b, _bump(g, j), d)
+        _add_term(out, key, endo)
+    return TwoPointState(s.ctx, out)
+
+
+# -- potentials ---------------------------------------------------------------
+
+
+def potential_to_dict(phi: Series) -> dict[str, object]:
+    n = phi.nvars // 2
+    out: dict[str, object] = {}
+    for e in sorted(phi.terms):
+        factors = []
+        for j in range(n):
+            if e[j]:
+                factors.append(f"z{j+1}" + (f"^{e[j]}" if e[j] > 1 else ""))
+        for j in range(n):
+            if e[n + j]:
+                factors.append(f"zb{j+1}" + (f"^{e[n+j]}" if e[n + j] > 1 else ""))
+        out[" ".join(factors)] = phi.terms[e].to_json()
+    return out
+
+
+# -- specializations of the closed formula --------------------------------------
+
+
+class NotKahlerError(BergmanError):
+    """A Kahler-only specialization was invoked on a jet with torsion."""
+
+
+class NotPositiveError(BergmanError):
+    """A positive-curvature-only specialization was invoked with q > 0."""
+
+
+def b1_kahler(jet: GeometryJet, check: bool = True) -> B1Result:
+    """Torsion-free specialization of the coefficient formula."""
+    if check:
+        _require_valid(jet)
+    if not jet.is_torsion_free():
+        raise NotKahlerError("jet has torsion; the specialized formula does not apply")
+    n, q, rk = jet.n, jet.q, jet.rk_e
+    alg = ExteriorAlgebra(n, rk)
+    proj = alg.project_det(q)
+    nxj = jet.nablaXJ
+
+    block = proj.scale(_trace_form_sum(jet).scale("1/4")
+                       - s_norm(nxj, n, first_barred=False).scale("1/144"))
+    block = block + (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
+
+    for i in range(1, q + 1):
+        for j in range(1, q + 1):
+            for k in range(q + 1, n + 1):
+                for l in range(q + 1, n + 1):
+                    coeff = _ZERO
+                    for m in range(n):
+                        a = nxj[m][j - 1][k - 1]
+                        b = nxj[n + m][n + i - 1][n + l - 1]
+                        if not a.is_zero() and not b.is_zero():
+                            coeff = coeff + a * b
+                    if coeff.is_zero():
+                        continue
+                    op = (alg.wedge(l) @ alg.contract(i) @ proj
+                          @ alg.wedge(j) @ alg.contract(k))
+                    block = block + op.scale(coeff.scale("1/9"))
+
+    # single blocks in adjoint pairs: barred slots left of the projector,
+    # swapped unbarred slots right of it
+    for j in range(1, q + 1):
+        for k in range(q + 1, n + 1):
+            for x, y, op in ((n + j - 1, n + k - 1, alg.wedge(k) @ alg.contract(j) @ proj),
+                             (k - 1, j - 1, proj @ alg.wedge(j) @ alg.contract(k))):
+                curv = _ZERO
+                for i in range(n):
+                    curv = curv + jet.RTX[i][n + i][x][y]
+                # (1/2 tr)(2x) and (1/6)(4x) slot factors
+                coeff = jet.trRT10[x][y] - curv.scale("2/3")
+                block = block + op.scale(coeff.scale("-1/4"))
+                block = block + (op @ alg.endo_from_aux_matrix(
+                    _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
+
+    return _result(jet, block)
+
+
+def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
+    """The classical positive-curvature form: aux curvature trace plus an
+    eighth of the scalar curvature."""
+    if check:
+        _require_valid(jet)
+    if jet.q != 0:
+        raise NotPositiveError("specialization requires signature index q = 0")
+    n, rk = jet.n, jet.rk_e
+    alg = ExteriorAlgebra(n, rk)
+    proj = alg.project_det(0)
+    block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
+    block = block + proj.scale(jet.rX.scale("1/8"))
+    return _result(jet, block)
+
+
+# -- a tiny square-zero cohomology ring for the product model -------------------
+
+_Cls = dict[int, Fraction]  # bitmask of factors -> coefficient
+
+
+def _cls_mul(a: _Cls, b: _Cls) -> _Cls:
+    out: _Cls = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if m1 & m2:
+                continue  # squares of factor classes vanish
+            m = m1 | m2
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return out
+
+
+def _cls_scale(a: _Cls, c: Fraction) -> _Cls:
+    return {m: v * c for m, v in a.items()}
+
+
+def _cls_power(a: _Cls, k: int) -> _Cls:
+    out: _Cls = {0: Fraction(1)}
+    for _ in range(k):
+        out = _cls_mul(out, a)
+    return out
+
+
+def _integrate(a: _Cls, n: int) -> Fraction:
+    return a.get((1 << n) - 1, Fraction(0))
+
+
+def rrh_class_integrals(n: int, q: int, rk_e: int = 1) -> tuple[Fraction, Fraction]:
+    """The characteristic-class route of `models.rrh_coefficients`, expanded in
+    the ring: rk_e int c_1(L)^n / n! and int (rk_e c_1(TX) / 2) c_1(L)^(n-1) / (n-1)!.
+    Every subset of factors is a ring element, so keep n small."""
+    c1_l: _Cls = {1 << k: Fraction(-1 if k < q else 1) for k in range(n)}
+    c1_tx: _Cls = {1 << k: Fraction(2) for k in range(n)}
+    chern_pn = Fraction(rk_e) * _integrate(_cls_power(c1_l, n), n) / factorial(n)
+    half_tx = _cls_scale(c1_tx, Fraction(rk_e, 2))
+    chern_pn1 = _integrate(_cls_mul(half_tx, _cls_power(c1_l, n - 1)), n) / factorial(n - 1)
+    return chern_pn, chern_pn1

@@ -8,8 +8,9 @@ from bergman import cli
 from bergman.cli import main
 from bergman.closed_form import B1Result
 from bergman.exterior import ExteriorAlgebra
-from bergman.geometry import fs_product_potential, potential_to_dict
-from oracles import jet_digest
+from bergman.geometry import fs_product_potential
+from bergman.jet_checks import CheckReport
+from oracles import jet_digest, potential_to_dict
 
 
 @pytest.fixture()
@@ -102,6 +103,25 @@ def test_validation_failure_exit(tmp_path, capsys):
     path.write_text(json.dumps(body))
     code, out = run_captured(capsys, ["b1", "closed-form", "--jet", str(path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["random", "build"])
+def test_jet_is_validated_before_it_is_written(tmp_path, capsys, monkeypatch, command):
+    """`jet random` and `jet build` share one write path: a jet that fails
+    validation prints the report, exits 3 and leaves no file."""
+    report = CheckReport()
+    report.add("forced-failure", False)
+    monkeypatch.setattr(cli, "validate_jet", lambda jet: report)
+    path = tmp_path / "jet.json"
+    argv = ["jet", command, "--n", "1", "--q", "0", "--out", str(path)]
+    if command == "build":
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps(potential_to_dict(fs_product_potential(1, 0))))
+        argv += ["--potential", str(pot)]
+    code, out = run_captured(capsys, argv)
+    assert code == 3
+    assert json.loads(out) == report.to_json()
+    assert not path.exists()
 
 
 def test_a_form_that_is_not_skew_fails_validation(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import pytest
 
-from bergman.closed_form import b1_formula, b1_kahler, b1_positive, b1_trace
-from bergman.errors import InvalidJetError, NotKahlerError, NotPositiveError
+from bergman.closed_form import b1_formula, b1_trace
+from bergman.errors import InvalidJetError
 from bergman.exterior import ExteriorAlgebra
 from bergman.geometry import GeometryJet
 from bergman.scalars import ExactScalar, rat
+
+from oracles import NotKahlerError, NotPositiveError, b1_kahler, b1_positive
 
 
 def test_flat_jet_vanishes(jet_cache):
@@ -73,7 +75,7 @@ def test_specialization_guards(jet_cache):
 def test_invalid_jet_rejected(jet_cache):
     import json
     jet = jet_cache("random", 2, 1, 7)
-    body = json.loads(json.dumps(jet.to_json(), default=str))
+    body = json.loads(jet.to_text(file=True))
     body["RTX"][0][1] = body["RTX"][1][0]
     bad = GeometryJet.from_json(body)
     with pytest.raises(InvalidJetError):

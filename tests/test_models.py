@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from bergman.models import (
     fit_expansion,
     rrh_coefficients,
 )
+
+from oracles import rrh_class_integrals
 
 
 def test_section_counts():
@@ -71,6 +74,32 @@ def test_index_consistency(n, rk):
         res = rrh_coefficients(n, q, rk)
         assert res["pn"] == rk
         assert res["pn1"] == rk * (n - 2 * q)
+
+
+def test_index_consistency_guard():
+    """Out-of-range dimensions are bad input, not an index-theorem mismatch."""
+    for n, q in ((0, 0), (2, 3), (2, -1)):
+        with pytest.raises(ValueError, match="signature index"):
+            rrh_coefficients(n, q)
+
+
+def test_class_integrals_match_the_square_zero_ring():
+    """The closed-form class integrals inside `rrh_coefficients` equal the
+    ring expansion; the ring walks every subset of factors, so n <= 6."""
+    for n in range(1, 7):
+        for q in range(n + 1):
+            for rk in (1, 2):
+                res = rrh_coefficients(n, q, rk)
+                sign = (-1) ** q
+                assert rrh_class_integrals(n, q, rk) == (sign * res["pn"], sign * res["pn1"])
+
+
+def test_index_consistency_is_fast_in_high_dimension():
+    start = time.process_time()
+    res = rrh_coefficients(40, 17, 2)
+    assert time.process_time() - start < 1
+    dims = dimension_polynomial(40, 17, 2)
+    assert (res["pn"], res["pn1"]) == (dims[0], dims[1]) == (2, 2 * (40 - 2 * 17))
 
 
 def test_numeric_kernel_witness():
