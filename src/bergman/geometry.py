@@ -65,7 +65,6 @@ from .series import (
     mat_mul,
     mat_sqrt,
     mat_zero,
-    vec_mat,
 )
 
 Tensor1 = tuple[ExactScalar, ...]
@@ -419,7 +418,9 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     M = _table(dim, 2, lambda a, b: B[part(a)][b].scale(_TWO))
     g_endo = mat_sqrt(mat_mul(M, M))
     g = _table(dim, 2, lambda a, b: g_endo[part(a)][b].scale(_HALF))
-    ginv = mat_inverse(g)
+    # g_endo(0) = I, so it has a binomial inverse; g is g_endo / 2 with rows moved by part
+    g_endo_inv = mat_inverse(g_endo)
+    ginv = _table(dim, 2, lambda a, b: g_endo_inv[a][part(b)].scale(_TWO))
     g0, ginv0 = _at0(g), _at0(ginv)
 
     # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc
@@ -554,7 +555,7 @@ def _contract_last(t, m):
     """
     rows = _rows(t)
     if isinstance(rows[0][0], Series):
-        out = vec_mat(rows, m)
+        out = mat_mul(rows, m)
     else:
         cols = [[(r, v) for r, v in enumerate(col) if not v.is_zero()] for col in zip(*m)]
         out = [[sum_products([(row[r], v) for r, v in col]) for col in cols] for row in rows]
@@ -656,7 +657,7 @@ def _nabla_J(J, gamma):
     dim = len(gamma)
 
     def row(a):
-        left, right = vec_mat(J, gamma[a]), vec_mat(gamma[a], J)
+        left, right = mat_mul(J, gamma[a]), mat_mul(gamma[a], J)
         return _table(dim, 2, lambda b, c: _deriv(J[b][c], a) + left[b][c] - right[b][c])
 
     return _real(lambda firsts: [row(a) for a in firsts], dim)
@@ -786,7 +787,7 @@ def _radial_gauge_derivatives(RL, gamma, gam0):
     jac_t = _table(dim, 2, lambda d, b: jac[b][d])
     # RL is imaginary, and so is its pullback
     comp = _real(lambda firsts: mat_compose([RL[a] for a in firsts], zmap, cap=2), dim, -1)
-    comp_jac_t = _real(lambda firsts: vec_mat([comp[a] for a in firsts], jac_t), dim, -1)
-    pulled = _real(lambda firsts: vec_mat([jac[a] for a in firsts], comp_jac_t), dim, -1)
+    comp_jac_t = _real(lambda firsts: mat_mul([comp[a] for a in firsts], jac_t), dim, -1)
+    pulled = _real(lambda firsts: mat_mul([jac[a] for a in firsts], comp_jac_t), dim, -1)
     return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
             _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

@@ -377,8 +377,9 @@ class PolyGaussianForm:
     """A kernel as polynomial times the vacuum kernel: (xi, xibar, primed,
     barred-primed) monomials with sector coefficients.
 
-    Kernels are evaluated, adjointed and composed in this form; states
-    convert to it with `TwoPointState.to_poly` and back with `from_poly`.
+    Kernels are adjointed and composed in this form, and a product is read
+    at the origin by `compose_origin`; states convert to it with
+    `TwoPointState.to_poly` and back with `from_poly`.
     """
 
     __slots__ = ("ctx", "terms")
@@ -391,11 +392,6 @@ class PolyGaussianForm:
         if not isinstance(other, PolyGaussianForm):
             return NotImplemented
         return self.terms == other.terms
-
-    def evaluate_origin(self) -> ExteriorEndo:
-        """Kernel value at Z = Z' = 0 (the vacuum kernel is 1 there)."""
-        z = self.ctx.zero_multi
-        return self.terms.get((z, z, z, z), self.ctx.alg.zero_endo())
 
     def adjoint(self) -> "PolyGaussianForm":
         """Kernel adjoint: swap arguments, conjugate, adjoint the sector part."""

@@ -15,10 +15,11 @@ pass over the integers, so equal values have equal fields and `==` and
 `hash` compare structure.  `terms()` hands the coefficients out as
 `Fraction`s; no `Fraction` arithmetic runs inside.
 
-Division is deliberately restricted to monomials (a single pi-power with an
-invertible Gaussian-rational coefficient): that is the only division the
-resolvent calculus ever needs, and keeping it that narrow means the ring
-never silently leaves the Laurent class.
+There is no division.  Every quotient the package forms is by a rational
+constant (a binomial coefficient, a factorial, an eigenvalue count), and it
+is written as a product with a rational literal: `rat("p/q")` or
+`scale("p/q")`.  So every value is built from the inputs by ring operations
+and multiplication by constants, and `a / b` raises TypeError.
 """
 
 from __future__ import annotations
@@ -158,17 +159,6 @@ class ExactScalar:
 
     def scale(self, re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> "ExactScalar":
         return self * ExactScalar.rational(re, im, pi_pow)
-
-    def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        """Division by a monomial c*pi^k with c an invertible Gaussian rational."""
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        if len(other._num) != 1:
-            raise ZeroDivisionError(f"division only by pi-monomials, got {other}")
-        (k, (c, d)), = other._num.items()
-        # 1 / ((c + id) / D pi^k) = D (c - id) / (c^2 + d^2) pi^-k
-        den = other._den
-        return self * _reduced({-k: (den * c, -den * d)}, c * c + d * d)
 
     def conjugate(self) -> "ExactScalar":
         return _make({k: (a, -b) for k, (a, b) in self._num.items()}, self._den)

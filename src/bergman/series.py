@@ -16,22 +16,21 @@ does so at every derivative), and the minimum cap then propagates through
 
 Products are graded: the right factor is bucketed by total degree once, and
 a left term of degree d meets only the buckets of degree <= cap - d, so no
-product above the cap is ever formed.  A sum of products (`sum_of_products`,
-each entry of `mat_mul` and `vec_mat`) is fused: every term pair of every
-product goes into one table keyed by the output monomial, and each output
-coefficient is then one `scalars.sum_products` call, normalized by a single
-gcd pass; `x * y` is the one-pair case.  `mat_compose` substitutes into a
-whole matrix through one table of monomial images, each formed once.  Every
-ring result is built by one internal constructor that only drops zero
-coefficients: it never sees a term above the cap, because each operation
-keeps to the cap itself.  The public `Series(nvars, cap, terms)` still
-filters both.
+product above the cap is ever formed.  A sum of products (each entry of
+`mat_mul`) is fused: every term pair of every product goes into one table
+keyed by the output monomial, and each output coefficient is then one
+`scalars.sum_products` call, normalized by a single gcd pass; `x * y` is the
+one-pair case.  `mat_compose` substitutes into a whole matrix through one
+table of monomial images, each formed once.  Every ring result is built by
+one internal constructor that only drops zero coefficients: it never sees a
+term above the cap, because each operation keeps to the cap itself.  The
+public `Series(nvars, cap, terms)` still filters both.
 
-Matrices of series support exact inversion by Newton iteration seeded at
-the exact constant-term inverse, which terminates after O(log cap) sweeps
-because the error degree doubles each step, and exact square roots of
-I + X (X constant-free) by the binomial series sum_k binom(1/2, k) X^k,
-which is exact once k reaches the cap.
+A matrix of series whose constant term is the identity, I + X with X
+constant-free, has an exact inverse and square root by one binomial series,
+(I + X)^e = sum_k binom(e, k) X^k with e = -1 or 1/2, which is exact once k
+reaches the cap.  Nothing here divides by a series or by a scalar that is
+not a rational constant: the binomial coefficients are rational literals.
 """
 
 from __future__ import annotations
@@ -195,12 +194,6 @@ def _fused(nvars: int, cap: int, pairs: Sequence[tuple[Graded, Graded]]) -> Seri
     return _series(nvars, cap, {e: sum_products(p) for e, p in acc.items()})
 
 
-def sum_of_products(pairs: Sequence[tuple[Series, Series]], nvars: int, cap: int) -> Series:
-    """sum x * y over `pairs`, truncated at `cap`, as one fused sum: no
-    intermediate product series, one normalization per coefficient."""
-    return _fused(nvars, cap, [(_graded(x), _graded(y)) for x, y in pairs])
-
-
 Matrix = list[list[Series]]
 
 
@@ -227,25 +220,9 @@ def mat_scale(a: Matrix, c: ExactScalar) -> Matrix:
     return [[x.scale(c) for x in row] for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Each entry is one fused sum; it keeps the minimum cap of its nonzero products."""
-    dim = len(a)
-    nvars, zero_cap = a[0][0].nvars, a[0][0].cap
-    ga = [[_graded(x) for x in row] for row in a]
-    gb = [[_graded(y) for y in row] for row in b]
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            ks = [k for k in range(dim) if not (a[i][k].is_zero() or b[k][j].is_zero())]
-            cap = min((min(a[i][k].cap, b[k][j].cap) for k in ks), default=zero_cap)
-            row.append(_fused(nvars, cap, [(ga[i][k], gb[k][j]) for k in ks]))
-        out.append(row)
-    return out
-
-
-def vec_mat(rows: Sequence[Sequence[Series]], m: Matrix) -> Matrix:
-    """Each row vector times `m`, with `m` graded once for all rows.
+def mat_mul(rows: Sequence[Sequence[Series]], m: Matrix) -> Matrix:
+    """The matrix product `rows` times `m`: each row vector times `m`, with
+    `m` graded once for all rows.
 
     Entry d of a row is one fused sum; it keeps the minimum cap of all its
     factors, zero ones included.
@@ -309,53 +286,11 @@ def mat_compose(a: Matrix, maps: Sequence[Series], cap: int | None = None) -> Ma
     return out
 
 
-def _const_matrix_inverse(m: list[list[ExactScalar]]) -> list[list[ExactScalar]]:
-    """Exact Gauss-Jordan; pivots must stay pi-monomials (rational suffices here)."""
-    dim = len(m)
-    a = [row[:] for row in m]
-    inv = [[rat(1) if i == j else rat(0) for j in range(dim)] for i in range(dim)]
-    for col in range(dim):
-        piv = None
-        for r in range(col, dim):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular constant matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(dim):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+def _binomial(a: Matrix, p: int, q: int, name: str) -> Matrix:
+    """(I + X)^(p/q) = sum_k binom(p/q, k) X^k for a = I + X.
 
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Series inverse by Newton iteration from the exact constant-term inverse."""
-    dim = len(a)
-    nvars = a[0][0].nvars
-    cap = min(s.cap for row in a for s in row)
-    const = [[a[i][j].value0() for j in range(dim)] for i in range(dim)]
-    x = [[Series.const(nvars, cap, c) for c in row] for row in _const_matrix_inverse(const)]
-    two = mat_scale(mat_identity(dim, nvars, cap), rat(2))
-    err_deg = 1
-    while err_deg <= cap:
-        x = mat_mul(x, mat_sub(two, mat_mul(a, x)))
-        err_deg *= 2
-    return x
-
-
-def mat_sqrt(a: Matrix) -> Matrix:
-    """Square root of a series matrix whose constant term is the identity.
-
-    With a = I + X, sqrt(a) = sum_k binom(1/2, k) X^k; X is constant-free, so
-    X^k starts at degree k and the sum up to k = cap is exact.
+    X is constant-free, so X^k starts at degree k and the sum up to k = cap
+    is exact.  Each coefficient is the last one times (p/q - k + 1) / k.
     """
     dim = len(a)
     nvars = a[0][0].nvars
@@ -365,11 +300,23 @@ def mat_sqrt(a: Matrix) -> Matrix:
         for j in range(dim):
             want = rat(1) if i == j else rat(0)
             if a[i][j].value0() != want:
-                raise ValueError("matrix square root needs identity constant term")
+                raise ValueError(f"matrix {name} needs identity constant term")
     x = mat_sub(a, ident)
     s, power, coeff = ident, ident, rat(1)
     for k in range(1, cap + 1):
         power = mat_mul(power, x)
-        coeff = coeff.scale(f"{3 - 2 * k}/{2 * k}")  # binom(1/2, k)
+        coeff = coeff.scale(f"{p - q * (k - 1)}/{q * k}")
         s = mat_add(s, mat_scale(power, coeff))
     return s
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Inverse of a series matrix whose constant term is the identity:
+    (I + X)^-1 = sum_k (-X)^k."""
+    return _binomial(a, -1, 1, "inverse")
+
+
+def mat_sqrt(a: Matrix) -> Matrix:
+    """Square root of a series matrix whose constant term is the identity:
+    (I + X)^(1/2) = sum_k binom(1/2, k) X^k."""
+    return _binomial(a, 1, 2, "square root")

@@ -99,13 +99,6 @@ class FractionScalar:
     def scale(self, re, im=0, pi_pow: int = 0) -> "FractionScalar":
         return self * FractionScalar({pi_pow: (re, im)})
 
-    def __truediv__(self, other: "FractionScalar") -> "FractionScalar":
-        if len(other._terms) != 1:
-            raise ZeroDivisionError(f"division only by pi-monomials, got {other}")
-        (k, (c, d)), = other._terms.items()
-        norm = c * c + d * d
-        return self * FractionScalar({-k: (c / norm, -d / norm)})
-
     def conjugate(self) -> "FractionScalar":
         return FractionScalar({k: (re, -im) for k, (re, im) in self._terms.items()})
 
@@ -237,6 +230,13 @@ def normal_coordinates_by_products(gamma, gam0) -> list[Series]:
                 c3 = add(c3, mul(w[b], c2c).scale(gam0[b][c][a].scale(4)))
         zmap[a] = add(zmap[a], c3.scale(rat("-1/6")))
     return zmap
+
+
+def poly_evaluate_origin(form: PolyGaussianForm) -> ExteriorEndo:
+    """Kernel value at Z = Z' = 0 of the polynomial form: its constant term,
+    since the vacuum kernel is 1 there."""
+    z = form.ctx.zero_multi
+    return form.terms.get((z, z, z, z), form.ctx.alg.zero_endo())
 
 
 def apply_L0_directly(form: PolyGaussianForm) -> PolyGaussianForm:

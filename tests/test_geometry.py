@@ -19,7 +19,7 @@ from bergman.geometry import (
 )
 from bergman.jet_checks import identity_suite, lambda_scalars, validate_jet
 from bergman.scalars import ExactScalar, rat
-from bergman.series import Series, mat_compose, mat_inverse
+from bergman.series import Series, mat_compose, mat_identity, mat_inverse, mat_mul, mat_scale
 from oracles import (
     compose_per_entry,
     cov0_per_term,
@@ -327,26 +327,37 @@ def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
     (2, 1, None), (3, 2, None), (4, 2, None), (3, 1, ("1/2", "-1/3", "1/4")),
 ])
 def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
-    """g pairs unbarred with barred slots only, so the inverse of its block
+    """The pipeline inverts g once, through g_endo, and g g^-1 = I exactly.
+    g pairs unbarred with barred slots only, so the inverse of its block
     h[j][k] = g[j][n+k] is the block ginv[n+j][k] of g^-1, in value and cap:
     the Chern connection reads h^-1 there instead of inverting h again."""
-    seen = []
-    real = geometry.mat_inverse
+    seen, inverted = [], []
+    real, real_inverse = geometry._christoffels, geometry.mat_inverse
 
-    def spy(a):
-        seen.append((a, real(a)))
-        return seen[-1][1]
+    def spy(g, ginv):
+        seen.append((g, ginv))
+        return real(g, ginv)
 
-    monkeypatch.setattr(geometry, "mat_inverse", spy)
+    def spy_inverse(a):
+        inverted.append(a)
+        return real_inverse(a)
+
+    monkeypatch.setattr(geometry, "_christoffels", spy)
+    monkeypatch.setattr(geometry, "mat_inverse", spy_inverse)
     phi_e = None if twist is None else parse_potential(
         {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
     jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=1 if twist is None else 2)
     [(g, ginv)] = seen
+    assert len(inverted) == 1
     dim = 2 * n
     assert all(g[a][b].is_zero() for a, b in product(range(dim), repeat=2) if (a < n) == (b < n))
-    hinv = mat_inverse([[g[j][n + k] for k in range(n)] for j in range(n)])
+    # h(0) = I / 2, so 2h has a binomial inverse
+    two = rat(2)
+    hinv = mat_scale(mat_inverse(mat_scale([[g[j][n + k] for k in range(n)] for j in range(n)],
+                                           two)), two)
     for j, k in product(range(n), repeat=2):
         assert hinv[j][k] == ginv[n + j][k] and hinv[j][k].cap == ginv[n + j][k].cap, (j, k)
+    assert mat_mul(g, ginv) == mat_identity(dim, dim, ginv[0][0].cap)
 
 
 @pytest.mark.parametrize("n, q", [(2, 1), (3, 2)])

@@ -1,11 +1,18 @@
 """The two routes share nothing but the jet: their agreement is the
 certificate only while neither imports the other.  `perturbation` may take
-the result type `B1Result` from `closed_form`, and nothing else."""
+the result type `B1Result` from `closed_form`, and nothing else.
+
+Both routes and the jet pipeline they consume use ring operations and
+multiplication by rational constants only: no module on them has a `/`
+operator, and scalars do not divide."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import bergman
+from bergman.scalars import rat
 
 SRC = Path(bergman.__file__).resolve().parent
 
@@ -53,3 +60,21 @@ def test_the_import_reader_sees_every_form():
         ("bergman.closed_form", ""), ("bergman.oscillator", ""),
         ("bergman.closed_form", "b1_formula"), ("bergman.perturbation", "b1_engine"),
         ("bergman.oscillator", "sum_states")}
+
+
+# models.py is outside the routes: its float and Fraction division stays
+_DIVISION_FREE = ("scalars", "series", "geometry", "jet_checks", "exterior", "oscillator",
+                  "perturbation", "closed_form")
+
+
+@pytest.mark.parametrize("module", _DIVISION_FREE)
+def test_the_pipeline_and_routes_do_not_divide(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert not lines, f"{module}.py divides at lines {lines}"
+
+
+def test_scalars_have_no_division():
+    with pytest.raises(TypeError):
+        rat(1) / rat(2)

@@ -24,7 +24,7 @@ from bergman.perturbation import (
 from bergman.scalars import rat
 from bergman.series import Series
 
-from oracles import apply_poly_by_monomials, mul_primed
+from oracles import apply_poly_by_monomials, mul_primed, poly_evaluate_origin
 
 SIGNATURES = ((2, 1), (3, 2))
 
@@ -85,7 +85,7 @@ def test_evaluate_origin_matches_polynomial_form(n, q):
     for _ in range(25):
         s = random_terms(ctx, rng, size=6, top=3)
         got = s.evaluate_origin()
-        assert got == s.to_poly().evaluate_origin()
+        assert got == poly_evaluate_origin(s.to_poly())
         nonzero += not got.is_zero()
     assert nonzero >= 10
 
@@ -100,7 +100,7 @@ def test_compose_origin_matches_the_product(n, q):
         y = random_terms(ctx, rng, size=3, top=2).to_poly()
         for left, right in ((x, y), (x, x.adjoint())):
             got = left.compose_origin(right)
-            assert got == left.compose(right).evaluate_origin()
+            assert got == poly_evaluate_origin(left.compose(right))
             nonzero += not got.is_zero()
     assert nonzero >= 4
 
@@ -113,7 +113,7 @@ def test_kernel_sandwich_matches_the_product(jet_cache):
         rp = o1(ctx.kernel_projector()).project_Nperp().resolvent_L20().to_poly()
         got = rp.compose_origin(rp.adjoint())
         assert not got.is_zero()
-        assert got == rp.compose(rp.adjoint()).evaluate_origin()
+        assert got == poly_evaluate_origin(rp.compose(rp.adjoint()))
 
 
 @pytest.mark.parametrize("n,q,seed", [(2, 1, 5), (3, 2, 9)])

@@ -47,8 +47,6 @@ def test_operations_agree_with_fraction_oracle(ta, tb, k, re, im):
     _assert_agree(a.scale(re, im, k), a_old.scale(re, im, k))
     _assert_agree(a.scale(6), a_old.scale(6))
     _assert_agree(a.conjugate(), a_old.conjugate())
-    if re or im:
-        _assert_agree(a / rat(re, im, k), a_old / FractionScalar({k: (re, im)}))
     assert (a == b) == (a_old == b_old)
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
 
@@ -101,7 +99,7 @@ def test_sum_products_agrees_with_fraction_oracle(pairs, cancel):
 
 
 def test_canonical_form():
-    halves = [rat("2/4"), rat(1) / rat(2), rat(3, 0) * rat("1/6")]
+    halves = [rat("2/4"), rat(1).scale(Fraction(1, 2)), rat(3, 0) * rat("1/6")]
     assert halves[0] == halves[1] == halves[2]
     assert len({hash(x) for x in halves}) == 1
     for x in halves:
@@ -121,16 +119,6 @@ def test_basic_arithmetic():
     assert (a - a).is_zero()
     assert a * ExactScalar.one() == a
     assert a * ExactScalar.zero() == ExactScalar.zero()
-
-
-def test_monomial_division_roundtrip():
-    a = rat("7/3", "-2/5", 2) + rat(1, 0, -1)
-    d = ExactScalar.pi(3, "5/2")
-    assert (a * d) / d == a
-    with pytest.raises(ZeroDivisionError):
-        a / (rat(1) + ExactScalar.pi(1))
-    with pytest.raises(ZeroDivisionError):
-        a / ExactScalar.zero()
 
 
 def test_conjugation():
