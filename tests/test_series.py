@@ -156,24 +156,38 @@ def test_fused_sum_matches_the_sum_of_products(seed):
     _assert_well_formed(_one_row(pairs[-1:]), cap)
 
 
+def _assert_matches_the_entrywise_oracle(rows, m):
+    """Entry d of row t of rows times m is the sum of the pairwise products;
+    zero entries count towards the cap of that sum, and only there."""
+    for t, got in zip(rows, mat_mul(rows, m)):
+        for d in range(len(m[0])):
+            want = Series.zero(NVARS, min(min(x.cap, r[d].cap) for x, r in zip(t, m)))
+            for x, r in zip(t, m):
+                want = series_add_pairwise(want, series_mul_pairwise(x, r[d]))
+            _assert_well_formed(got[d], want.cap)
+            assert got[d] == want
+
+
+def _mixed_entry(rng: random.Random) -> Series:
+    return _random_series(rng, NVARS, rng.choice([1, 2, 3]), density=rng.choice([0, 0.5]))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_mat_mul_matches_the_entrywise_oracle(seed):
-    """Square and non-square products of mixed caps; zero entries count
-    towards the cap of a sum, and only there."""
+    """Square products of mixed caps with zero entries."""
+    rng = random.Random(50 + seed)
+    a = [[_mixed_entry(rng) for _ in range(DIM)] for _ in range(DIM)]
+    b = [[_mixed_entry(rng) for _ in range(DIM)] for _ in range(DIM)]
+    _assert_matches_the_entrywise_oracle(a, b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vec_mat_matches_the_entrywise_oracle(seed):
+    """More row vectors than the matrix has rows: the non-square product."""
     rng = random.Random(70 + seed)
-
-    def entry():
-        return _random_series(rng, NVARS, rng.choice([1, 2, 3]), density=rng.choice([0, 0.5]))
-
-    m = [[entry() for _ in range(DIM)] for _ in range(DIM)]
-    for rows in ([[entry() for _ in range(DIM)] for _ in range(4)], m):
-        for t, got in zip(rows, mat_mul(rows, m)):
-            for d in range(DIM):
-                want = Series.zero(NVARS, min(min(x.cap, r[d].cap) for x, r in zip(t, m)))
-                for x, r in zip(t, m):
-                    want = series_add_pairwise(want, series_mul_pairwise(x, r[d]))
-                _assert_well_formed(got[d], want.cap)
-                assert got[d] == want
+    m = [[_mixed_entry(rng) for _ in range(DIM)] for _ in range(DIM)]
+    rows = [[_mixed_entry(rng) for _ in range(DIM)] for _ in range(4)]
+    _assert_matches_the_entrywise_oracle(rows, m)
 
 
 @pytest.mark.parametrize("cap", [None, 1, 2, 3])
