@@ -37,6 +37,9 @@ c(a) = (a + n) mod 2n.  R = d dbar phi and its exp-map pullback are
 imaginary (a minus sign).  Each of these stages builds the entries whose
 first index is < n and mirrors the rest through `_real`; exact,
 conjugation-equivariant arithmetic makes them the entries a direct build gives.
+A stage read only by a contraction of its last slot (`_contract_real`) is
+not mirrored at all: the contraction reads the first half and mirrors its
+own result.
 """
 
 from __future__ import annotations
@@ -424,7 +427,7 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     g0, ginv0 = _at0(g), _at0(ginv)
 
     # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc
-    J = _contract_real(omega, ginv)
+    J = _contract_real(_firsts(omega), ginv)
 
     # Levi-Civita data
     gamma = _christoffels(g, ginv)
@@ -439,7 +442,7 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     tas = _antisym_torsion(gamma_ch, g, n)
 
     sb_low = _real_table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
-    sb_up = _contract_real(sb_low, ginv)
+    sb_up = _contract_real(_firsts(sb_low), ginv)
     gamma_b = _real_table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
     gamb0 = _at0(gamma_b)
 
@@ -460,11 +463,11 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
         "RE": _aux_curvature(phi_e, n, rk_e),
         "trRT10": _chern_trace_form(gamma_ch, n),
         "Tas": _at0(tas),
-        "covTas": _cov0(tas, [lc, lc, lc]),
+        "covTas": _real(partial(_cov0, tas, [lc, lc, lc]), dim),
         "dTas": _ext_deriv3(tas),
-        "nablaXJ": _contract_real(_cov0(J, [lc, lc_up]), g0),
-        "nablaBJ": _contract_real(_at0(nbj), g0),
-        "nablaB2J": _contract_real(_cov0(nbj, [lc, bis, bis_up]), g0),
+        "nablaXJ": _contract_real(partial(_cov0, J, [lc, lc_up]), g0),
+        "nablaBJ": _contract_real(_firsts(_at0(nbj)), g0),
+        "nablaB2J": _contract_real(partial(_cov0, nbj, [lc, bis, bis_up]), g0),
         "SB": _at0(sb_low),
         "RB": _contract_real(_curvature(gamma_b, gamb0), g0),
     }
@@ -520,7 +523,17 @@ def _mirror(t, n: int, sign: int):
 
 def _real_table(dim: int, rank: int, fn) -> list:
     """`_table(dim, rank, fn)` of a real tensor, through `_real`."""
-    return _real(lambda firsts: [_table(dim, rank - 1, partial(fn, a)) for a in firsts], dim)
+    return _real(_subtables(dim, rank, fn), dim)
+
+
+def _subtables(dim: int, rank: int, fn):
+    """The build function, as `_real` takes it, of `_table(dim, rank, fn)`."""
+    return lambda firsts: [_table(dim, rank - 1, partial(fn, a)) for a in firsts]
+
+
+def _firsts(t):
+    """The build function, as `_real` takes it, of a tensor already formed."""
+    return lambda firsts: [t[a] for a in firsts]
 
 
 def _at0(t):
@@ -562,9 +575,11 @@ def _contract_last(t, m):
     return _nest(t, iter(out))
 
 
-def _contract_real(t, m):
-    """`_contract_last(t, m)` of a real tensor t and matrix m, through `_real`."""
-    return _real(lambda firsts: _contract_last([t[a] for a in firsts], m), len(t))
+def _contract_real(build, m):
+    """`_contract_last(t, m)` of a real tensor t and matrix m, through `_real`;
+    t is given by its build function, so only the subtensors t[a] the
+    contraction reads, a < n, are built."""
+    return _real(lambda firsts: _contract_last(build(firsts), m), len(m))
 
 
 def _rows(t) -> list:
@@ -603,13 +618,15 @@ def _christoffels(g, ginv):
 
 
 def _curvature(gamma, gam0):
-    """R(e_a, e_b) e_c at the base point, output slot last and raised.
+    """R(e_a, e_b) e_c at the base point, output slot last and raised, as the
+    build function that `_contract_real` takes.
 
     X = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc is the base-point derivative
     of Gamma with its output slot transported; R is its antisymmetrization.
     """
-    x = _cov0(gamma, [None, None, (gam0, True)])
-    return _real_table(len(gamma), 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
+    dim = len(gamma)
+    x = _real(partial(_cov0, gamma, [None, None, (gam0, True)]), dim)
+    return _subtables(dim, 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
 
 
 def _scalar_curvature(rtx, ginv0) -> ExactScalar:
@@ -644,7 +661,7 @@ def _antisym_torsion(gamma_ch, g, n):
             return gamma_ch[i][j][k] - gamma_ch[j][i][k]
         return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else zero
 
-    low = _contract_real(_real_table(dim, 3, tvec), g)
+    low = _contract_real(_subtables(dim, 3, tvec), g)
     return _real_table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
 
 
@@ -663,8 +680,10 @@ def _nabla_J(J, gamma):
     return _real(lambda firsts: [row(a) for a in firsts], dim)
 
 
-def _cov0(t, slots):
-    """Covariant derivative at the base point of a series tensor, derivative slot first.
+def _cov0(t, slots, firsts):
+    """Covariant derivative at the base point of a series tensor, derivative
+    slot first: its subtensors whose derivative index is in `firsts`, as
+    `_real` builds them.
 
     `slots` has one entry per slot of `t`: None leaves the slot alone, and
     (gam0, raised) transports it with the connection whose values at 0 are
@@ -672,7 +691,7 @@ def _cov0(t, slots):
     a raised slot i adds +Gamma^i_mf t^(..f..).  Only nonzero series of t,
     nonzero Christoffel values and nonzero entries of t(0) are visited, and
     each output entry with corrections is one fused sum of them and the
-    derivative.  t and the connections are real, so only m < n is built.
+    derivative.
     """
     dim, rank = len(t), len(slots)
     entries = [(idx, s) for idx in product(range(dim), repeat=rank)
@@ -681,38 +700,35 @@ def _cov0(t, slots):
     units = [tuple(int(a == m) for a in range(dim)) for m in range(dim)]
     t0 = [(idx, v) for idx, s in entries if not (v := s.value0()).is_zero()]
 
-    def build(firsts):
-        out = {(m, *idx): c for idx, s in entries for m in firsts
-               if (c := s.terms.get(units[m])) is not None}
-        pairs: dict[tuple[int, ...], list] = {}
-        for p, slot in enumerate(slots):
-            if slot is None:
-                continue
-            gam0, raised = slot
-            # moves[f]: (m, i, c) for each term c t_(..f..) that slot index i receives
-            moves = [[] for _ in range(dim)]
-            for m, i, f in product(firsts, range(dim), range(dim)):
-                c = gam0[m][f][i] if raised else gam0[m][i][f]
-                if not c.is_zero():
-                    moves[f].append((m, i, c if raised else -c))
-            for idx, v in t0:
-                for m, i, c in moves[idx[p]]:
-                    key = (m, *idx[:p], i, *idx[p + 1:])
-                    if key not in pairs:
-                        d = out.get(key)
-                        pairs[key] = [] if d is None else [(d, _ONE)]
-                    pairs[key].append((c, v))
-        for key, terms in pairs.items():
-            out[key] = sum_products(terms)
-        return [_table(dim, rank, lambda *idx: out.get((m, *idx), _ZERO)) for m in firsts]
-
-    return _real(build, dim)
+    out = {(m, *idx): c for idx, s in entries for m in firsts
+           if (c := s.terms.get(units[m])) is not None}
+    pairs: dict[tuple[int, ...], list] = {}
+    for p, slot in enumerate(slots):
+        if slot is None:
+            continue
+        gam0, raised = slot
+        # moves[f]: (m, i, c) for each term c t_(..f..) that slot index i receives
+        moves = [[] for _ in range(dim)]
+        for m, i, f in product(firsts, range(dim), range(dim)):
+            c = gam0[m][f][i] if raised else gam0[m][i][f]
+            if not c.is_zero():
+                moves[f].append((m, i, c if raised else -c))
+        for idx, v in t0:
+            for m, i, c in moves[idx[p]]:
+                key = (m, *idx[:p], i, *idx[p + 1:])
+                if key not in pairs:
+                    d = out.get(key)
+                    pairs[key] = [] if d is None else [(d, _ONE)]
+                pairs[key].append((c, v))
+    for key, terms in pairs.items():
+        out[key] = sum_products(terms)
+    return [_table(dim, rank, lambda *idx: out.get((m, *idx), _ZERO)) for m in firsts]
 
 
 def _ext_deriv3(t):
     """Exterior derivative at the base point of a series 3-form; each entry is
     one fused sum of its four signed derivatives."""
-    dt = _cov0(t, [None] * 3)
+    dt = _real(partial(_cov0, t, [None] * 3), len(t))
     return _real_table(len(t), 4, lambda a, b, c, d: sum_products([
         (dt[a][b][c][d], _ONE), (dt[b][a][c][d], _MINUS_ONE),
         (dt[c][a][b][d], _ONE), (dt[d][a][b][c], _MINUS_ONE)]))

@@ -26,11 +26,23 @@ that value: `TwoPointState.evaluate_origin` reads it off the normal-ordered
 terms without the polynomial form, `PolyGaussianForm.compose_origin` gives a
 product's value there without forming the product, and `mul_poly` multiplies
 by a polynomial in one pass over the state.
+
+The origin reads no term with a primed factor (gamma or delta != 0), and no
+operator but the adjoint and the composition lowers gamma or delta.  So the
+states whose only use is their origin value live in the quotient by primed
+terms: `OscillatorContext.quotient()` is a sibling context in which every
+state drops its primed terms as it is built, and `restrict_second_zero`
+moves a state there.  A sum with a quotient summand is a quotient state.
+The adjoint swaps the primed argument and the composition integrates it
+out, so neither is defined modulo primed terms: there is no polynomial form
+in the quotient, and `to_poly`, `adjoint`, `compose`, `from_poly` and
+`compose_origin` raise ValueError on it.
 """
 
 from __future__ import annotations
 
 import os
+from copy import copy
 from math import comb, factorial
 from typing import Iterable
 
@@ -67,6 +79,16 @@ class OscillatorContext:
         self.zero_multi: Multi = (0,) * n
         self._project_det = self.alg.project_det(q)
         self._identity = self.alg.identity()
+        self.primed_free = False
+        self._quotient: OscillatorContext | None = None
+
+    def quotient(self) -> "OscillatorContext":
+        """The sibling context modulo primed terms, built once; its own quotient."""
+        if self._quotient is None:
+            sibling = copy(self)
+            sibling.primed_free = True
+            sibling._quotient = self._quotient = sibling
+        return self._quotient
 
     def unit(self, j: int) -> Multi:
         return tuple(1 if i == j else 0 for i in range(self.n))
@@ -106,11 +128,13 @@ def _check_degree(key: TermKey, cap: int) -> None:
 
 def _capped_terms(ctx: OscillatorContext,
                   terms: dict[TermKey, ExteriorEndo]) -> dict[TermKey, ExteriorEndo]:
-    """Drop zero terms; refuse any term whose total degree exceeds the cap."""
+    """Drop zero terms, and primed terms in a quotient context; refuse any
+    other term whose total degree exceeds the cap."""
     clean = {}
     cap = ctx.degree_cap
+    primed_free, z = ctx.primed_free, ctx.zero_multi
     for key, endo in terms.items():
-        if endo.is_zero():
+        if endo.is_zero() or primed_free and (key[2] != z or key[3] != z):
             continue
         _check_degree(key, cap)
         clean[key] = endo
@@ -130,29 +154,39 @@ def _xi_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
     return out
 
 
-def _xibar_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
-    """xibar_j times one term, as (term, coefficient) pairs."""
+def _xibar_unprimed_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xibar_j times one term modulo primed terms, as (term, coefficient) pairs."""
     a, b, g, d = key
     out = [((_bump(a, j), b, g, d), _HALF_INV_PI)]
     if b[j]:
         out.append(((a, _bump(b, j, -1), g, d), ExactScalar.pi(-1, b[j])))
+    return out
+
+
+def _xibar_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xibar_j times one term: its images modulo primed terms, and xibar'_j
+    times the term."""
+    a, b, g, d = key
+    out = _xibar_unprimed_images(key, j)
     out.append(((a, b, g, _bump(d, j)), _ONE))
     return out
 
 
-def _monomial_images(key: TermKey, xi: Multi, xibar: Multi,
-                     cap: int) -> dict[TermKey, ExactScalar]:
+def _monomial_images(key: TermKey, xi: Multi, xibar: Multi, cap: int,
+                     primed_free: bool) -> dict[TermKey, ExactScalar]:
     """xi^xi xibar^xibar times one term, one factor at a time: for each mode j,
-    its xi_j factors, then its xibar_j factors.
+    its xi_j factors, then its xibar_j factors; modulo primed terms if
+    `primed_free`.
 
     Every term formed on the way is checked against the degree cap.  Each
     factor moves the degree by one, so no check is needed when the term's
     degree plus the monomial's stays within the cap.
     """
     check = sum(map(sum, key)) + sum(xi) + sum(xibar) > cap
+    xibar_images = _xibar_unprimed_images if primed_free else _xibar_images
     cur = {key: _ONE}
     for j in range(len(xi)):
-        for images, times in ((_xi_images, xi[j]), (_xibar_images, xibar[j])):
+        for images, times in ((_xi_images, xi[j]), (xibar_images, xibar[j])):
             for _ in range(times):
                 nxt: dict[TermKey, ExactScalar] = {}
                 for k, s in cur.items():
@@ -171,12 +205,15 @@ def _monomial_images(key: TermKey, xi: Multi, xibar: Multi,
 def sum_states(ctx: OscillatorContext, plus: Iterable["TwoPointState"],
                minus: Iterable["TwoPointState"] = ()) -> "TwoPointState":
     """sum(plus) - sum(minus) in one pass: the term dicts are merged into one
-    and the state is built once, instead of once per partial sum."""
+    and the state is built once, instead of once per partial sum.  The sum is
+    a quotient state if any summand is one."""
     terms: dict[TermKey, ExteriorEndo] = {}
     for s in plus:
+        ctx = s.ctx if s.ctx.primed_free else ctx
         for k, v in s.terms.items():
             _add_term(terms, k, v)
     for s in minus:
+        ctx = s.ctx if s.ctx.primed_free else ctx
         for k, v in s.terms.items():
             terms[k] = terms[k] - v if k in terms else -v
     return TwoPointState(ctx, terms)
@@ -250,12 +287,12 @@ class TwoPointState:
         Every term that multiplying one factor at a time would form is formed
         here too, one input term at a time, and checked against the degree cap.
         """
-        cap = self.ctx.degree_cap
+        cap, primed_free = self.ctx.degree_cap, self.ctx.primed_free
         out: dict[TermKey, ExteriorEndo] = {}
         for key, endo in self.terms.items():
             images: dict[TermKey, ExactScalar] = {}
             for (xi, xibar), c in poly.items():
-                for k2, s in _monomial_images(key, xi, xibar, cap).items():
+                for k2, s in _monomial_images(key, xi, xibar, cap, primed_free).items():
                     v = s * c
                     images[k2] = images[k2] + v if k2 in images else v
             for k2, s in images.items():
@@ -341,10 +378,9 @@ class TwoPointState:
                                 for (a, b, g, d), endo in poly.terms.items()])
 
     def restrict_second_zero(self) -> "TwoPointState":
-        """Kernel against second argument zero: primed monomials drop out."""
-        z = self.ctx.zero_multi
-        out = {k: v for k, v in self.terms.items() if k[2] == z and k[3] == z}
-        return TwoPointState(self.ctx, out)
+        """Kernel against second argument zero: the state modulo primed
+        terms, in the quotient context."""
+        return TwoPointState(self.ctx.quotient(), self.terms)
 
     # -- kernel evaluation, adjoint and composition: see PolyGaussianForm --------
 
@@ -385,6 +421,8 @@ class PolyGaussianForm:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: OscillatorContext, terms: dict[TermKey, ExteriorEndo]):
+        if ctx.primed_free:
+            raise ValueError("a kernel has no polynomial form modulo primed terms")
         self.ctx = ctx
         self.terms = _capped_terms(ctx, terms)
 

@@ -27,7 +27,7 @@ from .closed_form import B1Result
 from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet
-from .jet_checks import validate_jet
+from .jet_checks import _allzero, validate_jet
 from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
 from .series import Series
@@ -39,6 +39,7 @@ Operator = Callable[[TwoPointState], TwoPointState]
 # The gradient square is the only quartic one.
 _CAP = 4
 _ZERO = ExactScalar.zero()
+_ONE = ExactScalar.one()
 
 
 def _var(n: int, a: int) -> Series:
@@ -63,7 +64,10 @@ def _zpoly(n: int, rank: int, coeff: Callable[..., ExactScalar]) -> Series:
 
 def _gradient_polys(jet: GeometryJet) -> list[Series]:
     """sum_{k,c} dRL1[k][c][a] Z_k Z_c for each frame label a."""
-    return [_zpoly(jet.n, 2, lambda k, c, a=a: jet.dRL1[k][c][a]) for a in range(2 * jet.n)]
+    dim = 2 * jet.n
+    if _allzero(jet.dRL1):
+        return [Series.zero(dim, _CAP)] * dim
+    return [_zpoly(jet.n, 2, lambda k, c, a=a: jet.dRL1[k][c][a]) for a in range(dim)]
 
 
 def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
@@ -94,14 +98,23 @@ def _v_to_xi(n: int, q: int, label: int) -> int:
     return j if j < q else n + j
 
 
-def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, comp_xi) -> ExteriorEndo:
-    """Clifford contraction of a degree-d form given by xi-frame components
-    `comp_xi(a_1, .., a_d)`; its v-frame components are 2^(d/2) times those."""
+def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, form,
+                   coeff: ExactScalar = _ONE) -> ExteriorEndo:
+    """coeff times the Clifford contraction of a degree-d form given by its
+    xi-frame components, nested as `form[a_1]..[a_d]`; its v-frame
+    components are 2^(d/2) times those, and each is scaled by coeff
+    2^(d/2) once.  An all-zero form visits no label word."""
+    if _allzero(form):
+        return alg.zero_endo()
     n = alg.n
-    factor = rat(2 ** (degree // 2))
+    factor = coeff * rat(2 ** (degree // 2))
+    unit = factor == _ONE
 
     def comp_v(labels: tuple[int, ...]) -> ExactScalar:
-        return comp_xi(*(_v_to_xi(n, q, l) for l in labels)) * factor
+        c = form
+        for l in labels:
+            c = c[_v_to_xi(n, q, l)]
+        return c if unit else c * factor
 
     return alg.clifford_of_form(degree, comp_v)
 
@@ -144,10 +157,8 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
     cliff: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
-        endo = _clifford_form(ctx.alg, jet.q, 2,
-                              lambda b, c, a=a: jet.nablaBJ[a][b][c])
         # -4 pi i times the quarter action, which is half the contraction
-        endo = endo.scale(ExactScalar.rational(0, -2, 1))
+        endo = _clifford_form(ctx.alg, jet.q, 2, jet.nablaBJ[a], ExactScalar.rational(0, -2, 1))
         if not endo.is_zero():
             cliff.append((_var(n, a), endo))
 
@@ -169,25 +180,27 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     # each coefficient of a nabla_0 along d_a carries its factor (see
     # `_lower`), so the operator lowers the state once per label a
     nabla0 = [rat("-1/2") if a < n else rat("1/2") for a in range(dim)]
+    zero = Series.zero(dim, _CAP)
+    # the curvature polynomials of a flat jet are zero: skip their label loops
+    curved = not _allzero(jet.RTX)
 
     # (1/3) <R(Z, e_i) Z, e_j> nabla_i nabla_j ; double frame resolution
     kpoly: dict[tuple[int, int], Series] = {}
-    for a in range(dim):
-        for b in range(dim):
-            p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
-            if not p.is_zero():
-                kpoly[(a, b)] = p.scale(rat("4/3") * nabla0[a] * nabla0[b])
+    for a, b in product(range(dim), repeat=2) if curved else ():
+        p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
+        if not p.is_zero():
+            kpoly[(a, b)] = p.scale(rat("4/3") * nabla0[a] * nabla0[b])
 
     # the cubic curvature polynomial sum dRL2[k][l][m][part(a)] Z_k Z_l Z_m of each a
-    cubic = [_zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)])
-             for a in range(dim)]
+    cubic = [zero] * dim if _allzero(jet.dRL2) else [
+        _zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)]) for a in range(dim)]
 
     # single-derivative coefficients
     single: list[Series] = []
     single_aux: list[list] = [[] for _ in range(dim)]
     for a in range(dim):
         pa = part(a)
-        linear = _zpoly(n, 1, lambda c: sum(
+        linear = zero if not curved else _zpoly(n, 1, lambda c: sum(
             (jet.RTX[c][b][part(b)][pa] for b in range(dim)), _ZERO))
         single.append((linear.scale(rat("4/3")) + cubic[a].scale(rat("-1/4")))
                       .scale(rat(2) * nabla0[a]))
@@ -198,19 +211,19 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                     [[x * nabla0[a].scale(-2) for x in row] for row in mat])))
 
     # scalar multiplication pieces
-    divergence = Series.zero(dim, _CAP)
+    divergence = zero
     for a in range(dim):
         divergence = divergence + cubic[a].scale(rat("1/2")).diff(a)
     divergence = divergence.scale(rat("-1/2"))  # -1/4 times resolution factor 2
 
     grad = _gradient_polys(jet)
-    gradient_sq = Series.zero(dim, _CAP)
+    gradient_sq = zero
     for a in range(dim):
         gradient_sq = gradient_sq + (grad[a] * grad[part(a)]).scale(rat("-2/9"))
 
     # the commutator correction is -[L0, N] / 12 with N = 2 sum RTX[c][a][d][part(a)]
     # Z_c Z_d; this is N / 12
-    commutator_n = _zpoly(n, 2, lambda c, d: sum(
+    commutator_n = zero if not curved else _zpoly(n, 2, lambda c, d: sum(
         (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat("1/6"))
 
     lowered_labels = sorted({b for _, b in kpoly} | {a for a in range(dim)
@@ -239,8 +252,7 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
 def build_psi_endo(jet: GeometryJet, alg: ExteriorAlgebra) -> ExteriorEndo:
     """Quarter of the Clifford action of the torsion 4-form."""
-    psi = _clifford_form(alg, jet.q, 4, lambda a, b, c, d: jet.dTas[a][b][c][d])
-    return psi.scale(rat("1/4"))
+    return _clifford_form(alg, jet.q, 4, jet.dTas, rat("1/4"))
 
 
 def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
@@ -252,35 +264,36 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     alg = ctx.alg
     prime = build_O2_prime(jet, ctx)
 
+    half = rat("1/2")
     # spinor-connection curvature coupled to b / b+: its quarter action plus
     # half the trace
     rbl: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
         for b in list(range(n)) + [n + j for j in range(n)]:
-            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
+            endo = _clifford_form(alg, q, 2, jet.RB[a][b], half)
             tr = jet.trRT10[a][b]
             if not tr.is_zero():
-                endo = endo + alg.scalar_endo(tr)
+                endo = endo + alg.scalar_endo(tr * half)
             if not endo.is_zero():
-                rbl[(a, b)] = endo.scale(rat("1/2"))
+                rbl[(a, b)] = endo
 
-    # structure-map second derivative, Clifford action, coefficient -2 pi i
+    # structure-map second derivative, Clifford action, coefficient -2 pi i:
+    # -2 pi i times the quarter action, which is half the contraction
+    minus_i = ExactScalar.rational(0, -1, 1)
     d2j_endo: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
         for b in range(dim):
-            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
+            endo = _clifford_form(alg, q, 2, jet.nablaB2J[a][b], minus_i)
             if not endo.is_zero():
-                # -2 pi i times the quarter action, which is half the contraction
-                d2j_endo.append((_var(n, a) * _var(n, b),
-                                 endo.scale(ExactScalar.rational(0, -1, 1))))
+                d2j_endo.append((_var(n, a) * _var(n, b), endo))
 
     # constant Clifford blocks
-    mixed_form = _clifford_form(alg, q, 2, lambda a, b: jet.trRT10[a][b].scale("1/2"))
+    mixed_form = _clifford_form(alg, q, 2, jet.trRT10, half)
     # (1/2) R^E(e_l, e_m) c(e_l) c(e_m) with prefactor 2: twice the quarter
     # action, so the full contraction, one aux-matrix entry (r, s) at a time
     re_cliff = alg.zero_endo()
     for r, s in product(range(jet.rk_e), repeat=2):
-        form = _clifford_form(alg, q, 2, lambda a, b, r=r, s=s: jet.RE[a][b][r][s])
+        form = _clifford_form(alg, q, 2, [[m[r][s] for m in row] for row in jet.RE])
         if not form.is_zero():
             unit = [[rat(1) if (i, j) == (r, s) else _ZERO for j in range(jet.rk_e)]
                     for i in range(jet.rk_e)]
@@ -322,10 +335,14 @@ def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, Exterior
     operators are made of (apply_b, apply_bdag, mul_xi, mul_xibar,
     apply_endo, apply_L0, scale), and none of the projections and
     resolvents, lowers the primed multi-indices (gamma, delta) of a term,
-    and the origin reads only gamma = delta = 0.  So the last O1 of the
-    double-resolved and iterated-resolvent terms is applied to the
-    primed-free part of its input alone (`restrict_second_zero`).  The
-    kernel sandwich is evaluated at the origin without forming the product
+    and the origin reads only gamma = delta = 0.  So the double-resolved,
+    second-order and iterated-resolvent terms are computed modulo primed
+    terms: their inputs are moved to the quotient context
+    (`restrict_second_zero`), where every state drops its primed terms as it
+    is built and `mul_poly` never forms a primed image.  The kernel sandwich
+    composes the resolved state with its adjoint, a product that reads its
+    primed terms, so that state stays a full one; the sandwich is evaluated
+    at the origin without forming the product
     (`PolyGaussianForm.compose_origin`).
     """
     if check:
@@ -337,12 +354,14 @@ def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, Exterior
     o2 = build_O2(jet, ctx)
     pn = ctx.kernel_projector()
 
+    # the sandwich composes resolved_once with its adjoint: a full state
     resolved_once = o1(pn).project_Nperp().resolvent_L20()
-    # the last O1 of t1 and t6 sees only the primed-free terms: see the docstring
-    t1 = o1(resolved_once.restrict_second_zero()).project_Nperp().resolvent_L20()
-    t2 = o2(pn).project_Nperp().resolvent_L20()
     rp = resolved_once.to_poly()
-    t6 = o1(resolved_once.resolvent_L20().restrict_second_zero()).project_N()
+    # t1, t2 and t6 are read at the origin only: quotient states
+    free = resolved_once.restrict_second_zero()
+    t1 = o1(free).project_Nperp().resolvent_L20()
+    t2 = o2(pn.restrict_second_zero()).project_Nperp().resolvent_L20()
+    t6 = o1(free.resolvent_L20()).project_N()
 
     v1 = t1.evaluate_origin()
     v2 = t2.evaluate_origin()

@@ -340,6 +340,19 @@ def test_bad_degree_cap_is_usage_error(jet_file, monkeypatch, capsys):
         assert err.startswith("error: BERGMAN_DEGREE_CAP") and err.count("\n") == 1, err
 
 
+def test_degree_cap_below_the_engine_is_exit_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "jet.json"
+    assert main(["jet", "random", "--n", "2", "--q", "1", "--seed", "5",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "3")
+    assert main(["b1", "engine", "--jet", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: term degree 4 exceeds cap 3;") and err.count("\n") == 1, err
+    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "4")
+    assert main(["b1", "engine", "--jet", str(path)]) == 0
+
+
 POTENTIAL_CASES = {
     "not-an-object": "[1, 2]",
     "bad-key": json.dumps({"z1 zb1": "1", "w2": "3"}),

@@ -298,29 +298,30 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
     gam0s = [gam0 for _, gam0 in seen["_curvature"]]  # Levi-Civita, then Bismut
     assert len(gam0s) == 2 and gam0s[0] != gam0s[1]
     for gam0 in gam0s:
-        assert allzero(geometry._cov0(g, [(gam0, False)] * 2))
-        assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2))
+        assert allzero(geometry._cov0(g, [(gam0, False)] * 2, range(2 * n)))
+        assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2, range(2 * n)))
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
 def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
-    """Every `_cov0` call of the pipeline (the two curvatures, covTas, nablaXJ
-    and nablaB2J) gives the tensor that adding each Christoffel correction
-    one term at a time gives; the calls move slots with the Levi-Civita and
-    the Bismut Gamma(0), each raised and lowered."""
+    """Every `_cov0` call of the pipeline (the two curvatures, covTas, dTas,
+    nablaXJ and nablaB2J) gives the subtensors that adding each Christoffel
+    correction one term at a time gives; the calls move slots with the
+    Levi-Civita and the Bismut Gamma(0), each raised and lowered."""
     calls = []
     real = geometry._cov0
 
-    def spy(t, slots):
-        calls.append((t, slots, real(t, slots)))
-        return calls[-1][2]
+    def spy(t, slots, firsts):
+        calls.append((t, slots, firsts, real(t, slots, firsts)))
+        return calls[-1][3]
 
     monkeypatch.setattr(geometry, "_cov0", spy)
     jet_from_potential(random_potential(n, q, 5), n=n, q=q)
-    moves = {(id(slot[0]), slot[1]) for _, slots, _ in calls for slot in slots if slot}
+    moves = {(id(slot[0]), slot[1]) for _, slots, _, _ in calls for slot in slots if slot}
     assert len(moves) == 4
-    for t, slots, got in calls:
-        assert got == cov0_per_term(t, slots)
+    for t, slots, firsts, got in calls:
+        want = cov0_per_term(t, slots)
+        assert got == [want[m] for m in firsts]
 
 
 @pytest.mark.parametrize("n, q, twist", [

@@ -2,8 +2,8 @@
 
 The engine reads each expansion term only at Z = Z' = 0, and computes no
 more than that value needs: the origin value straight from the normal-ordered
-terms, the kernel sandwich without forming the product, the last O1 on the
-primed-free part of its input only, and multiplication by a polynomial in
+terms, the kernel sandwich without forming the product, the terms read only
+at the origin modulo primed terms, and multiplication by a polynomial in
 one pass.  Each path is compared here with the full computation it replaces.
 """
 
@@ -12,11 +12,12 @@ import random
 import pytest
 
 from bergman.errors import DegreeCapError
-from bergman.oscillator import OscillatorContext, TwoPointState
+from bergman.oscillator import OscillatorContext, PolyGaussianForm, TwoPointState, sum_states
 from bergman.perturbation import (
     _apply_poly,
     _gradient_polys,
     _var,
+    b1_engine,
     build_O1,
     build_O2,
     engine_context,
@@ -118,19 +119,66 @@ def test_kernel_sandwich_matches_the_product(jet_cache):
 
 @pytest.mark.parametrize("n,q,seed", [(2, 1, 5), (3, 2, 9)])
 def test_operators_never_lower_primed_indices(jet_cache, n, q, seed):
-    """restrict(O(x)) = restrict(O(restrict(x))): what lets the engine apply its
-    last O1 to the primed-free terms alone."""
+    """restrict(O(x)) = O(restrict(x)) term for term, where O of a quotient
+    state is computed modulo primed terms: what lets the engine compute the
+    terms it reads only at the origin in the quotient."""
     jet = jet_cache("random", n, q, seed)
     ctx = engine_context(jet)
     rng = random.Random(303 + n)
-    primed = 0
+    primed = dropped = 0
     for op in (build_O1(jet, ctx), build_O2(jet, ctx)):
         for _ in range(4):
             x = primed_state(ctx, rng)
             free = x.restrict_second_zero()
             primed += free != x
-            assert op(x).restrict_second_zero() == op(free).restrict_second_zero()
-    assert primed >= 4
+            full, modulo = op(x), op(free)
+            assert full.ctx is ctx and modulo.ctx is ctx.quotient()
+            assert modulo.terms == full.restrict_second_zero().terms
+            dropped += len(full.terms) - len(modulo.terms)
+    assert primed >= 4 and dropped > 0
+
+
+def test_a_sum_with_a_quotient_summand_is_a_quotient_state():
+    ctx = OscillatorContext(2, 1)
+    quotient = ctx.quotient()
+    assert quotient is ctx.quotient() is quotient.quotient() and quotient.primed_free
+    rng = random.Random(606)
+    for _ in range(5):
+        x, y = primed_state(ctx, rng), primed_state(ctx, rng)
+        free = y.restrict_second_zero()
+        for got, want in ((x + free, x + y), (free + x, y + x), (x - free, x - y),
+                          (sum_states(ctx, [x], [free]), x - y)):
+            assert got.ctx is ctx.quotient()
+            assert got.terms == want.restrict_second_zero().terms
+        assert (x + y).ctx is ctx
+
+
+def test_the_quotient_has_no_polynomial_form():
+    """The adjoint swaps the primed argument and the composition integrates it
+    out: both are refused modulo primed terms, and so is the polynomial form
+    that `from_poly` and `compose_origin` take."""
+    ctx = OscillatorContext(2, 1)
+    x = primed_state(ctx, random.Random(707)) + ctx.vacuum().mul_xibar(1)
+    free = x.restrict_second_zero()
+    assert not free.is_zero() and free != x
+    for refused in (free.to_poly, free.adjoint, lambda: free.compose(x),
+                    lambda: x.compose(free),
+                    lambda: PolyGaussianForm(ctx.quotient(), x.to_poly().terms)):
+        with pytest.raises(ValueError, match="modulo primed terms"):
+            refused()
+
+
+@pytest.mark.parametrize("n,q", SIGNATURES)
+def test_engine_degree_cap(jet_cache, monkeypatch, n, q):
+    """The engine's terms reach degree 4 on seed-5 jets: cap 3 is refused."""
+    jet = jet_cache("random", n, q, 5)
+    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "3")
+    with pytest.raises(DegreeCapError, match="term degree 4 exceeds cap 3"):
+        b1_engine(jet, check=False)
+    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "4")
+    capped = b1_engine(jet, check=False)
+    monkeypatch.delenv("BERGMAN_DEGREE_CAP")
+    assert capped == b1_engine(jet, check=False)
 
 
 def _random_poly(n, rng, degree):
