@@ -210,10 +210,7 @@ class ExteriorAlgebra:
                 continue
             for key, v in self._quantized(w).items():
                 pairs.setdefault(key, []).append((c, v))
-        sums = {key: sum_products(p) for key, p in pairs.items()}
-        if scale != ExactScalar.one():  # it is 1 for d = 2
-            sums = {key: s * scale for key, s in sums.items()}
-        return ExteriorEndo(self, sums)
+        return ExteriorEndo(self, {key: sum_products(p) * scale for key, p in pairs.items()})
 
     def action_two_form(self, comp: CompFn) -> "ExteriorEndo":
         """(1/4) A(e_i, e_j) c(e_i) c(e_j) for an antisymmetric bilinear A:

@@ -659,6 +659,7 @@ def _antisym_torsion(gamma_ch, g, n):
     def tvec(i, j, k):  # the (1,0) torsion block and its conjugate
         if max(i, j, k) < n:
             return gamma_ch[i][j][k] - gamma_ch[j][i][k]
+        # read only when the stage is built without `_real`'s mirror
         return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else zero
 
     low = _contract_real(_subtables(dim, 3, tvec), g)

@@ -129,7 +129,12 @@ def _check_degree(key: TermKey, cap: int) -> None:
 def _capped_terms(ctx: OscillatorContext,
                   terms: dict[TermKey, ExteriorEndo]) -> dict[TermKey, ExteriorEndo]:
     """Drop zero terms, and primed terms in a quotient context; refuse any
-    other term whose total degree exceeds the cap."""
+    other term whose total degree exceeds the cap.
+
+    In the quotient the cap applies to the kept terms only: a primed term is
+    dropped, not refused, whatever its degree, and is never formed at all by
+    `mul_poly` (its xibar' images).  The origin reads no primed term, so what
+    the cap guards, the terms the engine's value depends on, is the same."""
     clean = {}
     cap = ctx.degree_cap
     primed_free, z = ctx.primed_free, ctx.zero_multi

@@ -27,7 +27,7 @@ from .closed_form import B1Result
 from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet
-from .jet_checks import _allzero, validate_jet
+from .jet_checks import validate_jet
 from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
 from .series import Series
@@ -39,7 +39,6 @@ Operator = Callable[[TwoPointState], TwoPointState]
 # The gradient square is the only quartic one.
 _CAP = 4
 _ZERO = ExactScalar.zero()
-_ONE = ExactScalar.one()
 
 
 def _var(n: int, a: int) -> Series:
@@ -64,10 +63,7 @@ def _zpoly(n: int, rank: int, coeff: Callable[..., ExactScalar]) -> Series:
 
 def _gradient_polys(jet: GeometryJet) -> list[Series]:
     """sum_{k,c} dRL1[k][c][a] Z_k Z_c for each frame label a."""
-    dim = 2 * jet.n
-    if _allzero(jet.dRL1):
-        return [Series.zero(dim, _CAP)] * dim
-    return [_zpoly(jet.n, 2, lambda k, c, a=a: jet.dRL1[k][c][a]) for a in range(dim)]
+    return [_zpoly(jet.n, 2, lambda k, c, a=a: jet.dRL1[k][c][a]) for a in range(2 * jet.n)]
 
 
 def _apply_poly(state: TwoPointState, p: Series) -> TwoPointState:
@@ -98,23 +94,14 @@ def _v_to_xi(n: int, q: int, label: int) -> int:
     return j if j < q else n + j
 
 
-def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, form,
-                   coeff: ExactScalar = _ONE) -> ExteriorEndo:
-    """coeff times the Clifford contraction of a degree-d form given by its
-    xi-frame components, nested as `form[a_1]..[a_d]`; its v-frame
-    components are 2^(d/2) times those, and each is scaled by coeff
-    2^(d/2) once.  An all-zero form visits no label word."""
-    if _allzero(form):
-        return alg.zero_endo()
+def _clifford_form(alg: ExteriorAlgebra, q: int, degree: int, comp_xi) -> ExteriorEndo:
+    """Clifford contraction of a degree-d form given by xi-frame components
+    `comp_xi(a_1, .., a_d)`; its v-frame components are 2^(d/2) times those."""
     n = alg.n
-    factor = coeff * rat(2 ** (degree // 2))
-    unit = factor == _ONE
+    factor = rat(2 ** (degree // 2))
 
     def comp_v(labels: tuple[int, ...]) -> ExactScalar:
-        c = form
-        for l in labels:
-            c = c[_v_to_xi(n, q, l)]
-        return c if unit else c * factor
+        return comp_xi(*(_v_to_xi(n, q, l) for l in labels)) * factor
 
     return alg.clifford_of_form(degree, comp_v)
 
@@ -157,8 +144,10 @@ def build_O1(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
     cliff: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
+        endo = _clifford_form(ctx.alg, jet.q, 2,
+                              lambda b, c, a=a: jet.nablaBJ[a][b][c])
         # -4 pi i times the quarter action, which is half the contraction
-        endo = _clifford_form(ctx.alg, jet.q, 2, jet.nablaBJ[a], ExactScalar.rational(0, -2, 1))
+        endo = endo.scale(ExactScalar.rational(0, -2, 1))
         if not endo.is_zero():
             cliff.append((_var(n, a), endo))
 
@@ -180,27 +169,25 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     # each coefficient of a nabla_0 along d_a carries its factor (see
     # `_lower`), so the operator lowers the state once per label a
     nabla0 = [rat("-1/2") if a < n else rat("1/2") for a in range(dim)]
-    zero = Series.zero(dim, _CAP)
-    # the curvature polynomials of a flat jet are zero: skip their label loops
-    curved = not _allzero(jet.RTX)
 
     # (1/3) <R(Z, e_i) Z, e_j> nabla_i nabla_j ; double frame resolution
     kpoly: dict[tuple[int, int], Series] = {}
-    for a, b in product(range(dim), repeat=2) if curved else ():
-        p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
-        if not p.is_zero():
-            kpoly[(a, b)] = p.scale(rat("4/3") * nabla0[a] * nabla0[b])
+    for a in range(dim):
+        for b in range(dim):
+            p = _zpoly(n, 2, lambda c, d: jet.RTX[c][part(a)][d][part(b)])
+            if not p.is_zero():
+                kpoly[(a, b)] = p.scale(rat("4/3") * nabla0[a] * nabla0[b])
 
     # the cubic curvature polynomial sum dRL2[k][l][m][part(a)] Z_k Z_l Z_m of each a
-    cubic = [zero] * dim if _allzero(jet.dRL2) else [
-        _zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)]) for a in range(dim)]
+    cubic = [_zpoly(n, 3, lambda k, l, m, a=a: jet.dRL2[k][l][m][part(a)])
+             for a in range(dim)]
 
     # single-derivative coefficients
     single: list[Series] = []
     single_aux: list[list] = [[] for _ in range(dim)]
     for a in range(dim):
         pa = part(a)
-        linear = zero if not curved else _zpoly(n, 1, lambda c: sum(
+        linear = _zpoly(n, 1, lambda c: sum(
             (jet.RTX[c][b][part(b)][pa] for b in range(dim)), _ZERO))
         single.append((linear.scale(rat("4/3")) + cubic[a].scale(rat("-1/4")))
                       .scale(rat(2) * nabla0[a]))
@@ -211,19 +198,19 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                     [[x * nabla0[a].scale(-2) for x in row] for row in mat])))
 
     # scalar multiplication pieces
-    divergence = zero
+    divergence = Series.zero(dim, _CAP)
     for a in range(dim):
         divergence = divergence + cubic[a].scale(rat("1/2")).diff(a)
     divergence = divergence.scale(rat("-1/2"))  # -1/4 times resolution factor 2
 
     grad = _gradient_polys(jet)
-    gradient_sq = zero
+    gradient_sq = Series.zero(dim, _CAP)
     for a in range(dim):
         gradient_sq = gradient_sq + (grad[a] * grad[part(a)]).scale(rat("-2/9"))
 
     # the commutator correction is -[L0, N] / 12 with N = 2 sum RTX[c][a][d][part(a)]
     # Z_c Z_d; this is N / 12
-    commutator_n = zero if not curved else _zpoly(n, 2, lambda c, d: sum(
+    commutator_n = _zpoly(n, 2, lambda c, d: sum(
         (jet.RTX[c][a][d][part(a)] for a in range(dim)), _ZERO)).scale(rat("1/6"))
 
     lowered_labels = sorted({b for _, b in kpoly} | {a for a in range(dim)
@@ -252,7 +239,8 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
 
 def build_psi_endo(jet: GeometryJet, alg: ExteriorAlgebra) -> ExteriorEndo:
     """Quarter of the Clifford action of the torsion 4-form."""
-    return _clifford_form(alg, jet.q, 4, jet.dTas, rat("1/4"))
+    psi = _clifford_form(alg, jet.q, 4, lambda a, b, c, d: jet.dTas[a][b][c][d])
+    return psi.scale(rat("1/4"))
 
 
 def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
@@ -264,36 +252,35 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     alg = ctx.alg
     prime = build_O2_prime(jet, ctx)
 
-    half = rat("1/2")
     # spinor-connection curvature coupled to b / b+: its quarter action plus
     # half the trace
     rbl: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
         for b in list(range(n)) + [n + j for j in range(n)]:
-            endo = _clifford_form(alg, q, 2, jet.RB[a][b], half)
+            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
             tr = jet.trRT10[a][b]
             if not tr.is_zero():
-                endo = endo + alg.scalar_endo(tr * half)
+                endo = endo + alg.scalar_endo(tr)
             if not endo.is_zero():
-                rbl[(a, b)] = endo
+                rbl[(a, b)] = endo.scale(rat("1/2"))
 
-    # structure-map second derivative, Clifford action, coefficient -2 pi i:
-    # -2 pi i times the quarter action, which is half the contraction
-    minus_i = ExactScalar.rational(0, -1, 1)
+    # structure-map second derivative, Clifford action, coefficient -2 pi i
     d2j_endo: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
         for b in range(dim):
-            endo = _clifford_form(alg, q, 2, jet.nablaB2J[a][b], minus_i)
+            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
             if not endo.is_zero():
-                d2j_endo.append((_var(n, a) * _var(n, b), endo))
+                # -2 pi i times the quarter action, which is half the contraction
+                d2j_endo.append((_var(n, a) * _var(n, b),
+                                 endo.scale(ExactScalar.rational(0, -1, 1))))
 
     # constant Clifford blocks
-    mixed_form = _clifford_form(alg, q, 2, jet.trRT10, half)
+    mixed_form = _clifford_form(alg, q, 2, lambda a, b: jet.trRT10[a][b].scale("1/2"))
     # (1/2) R^E(e_l, e_m) c(e_l) c(e_m) with prefactor 2: twice the quarter
     # action, so the full contraction, one aux-matrix entry (r, s) at a time
     re_cliff = alg.zero_endo()
     for r, s in product(range(jet.rk_e), repeat=2):
-        form = _clifford_form(alg, q, 2, [[m[r][s] for m in row] for row in jet.RE])
+        form = _clifford_form(alg, q, 2, lambda a, b, r=r, s=s: jet.RE[a][b][r][s])
         if not form.is_zero():
             unit = [[rat(1) if (i, j) == (r, s) else _ZERO for j in range(jet.rk_e)]
                     for i in range(jet.rk_e)]

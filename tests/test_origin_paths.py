@@ -138,8 +138,9 @@ def test_operators_never_lower_primed_indices(jet_cache, n, q, seed):
     assert primed >= 4 and dropped > 0
 
 
-def test_a_sum_with_a_quotient_summand_is_a_quotient_state():
-    ctx = OscillatorContext(2, 1)
+@pytest.mark.parametrize("n,q", SIGNATURES)
+def test_a_sum_with_a_quotient_summand_is_a_quotient_state(n, q):
+    ctx = OscillatorContext(n, q)
     quotient = ctx.quotient()
     assert quotient is ctx.quotient() is quotient.quotient() and quotient.primed_free
     rng = random.Random(606)
@@ -153,11 +154,12 @@ def test_a_sum_with_a_quotient_summand_is_a_quotient_state():
         assert (x + y).ctx is ctx
 
 
-def test_the_quotient_has_no_polynomial_form():
+@pytest.mark.parametrize("n,q", SIGNATURES)
+def test_the_quotient_has_no_polynomial_form(n, q):
     """The adjoint swaps the primed argument and the composition integrates it
     out: both are refused modulo primed terms, and so is the polynomial form
     that `from_poly` and `compose_origin` take."""
-    ctx = OscillatorContext(2, 1)
+    ctx = OscillatorContext(n, q)
     x = primed_state(ctx, random.Random(707)) + ctx.vacuum().mul_xibar(1)
     free = x.restrict_second_zero()
     assert not free.is_zero() and free != x
@@ -179,6 +181,26 @@ def test_engine_degree_cap(jet_cache, monkeypatch, n, q):
     capped = b1_engine(jet, check=False)
     monkeypatch.delenv("BERGMAN_DEGREE_CAP")
     assert capped == b1_engine(jet, check=False)
+
+
+def test_the_quotient_caps_the_kept_terms_only():
+    """A primed term above the cap is refused in the full context, and dropped,
+    not refused, in the quotient, where its images are never formed; an
+    unprimed term above the cap is refused in both."""
+    ctx = OscillatorContext(2, 1, degree_cap=1)
+    z, e0 = ctx.zero_multi, ctx.unit(0)
+    one = ctx.alg.identity()
+    primed = TwoPointState(ctx, {(z, z, z, e0): one})
+    with pytest.raises(DegreeCapError, match="term degree 2 exceeds cap 1"):
+        primed.mul_xi(0)
+    free = primed.restrict_second_zero()
+    assert free.is_zero() and free.mul_xi(0).is_zero()
+    with pytest.raises(DegreeCapError, match="term degree 2 exceeds cap 1"):
+        TwoPointState(ctx.quotient(), {(z, z, z, (2, 0)): one, (e0, e0, z, z): one})
+    assert TwoPointState(ctx.quotient(), {(z, z, z, (2, 0)): one}).is_zero()
+    unprimed = TwoPointState(ctx, {(e0, z, z, z): one}).restrict_second_zero()
+    with pytest.raises(DegreeCapError, match="term degree 2 exceeds cap 1"):
+        unprimed.mul_xi(0)
 
 
 def _random_poly(n, rng, degree):
