@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet
-from .jet_checks import lambda_scalars, s_norm, validate_jet
+from .jet_checks import lambda_scalars, require_valid, s_norm
 from .scalars import ExactScalar, rat
 
 _ZERO = ExactScalar.zero()
@@ -48,12 +47,6 @@ def _result(jet: GeometryJet, block: ExteriorEndo) -> B1Result:
     return B1Result(endo=endo, trace=endo.trace(), route="closed-form", jet_id=jet.jet_id)
 
 
-def _require_valid(jet: GeometryJet) -> None:
-    rep = validate_jet(jet)
-    if not rep.ok:
-        raise InvalidJetError("; ".join(name for name, _ in rep.failures()))
-
-
 def _mat_sum_mixed(jet: GeometryJet):
     """sum_j RE[u_j][ubar_j] as an auxiliary matrix, normalized frame."""
     n, rk = jet.n, jet.rk_e
@@ -69,7 +62,7 @@ def _mat_sum_mixed(jet: GeometryJet):
 def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
     """The full mixed-signature coefficient formula, evaluated exactly."""
     if check:
-        _require_valid(jet)
+        require_valid(jet)
     n, q, rk = jet.n, jet.q, jet.rk_e
     alg = ExteriorAlgebra(n, rk)
     lam = lambda_scalars(jet)
@@ -158,7 +151,7 @@ def _trace_form_sum(jet: GeometryJet) -> ExactScalar:
 def b1_trace(jet: GeometryJet, check: bool = True) -> ExactScalar:
     """The degree-sector trace of the coefficient, from its closed scalar form."""
     if check:
-        _require_valid(jet)
+        require_valid(jet)
     lam = lambda_scalars(jet)
     re_sum = _mat_sum_mixed(jet)
     tr_e = _ZERO

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, product
 
+from .errors import InvalidJetError
 from .scalars import ExactScalar
 
 _ZERO = ExactScalar.zero()
@@ -173,6 +174,13 @@ def lambda_scalars(jet) -> LambdaScalars:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+
+def require_valid(jet) -> None:
+    """Raise InvalidJetError naming every failed check of `validate_jet`."""
+    rep = validate_jet(jet)
+    if not rep.ok:
+        raise InvalidJetError("; ".join(name for name, _ in rep.failures()))
 
 
 def validate_jet(jet) -> CheckReport:

@@ -25,7 +25,11 @@ The engine reads every kernel at Z = Z' = 0 only, and computes no more than
 that value: `TwoPointState.evaluate_origin` reads it off the normal-ordered
 terms without the polynomial form, `PolyGaussianForm.compose_origin` gives a
 product's value there without forming the product, and `mul_poly` multiplies
-by a polynomial in one pass over the state.
+by a polynomial in one pass over the state.  Modes commute, and so do one
+factor's moves on a mode, so each product normal-orders as a closed sum per
+mode: a table per mode, a function of small ints (`_mul_table` and
+`_b_table`, cached, and `_mode_moment`), and one product of the tables
+(`_across_modes`).
 
 The origin reads no term with a primed factor (gamma or delta != 0), and no
 operator but the adjoint and the composition lowers gamma or delta.  So the
@@ -43,7 +47,11 @@ from __future__ import annotations
 
 import os
 from copy import copy
-from math import comb, factorial
+from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from math import comb, factorial, perm
+from operator import add
 from typing import Iterable
 
 from .errors import DegreeCapError, KernelComponentError, UsageError
@@ -117,13 +125,9 @@ def _bump(m: Multi, j: int, by: int = 1) -> Multi:
     return m[:j] + (m[j] + by,) + m[j + 1:]
 
 
-def _check_degree(key: TermKey, cap: int) -> None:
-    """Refuse a term whose total degree exceeds the cap."""
-    degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
-    if degree > cap:
-        raise DegreeCapError(
-            f"term degree {degree} exceeds cap {cap}; "
-            "raise BERGMAN_DEGREE_CAP if this is intentional")
+def _degree_error(degree: int, cap: int) -> DegreeCapError:
+    return DegreeCapError(f"term degree {degree} exceeds cap {cap}; "
+                          "raise BERGMAN_DEGREE_CAP if this is intentional")
 
 
 def _capped_terms(ctx: OscillatorContext,
@@ -141,70 +145,68 @@ def _capped_terms(ctx: OscillatorContext,
     for key, endo in terms.items():
         if endo.is_zero() or primed_free and (key[2] != z or key[3] != z):
             continue
-        _check_degree(key, cap)
+        degree = sum(key[0]) + sum(key[1]) + sum(key[2]) + sum(key[3])
+        if degree > cap:
+            raise _degree_error(degree, cap)
         clean[key] = endo
     return clean
 
 
+# -- normal ordering, one mode at a time ------------------------------------------
+#
+# A mode table is a tuple of entries (slot values..., coefficient).
+
 _ONE = ExactScalar.one()
-_HALF_INV_PI = ExactScalar.pi(-1, "1/2")
 
 
-def _xi_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
-    """xi_j times one term, as (term, coefficient) pairs: [xi_j, b_j] = 2."""
-    a, b, g, d = key
-    out = [((a, _bump(b, j), g, d), _ONE)]
-    if a[j]:
-        out.append(((_bump(a, j, -1), b, g, d), rat(2 * a[j])))
-    return out
+def _coefficient(pi_pow: int, value: int | Fraction) -> ExactScalar:
+    return _ONE if pi_pow == 0 and value == 1 else ExactScalar.pi(pi_pow, value)
 
 
-def _xibar_unprimed_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
-    """xibar_j times one term modulo primed terms, as (term, coefficient) pairs."""
-    a, b, g, d = key
-    out = [((_bump(a, j), b, g, d), _HALF_INV_PI)]
-    if b[j]:
-        out.append(((a, _bump(b, j, -1), g, d), ExactScalar.pi(-1, b[j])))
-    return out
+@lru_cache(maxsize=None)
+def _mul_table(a: int, b: int, m: int, l: int, primed_free: bool) -> tuple:
+    """One mode of xi^m xibar^l times b^a xi^b xibar'^d: entries (alpha, beta,
+    raise of d, coefficient).
 
-
-def _xibar_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
-    """xibar_j times one term: its images modulo primed terms, and xibar'_j
-    times the term."""
-    a, b, g, d = key
-    out = _xibar_unprimed_images(key, j)
-    out.append(((a, b, g, _bump(d, j)), _ONE))
-    return out
-
-
-def _monomial_images(key: TermKey, xi: Multi, xibar: Multi, cap: int,
-                     primed_free: bool) -> dict[TermKey, ExactScalar]:
-    """xi^xi xibar^xibar times one term, one factor at a time: for each mode j,
-    its xi_j factors, then its xibar_j factors; modulo primed terms if
-    `primed_free`.
-
-    Every term formed on the way is checked against the degree cap.  Each
-    factor moves the degree by one, so no check is needed when the term's
-    degree plus the monomial's stays within the cap.
+    xibar moves (alpha, beta, d) by (1, 0, 0) with 1/(2 pi), (0, -1, 0) with
+    beta/pi and (0, 0, 1) with 1: xibar^l by (k1, -k2, k3), k1 + k2 + k3 = l,
+    with l!/(k1! k2! k3!) (2 pi)^-k1 (beta)_k2 pi^-k2, and k3 = 0 modulo
+    primed terms.  Then xi moves (alpha, beta) by (-1, 0) with 2 alpha and
+    (0, 1) with 1: xi^m by (-k, m - k) with C(m, k) 2^k (alpha)_k.
     """
-    check = sum(map(sum, key)) + sum(xi) + sum(xibar) > cap
-    xibar_images = _xibar_unprimed_images if primed_free else _xibar_images
-    cur = {key: _ONE}
-    for j in range(len(xi)):
-        for images, times in ((_xi_images, xi[j]), (xibar_images, xibar[j])):
-            for _ in range(times):
-                nxt: dict[TermKey, ExactScalar] = {}
-                for k, s in cur.items():
-                    for k2, c in images(k, j):
-                        v = s if c is _ONE else s * c
-                        nxt[k2] = nxt[k2] + v if k2 in nxt else v
-                cur = {}
-                for k, s in nxt.items():
-                    if not s.is_zero():
-                        if check:
-                            _check_degree(k, cap)
-                        cur[k] = s
-    return cur
+    sums: dict[tuple[int, int, int], Fraction] = {}
+    for k3 in range(1 if primed_free else l + 1):
+        for k2 in range(min(b, l - k3) + 1):
+            k1 = l - k3 - k2
+            c = Fraction(comb(l, k3) * comb(l - k3, k2) * perm(b, k2), 2 ** k1)
+            for k in range(min(m, a + k1) + 1):
+                key = (a + k1 - k, b - k2 + m - k, k3)
+                sums[key] = sums.get(key, 0) + c * comb(m, k) * 2 ** k * perm(a + k1, k)
+    # the pi power, -(k1 + k2), is k3 - l
+    return tuple((*key, _coefficient(key[2] - l, c)) for key, c in sums.items())
+
+
+@lru_cache(maxsize=None)
+def _b_table(a: int, b: int) -> tuple:
+    """One mode of b^a on xi^b xibar'^d P: entries (xi power, xibar power,
+    raise of d, coefficient).  b is -2 d/dxi + 2 pi (xibar - xibar') on the
+    polynomial, so b^a moves (xi, xibar, d) by (-k1, k2, k3), k1 + k2 + k3 = a,
+    with a!/(k1! k2! k3!) (-2)^k1 (b)_k1 (2 pi)^k2 (-2 pi)^k3."""
+    return tuple((b - k1, k2, a - k1 - k2, _coefficient(
+        a - k1, comb(a, k1) * comb(a - k1, k2) * perm(b, k1) * 2 ** a * (-1) ** (a - k2)))
+        for k1 in range(min(a, b) + 1) for k2 in range(a - k1 + 1))
+
+
+def _across_modes(tables: Iterable[tuple]) -> list[tuple]:
+    """The product of per-mode tables: one entry per choice of an entry in
+    every mode, each slot's values across the modes as a multi-index, and the
+    coefficients multiplied."""
+    out: list[tuple[tuple, ExactScalar]] = [((), _ONE)]
+    for table in tables:
+        out = [(picks + (entry,),
+                entry[-1] if c is _ONE else c if entry[-1] is _ONE else c * entry[-1])
+               for picks, c in out for entry in table]
+    return [(*tuple(zip(*picks))[:-1], c) for picks, c in out]
 
 
 def sum_states(ctx: OscillatorContext, plus: Iterable["TwoPointState"],
@@ -287,17 +289,25 @@ class TwoPointState:
     def mul_poly(self, poly: dict[tuple[Multi, Multi], ExactScalar]) -> "TwoPointState":
         """Multiply by the polynomial sum c xi^a xibar^b, given as {(a, b): c}.
 
-        One pass: each term's scalar images under every monomial are summed
-        first, so each sector endomorphism is scaled once per output term.
-        Every term that multiplying one factor at a time would form is formed
-        here too, one input term at a time, and checked against the degree cap.
+        One pass, mode by mode (`_mul_table`): each term's scalar images under
+        every monomial are summed first, so each sector endomorphism is scaled
+        once per output term.  A (term, monomial) pair whose degrees add up to
+        more than the cap is refused: its image raising the degree by every
+        factor is never zero.  The message names degree cap + 1, the first
+        degree above the cap that multiplying one factor at a time forms.
         """
         cap, primed_free = self.ctx.degree_cap, self.ctx.primed_free
+        monomials = [(xi, xibar, c, sum(xi) + sum(xibar)) for (xi, xibar), c in poly.items()]
         out: dict[TermKey, ExteriorEndo] = {}
-        for key, endo in self.terms.items():
+        for (a, b, g, d), endo in self.terms.items():
+            degree = sum(a) + sum(b) + sum(g) + sum(d)
             images: dict[TermKey, ExactScalar] = {}
-            for (xi, xibar), c in poly.items():
-                for k2, s in _monomial_images(key, xi, xibar, cap, primed_free).items():
+            for xi, xibar, c, raised in monomials:
+                if degree + raised > cap:
+                    raise _degree_error(cap + 1, cap)
+                tables = map(_mul_table, a, b, xi, xibar, repeat(primed_free))
+                for a2, b2, dd, s in _across_modes(tables):
+                    k2 = (a2, b2, g, tuple(map(add, d, dd)))
                     v = s * c
                     images[k2] = images[k2] + v if k2 in images else v
             for k2, s in images.items():
@@ -363,16 +373,11 @@ class TwoPointState:
     # -- conversions -----------------------------------------------------------
 
     def to_poly(self) -> "PolyGaussianForm":
-        """Expand every b factor into multiplication form."""
-        n = self.ctx.n
+        """Expand every b factor into multiplication form, mode by mode (`_b_table`)."""
         out: dict[TermKey, ExteriorEndo] = {}
         for (a, b, g, d), endo in self.terms.items():
-            mono: dict[TermKey, ExactScalar] = {(b, (0,) * n, g, d): rat(1)}
-            for j in range(n):
-                for _ in range(a[j]):
-                    mono = _poly_apply_b(n, mono, j)
-            for key, coeff in mono.items():
-                _add_term(out, key, endo.scale(coeff))
+            for xi, xibar, dd, coeff in _across_modes(map(_b_table, a, b)):
+                _add_term(out, (xi, xibar, g, tuple(map(add, d, dd))), endo.scale(coeff))
         return PolyGaussianForm(self.ctx, out)
 
     @classmethod
@@ -443,7 +448,6 @@ class PolyGaussianForm:
 
     def compose(self, other: "PolyGaussianForm") -> "PolyGaussianForm":
         """Exact integral over the shared middle argument of self(Z,W) other(W,Z')."""
-        n = self.ctx.n
         out: dict[TermKey, ExteriorEndo] = {}
         for (a1, b1, g1, d1), e1 in self.terms.items():
             for (a2, b2, g2, d2), e2 in other.terms.items():
@@ -451,20 +455,9 @@ class PolyGaussianForm:
                 if endo.is_zero():
                     continue
                 # per-mode moments of w^(g1+a2) wbar^(d1+b2) against the middle Gaussian
-                monos: list[tuple[Multi, Multi, ExactScalar]] = [
-                    ((0,) * n, (0,) * n, rat(1))]
-                for j in range(n):
-                    factors = _mode_moment(g1[j] + a2[j], d1[j] + b2[j])
-                    monos = [
-                        (_bump(xi, j, dx) if dx else xi,
-                         _bump(bp, j, db) if db else bp,
-                         c0 * cf)
-                        for (xi, bp, c0) in monos
-                        for (dx, db, cf) in factors
-                    ]
-                for (xi_extra, bp_extra, coeff) in monos:
-                    key = (tuple(x + y for x, y in zip(a1, xi_extra)), b1, g2,
-                           tuple(x + y for x, y in zip(d2, bp_extra)))
+                moments = map(_mode_moment, map(add, g1, a2), map(add, d1, b2))
+                for xi_extra, bp_extra, coeff in _across_modes(moments):
+                    key = (tuple(map(add, a1, xi_extra)), b1, g2, tuple(map(add, d2, bp_extra)))
                     _add_term(out, key, endo.scale(coeff))
         return PolyGaussianForm(self.ctx, out)
 
@@ -495,17 +488,6 @@ class PolyGaussianForm:
         return acc
 
 
-def _poly_apply_b(n: int, mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
-    """b_j on f*P: (-2 df/dxi_j + 2 pi (xibar_j - xibar'_j) f) P."""
-    out: dict[TermKey, ExactScalar] = {}
-    for (a, b, g, d), coeff in mono.items():
-        if a[j]:
-            _add_term(out, (_bump(a, j, -1), b, g, d), coeff.scale(-2 * a[j]))
-        _add_term(out, (a, _bump(b, j), g, d), coeff * ExactScalar.pi(1, 2))
-        _add_term(out, (a, b, g, _bump(d, j)), coeff * ExactScalar.pi(1, -2))
-    return out
-
-
 def _mode_moment(wp: int, wb: int) -> list[tuple[int, int, ExactScalar]]:
     """Moments of one middle mode.
 
@@ -514,15 +496,5 @@ def _mode_moment(wp: int, wb: int) -> list[tuple[int, int, ExactScalar]]:
     times the reassembled vacuum kernel factor.  Returns triples of
     (xi power, xibar' power, coefficient).
     """
-    res = []
-    for k in range(min(wp, wb) + 1):
-        coeff = comb(wp, k) * _falling(wb, k)
-        res.append((wp - k, wb - k, ExactScalar.pi(-k, coeff)))
-    return res
-
-
-def _falling(b: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= b - i
-    return out
+    return [(wp - k, wb - k, _coefficient(-k, comb(wp, k) * perm(wb, k)))
+            for k in range(min(wp, wb) + 1)]

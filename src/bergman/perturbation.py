@@ -24,10 +24,9 @@ from itertools import product
 from typing import Callable
 
 from .closed_form import B1Result
-from .errors import InvalidJetError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet
-from .jet_checks import validate_jet
+from .jet_checks import require_valid
 from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
 from .series import Series
@@ -256,7 +255,7 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     # half the trace
     rbl: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
-        for b in list(range(n)) + [n + j for j in range(n)]:
+        for b in range(dim):
             endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
             tr = jet.trRT10[a][b]
             if not tr.is_zero():
@@ -333,9 +332,7 @@ def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, Exterior
     (`PolyGaussianForm.compose_origin`).
     """
     if check:
-        rep = validate_jet(jet)
-        if not rep.ok:
-            raise InvalidJetError("; ".join(name for name, _ in rep.failures()))
+        require_valid(jet)
     ctx = engine_context(jet)
     o1 = build_O1(jet, ctx)
     o2 = build_O2(jet, ctx)

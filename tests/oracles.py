@@ -7,7 +7,8 @@ a series one entry at a time, the exp-map substitution as a sum of
 variable products, the base-point covariant derivative with its
 connection corrections added one term at a time, the oscillator L0 as a
 raw differential operator on the polynomial form, multiplication by a
-polynomial one monomial and one factor at a time, the 2-form Clifford
+polynomial and the polynomial form of a state one factor at a time, the
+one-factor normal-ordering rules themselves, the 2-form Clifford
 action by raw Clifford products, the Clifford action of a form as a sum
 over ordered label words, and the det-sector compression identity block by
 block.
@@ -34,7 +35,6 @@ from operator import getitem
 from bergman.closed_form import (
     B1Result,
     _mat_sum_mixed,
-    _require_valid,
     _result,
     _scale_mat,
     _trace_form_sum,
@@ -42,7 +42,7 @@ from bergman.closed_form import (
 from bergman.errors import BergmanError
 from bergman.exterior import CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
-from bergman.jet_checks import s_norm
+from bergman.jet_checks import require_valid, s_norm
 from bergman.oscillator import (
     Multi,
     PolyGaussianForm,
@@ -50,7 +50,6 @@ from bergman.oscillator import (
     TwoPointState,
     _add_term,
     _bump,
-    _poly_apply_b,
 )
 from bergman.scalars import ExactScalar, _format_gaussian, rat
 from bergman.series import Exps, Series
@@ -248,7 +247,7 @@ def apply_L0_directly(form: PolyGaussianForm) -> PolyGaussianForm:
         total: dict[TermKey, ExactScalar] = {}
         for j in range(n):
             stage = _poly_apply_bdag(mono, j)
-            stage = _poly_apply_b(n, stage, j)
+            stage = _poly_apply_b(stage, j)
             for k, c in stage.items():
                 total[k] = total.get(k, ExactScalar.zero()) + c
         for k, c in total.items():
@@ -257,6 +256,17 @@ def apply_L0_directly(form: PolyGaussianForm) -> PolyGaussianForm:
             else:
                 acc[k] = endo.scale(c)
     return PolyGaussianForm(form.ctx, acc)
+
+
+def _poly_apply_b(mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
+    """b_j on f*P: (-2 df/dxi_j + 2 pi (xibar_j - xibar'_j) f) P."""
+    out: dict[TermKey, ExactScalar] = {}
+    for (a, b, g, d), coeff in mono.items():
+        if a[j]:
+            _add_term(out, (_bump(a, j, -1), b, g, d), coeff.scale(-2 * a[j]))
+        _add_term(out, (a, _bump(b, j), g, d), coeff * ExactScalar.pi(1, 2))
+        _add_term(out, (a, b, g, _bump(d, j)), coeff * ExactScalar.pi(1, -2))
+    return out
 
 
 def _poly_apply_bdag(mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, ExactScalar]:
@@ -273,20 +283,70 @@ def _poly_apply_bdag(mono: dict[TermKey, ExactScalar], j: int) -> dict[TermKey, 
     return out
 
 
-def apply_poly_by_monomials(state: TwoPointState, p: Series) -> TwoPointState:
-    """Multiplication by the polynomial p(xi, xibar) as a sum of states: each
-    monomial one `mul_xi` / `mul_xibar` factor at a time."""
-    n = state.ctx.n
+def to_poly_by_factors(state: TwoPointState) -> PolyGaussianForm:
+    """`TwoPointState.to_poly` one b factor at a time."""
+    z = state.ctx.zero_multi
+    out: dict[TermKey, ExteriorEndo] = {}
+    for (a, b, g, d), endo in state.terms.items():
+        mono: dict[TermKey, ExactScalar] = {(b, z, g, d): rat(1)}
+        for j in range(len(z)):
+            for _ in range(a[j]):
+                mono = _poly_apply_b(mono, j)
+        for key, coeff in mono.items():
+            _add_term(out, key, endo.scale(coeff))
+    return PolyGaussianForm(state.ctx, out)
+
+
+def _xi_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xi_j times one term, as (term, coefficient) pairs: [xi_j, b_j] = 2."""
+    a, b, g, d = key
+    out = [((a, _bump(b, j), g, d), rat(1))]
+    if a[j]:
+        out.append(((_bump(a, j, -1), b, g, d), rat(2 * a[j])))
+    return out
+
+
+def _xibar_images(key: TermKey, j: int) -> list[tuple[TermKey, ExactScalar]]:
+    """xibar_j times one term, as (term, coefficient) pairs: xibar_j P is
+    (b_j/(2 pi) + xibar'_j) P, and [xibar_j, b_j] = 0."""
+    a, b, g, d = key
+    out = [((_bump(a, j), b, g, d), ExactScalar.pi(-1, "1/2")),
+           ((a, b, g, _bump(d, j)), rat(1))]
+    if b[j]:
+        out.append(((a, _bump(b, j, -1), g, d), ExactScalar.pi(-1, b[j])))
+    return out
+
+
+def _mul_factor(state: TwoPointState, images, j: int) -> TwoPointState:
+    """The state times one factor, given by its one-term `images` rule; in a
+    quotient context the state drops the primed images as it is built."""
+    out: dict[TermKey, ExteriorEndo] = {}
+    for key, endo in state.terms.items():
+        for k2, c in images(key, j):
+            _add_term(out, k2, endo.scale(c))
+    return TwoPointState(state.ctx, out)
+
+
+def mul_poly_by_factors(state: TwoPointState,
+                        poly: dict[tuple[Multi, Multi], ExactScalar]) -> TwoPointState:
+    """`TwoPointState.mul_poly` as a sum of states: each monomial one xi_j or
+    xibar_j factor at a time, each factor by its one-term rule."""
     acc = TwoPointState(state.ctx, {})
-    for e, c in p.terms.items():
+    for (xi, xibar), c in poly.items():
         s = state
-        for j in range(n):
-            for _ in range(e[j]):
-                s = s.mul_xi(j)
-            for _ in range(e[n + j]):
-                s = s.mul_xibar(j)
+        for j in range(state.ctx.n):
+            for _ in range(xi[j]):
+                s = _mul_factor(s, _xi_images, j)
+            for _ in range(xibar[j]):
+                s = _mul_factor(s, _xibar_images, j)
         acc = acc + s.scale(c)
     return acc
+
+
+def apply_poly_by_monomials(state: TwoPointState, p: Series) -> TwoPointState:
+    """Multiplication by the polynomial p(xi, xibar), one factor at a time."""
+    n = state.ctx.n
+    return mul_poly_by_factors(state, {(e[:n], e[n:]): c for e, c in p.terms.items()})
 
 
 def cov0_per_term(t, slots):
@@ -456,7 +516,7 @@ class NotPositiveError(BergmanError):
 def b1_kahler(jet: GeometryJet, check: bool = True) -> B1Result:
     """Torsion-free specialization of the coefficient formula."""
     if check:
-        _require_valid(jet)
+        require_valid(jet)
     if not jet.is_torsion_free():
         raise NotKahlerError("jet has torsion; the specialized formula does not apply")
     n, q, rk = jet.n, jet.q, jet.rk_e
@@ -506,7 +566,7 @@ def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
     """The classical positive-curvature form: aux curvature trace plus an
     eighth of the scalar curvature."""
     if check:
-        _require_valid(jet)
+        require_valid(jet)
     if jet.q != 0:
         raise NotPositiveError("specialization requires signature index q = 0")
     n, rk = jet.n, jet.rk_e

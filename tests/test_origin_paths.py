@@ -4,7 +4,9 @@ The engine reads each expansion term only at Z = Z' = 0, and computes no
 more than that value needs: the origin value straight from the normal-ordered
 terms, the kernel sandwich without forming the product, the terms read only
 at the origin modulo primed terms, and multiplication by a polynomial in
-one pass.  Each path is compared here with the full computation it replaces.
+one pass.  Each path is compared here with the full computation it replaces,
+and the closed-form mode tables that normal-order products with the same
+products one factor at a time.
 """
 
 import random
@@ -25,7 +27,13 @@ from bergman.perturbation import (
 from bergman.scalars import rat
 from bergman.series import Series
 
-from oracles import apply_poly_by_monomials, mul_primed, poly_evaluate_origin
+from oracles import (
+    apply_poly_by_monomials,
+    mul_poly_by_factors,
+    mul_primed,
+    poly_evaluate_origin,
+    to_poly_by_factors,
+)
 
 SIGNATURES = ((2, 1), (3, 2))
 
@@ -236,3 +244,58 @@ def test_apply_poly_degree_cap():
         _apply_poly(low, p)
     with pytest.raises(DegreeCapError):
         apply_poly_by_monomials(low, p)
+
+
+def _spread(rng, total, slots):
+    """`total` units spread at random over `slots` nonnegative ints."""
+    out = [0] * slots
+    for _ in range(total):
+        out[rng.randrange(slots)] += 1
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(1, 0), (2, 1), (3, 2)])
+def test_mode_tables_match_the_one_factor_rules(n, q):
+    """mul_poly and to_poly, one closed-form table per mode, against the same
+    products one factor at a time: random terms with multi-indices up to 3 and
+    monomials up to degree 4, in the full context and in the quotient."""
+    ctx = OscillatorContext(n, q, degree_cap=40)
+    rng = random.Random(505 + n)
+    moved = 0
+    for _ in range(6):
+        x = random_terms(ctx, rng, size=4, top=3)
+        assert x.to_poly() == to_poly_by_factors(x)
+        poly = {}
+        for _ in range(3):
+            e = _spread(rng, rng.randint(0, 4), 2 * n)
+            poly[tuple(e[:n]), tuple(e[n:])] = _random_scalar(rng)
+        for s in (x, x.restrict_second_zero()):
+            got = s.mul_poly(poly)
+            assert got.ctx is s.ctx and got == mul_poly_by_factors(s, poly)
+            moved += got != s
+    assert moved >= 10
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_mul_poly_refuses_exactly_the_pairs_above_the_cap(quotient):
+    """A (term, monomial) pair whose degrees add up to the cap passes, and one
+    that adds up to more is refused with degree cap + 1 in the message,
+    whatever the two degrees are on their own, as one factor at a time."""
+    cap, n = 5, 2
+    ctx = OscillatorContext(n, 1, degree_cap=cap)
+    ctx = ctx.quotient() if quotient else ctx
+    slots = 2 * n if quotient else 4 * n
+    rng = random.Random(808)
+    for term_degree in range(cap + 1):
+        e = _spread(rng, term_degree, slots) + [0] * (4 * n - slots)
+        key = tuple(tuple(e[i:i + n]) for i in range(0, 4 * n, n))
+        s = TwoPointState(ctx, {key: ctx.alg.identity()})
+        for total in (cap, cap + 1, cap + 2):
+            m = _spread(rng, total - term_degree, 2 * n)
+            poly = {(tuple(m[:n]), tuple(m[n:])): rat(1)}
+            if total == cap:
+                assert s.mul_poly(poly) == mul_poly_by_factors(s, poly)
+                continue
+            for product in (s.mul_poly, lambda p: mul_poly_by_factors(s, p)):
+                with pytest.raises(DegreeCapError, match=f"term degree {cap + 1} exceeds cap {cap}"):
+                    product(poly)
