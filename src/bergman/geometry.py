@@ -34,12 +34,24 @@ Reality.  For a real potential, the metric derivatives, both connections,
 the torsion, the curvatures, nabla J, the exp-map coordinates and every
 base-point derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
 c(a) = (a + n) mod 2n.  R = d dbar phi and its exp-map pullback are
-imaginary (a minus sign).  Each of these stages builds the entries whose
-first index is < n and mirrors the rest through `_real`; exact,
-conjugation-equivariant arithmetic makes them the entries a direct build gives.
+imaginary (a minus sign).  Each of these stages but the forms (below)
+builds the entries whose first index is < n and mirrors the rest through
+`_real`; exact, conjugation-equivariant arithmetic makes them the entries a
+direct build gives.
 A stage read only by a contraction of its last slot (`_contract_real`) is
 not mirrored at all: the contraction reads the first half and mirrors its
 own result.
+
+Independent entries.  The metric is formed on its holomorphic block.  With
+B(U, V) = omega(U, J_std V) and omega = (i / 2 pi) R, the endomorphism M = 2B
+with rows moved by part(a) = (a + n) mod 2n is block diagonal, diag(H, H^T)
+with H[a][b] = R[b][n+a] / pi.  So g_endo = sqrt(M M) = diag(S, S^T) for
+S = sqrt(H H), and its inverse is diag(S^-1, (S^-1)^T): one square root and
+one inverse on n x n series matrices, and the off-diagonal blocks are zero
+series of cap 2.  The totally antisymmetric tensors Tas, SB and dTas are
+built by `_form` on increasing index words only; every permutation of a word
+gets the word's value times its sign, and a word with a repeated index gets
+a zero of the entries' cap.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import combinations, permutations, product
 from operator import getitem
 
 from .errors import (
@@ -78,9 +90,11 @@ Tensor4 = tuple[Tensor3, ...]
 _ZERO = ExactScalar.zero()
 _ONE = ExactScalar.one()
 _MINUS_ONE = rat(-1)
-_I = ExactScalar.i()
 _HALF = rat("1/2")
+_MINUS_HALF = rat("-1/2")
 _TWO = rat(2)
+_INV_PI = ExactScalar.pi(-1)
+_I_OVER_2PI = ExactScalar.rational(0, "1/2", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +425,20 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
             RL[a][n + b] = d2
             RL[n + b][a] = -d2
 
-    # omega = (i / 2 pi) R; the standard complex structure is diagonal
-    omega = _table(dim, 2, lambda a, b: RL[a][b].scale(ExactScalar.rational(0, "1/2", -1)))
-    jstd = [_I if a < n else -_I for a in range(dim)]
-
-    # B(U, V) = omega(U, J V); metric g = |B|, its endomorphism sqrt(M M) by binomial series
-    B = _table(dim, 2, lambda a, b: omega[a][b].scale(jstd[b]))
-    part = lambda a: (a + n) % dim
-    M = _table(dim, 2, lambda a, b: B[part(a)][b].scale(_TWO))
-    g_endo = mat_sqrt(mat_mul(M, M))
-    g = _table(dim, 2, lambda a, b: g_endo[part(a)][b].scale(_HALF))
-    # g_endo(0) = I, so it has a binomial inverse; g is g_endo / 2 with rows moved by part
-    g_endo_inv = mat_inverse(g_endo)
-    ginv = _table(dim, 2, lambda a, b: g_endo_inv[a][part(b)].scale(_TWO))
+    # the metric on its holomorphic block (see the module docstring)
+    H = [[RL[b][n + a].scale(_INV_PI) for b in range(n)] for a in range(n)]
+    S = mat_sqrt(mat_mul(H, H))
+    S_inv = mat_inverse(S)  # S(0) = I, so it has a binomial inverse
+    zeros = [Series.zero(dim, _CAP)] * n
+    g = ([zeros + [S[b][a].scale(_HALF) for b in range(n)] for a in range(n)]
+         + [[s.scale(_HALF) for s in row] + zeros for row in S])
+    ginv = ([zeros + [s.scale(_TWO) for s in row] for row in S_inv]
+            + [[S_inv[b][a].scale(_TWO) for b in range(n)] + zeros for a in range(n)])
     g0, ginv0 = _at0(g), _at0(ginv)
 
-    # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc
-    J = _contract_real(_firsts(omega), ginv)
+    # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
+    # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
+    J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
 
     # Levi-Civita data
     gamma = _christoffels(g, ginv)
@@ -439,9 +450,12 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
     # g pairs unbarred with barred slots only, so h^-1 is a block of g^-1
     hinv = _table(n, 2, lambda j, k: ginv[n + j][k])
     gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), hinv)
-    tas = _antisym_torsion(gamma_ch, g, n)
+    # every entry of the forms Tas and SB has the cap of the torsion, a first
+    # derivative of the metric: their zero entries carry it too
+    tzero = Series.zero(dim, _CAP - 1)
+    tas = _antisym_torsion(gamma_ch, g, n, tzero)
 
-    sb_low = _real_table(dim, 3, lambda a, b, c: tas[a][b][c].scale(rat("-1/2")))
+    sb_low = _form(dim, 3, lambda a, b, c: tas[a][b][c].scale(_MINUS_HALF), tzero)
     sb_up = _contract_real(_firsts(sb_low), ginv)
     gamma_b = _real_table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
     gamb0 = _at0(gamma_b)
@@ -471,9 +485,11 @@ def _build_jet(phi_l: Series, phi_e: Series | None,
         "SB": _at0(sb_low),
         "RB": _contract_real(_curvature(gamma_b, gamb0), g0),
     }
+    # xi-frame slot a is the z-frame slot (a + n) mod 2n if a mod n < q, else a
+    xi = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, dim)]
     return GeometryJet(
         n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
-        **{name: _relabel(z_frame[name], q, rank) for name, rank in _TENSOR_FIELDS.items()})
+        **{name: _relabel(z_frame[name], xi, rank) for name, rank in _TENSOR_FIELDS.items()})
 
 
 def _check_hessian(phi: Series, n: int, q: int) -> None:
@@ -503,18 +519,41 @@ def _table(dim: int, rank: int, fn) -> list:
     return [_table(dim, rank - 1, partial(fn, a)) for a in range(dim)]
 
 
+def _form(dim: int, rank: int, fn, zero) -> list:
+    """`_table(dim, rank, fn)` of a totally antisymmetric tensor: fn is called
+    on the increasing index words only, each permutation of a word gets its
+    value times the permutation's sign, and every word with a repeated index
+    gets `zero` (a series form's zero must carry the cap of its entries)."""
+    out = {}
+    for word in combinations(range(dim), rank):
+        v = fn(*word)
+        signed = (v, -v)
+        for perm, odd in _signed_permutations(rank):
+            out[tuple([word[p] for p in perm])] = signed[odd]
+    return _table(dim, rank, lambda *idx: out.get(idx, zero))
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of range(rank) with its parity, 1 if odd."""
+    return tuple((p, sum(p[i] > p[j] for i, j in combinations(range(rank), 2)) % 2)
+                 for p in permutations(range(rank)))
+
+
 def _real(build, dim: int, sign: int = 1) -> list:
     """The real (sign = 1) or imaginary (sign = -1) tensor t whose subtensors
     t[a], a in `firsts`, are `build(firsts)`: t[a] is built for a < n only, and
     t[c(i1)]..[c(ik)] = sign conj t[i1]..[ik] with c(a) = (a + n) mod 2n."""
-    half = build(range(dim // 2))
-    return half + [_mirror(t, dim // 2, sign) for t in half]
+    n = dim // 2
+    half = build(range(n))
+    swap = [*range(n, dim), *range(n)]
+    return half + [_mirror(t, swap, sign) for t in half]
 
 
-def _mirror(t, n: int, sign: int):
-    """sign conj t with every slot index a read at (a + n) mod 2n; zeros are reused."""
+def _mirror(t, swap: list[int], sign: int):
+    """sign conj t with every slot index a read at swap[a]; zeros are reused."""
     if isinstance(t, list):
-        return [_mirror(t[(a + n) % len(t)], n, sign) for a in range(len(t))]
+        return [_mirror(t[a], swap, sign) for a in swap]
     if t.is_zero():
         return t
     c = t.conj() if isinstance(t, Series) else t.conjugate()
@@ -592,18 +631,12 @@ def _nest(t, rows):
     return [_nest(x, rows) for x in t] if isinstance(t[0], list) else next(rows)
 
 
-def _relabel(t, q: int, rank: int):
-    """Freeze `t` to nested tuples with its first `rank` slots in the xi frame.
-
-    Slot a becomes the z-frame slot (a + n) mod 2n if a mod n < q, else a
-    (an involution); deeper levels, such as the matrices of RE, pass through.
-    """
-    if rank == 0:
-        return t
-    dim = len(t)
-    n = dim // 2
-    return tuple(_relabel(t[(a + n) % dim if a % n < q else a], q, rank - 1)
-                 for a in range(dim))
+def _relabel(t, xi: list[int], rank: int) -> tuple:
+    """Freeze `t` to nested tuples with each of its first `rank` slot indices
+    a read at xi[a]; deeper levels, such as the matrices of RE, pass through."""
+    if rank == 1:
+        return tuple([t[a] for a in xi])
+    return tuple([_relabel(t[a], xi, rank - 1) for a in xi])
 
 
 # -- the geometric stages -------------------------------------------------------
@@ -651,20 +684,22 @@ def _chern_trace_form(gamma_ch, n):
     return out
 
 
-def _antisym_torsion(gamma_ch, g, n):
-    """Total antisymmetrization of the Chern-connection torsion, as a series 3-form."""
+def _antisym_torsion(gamma_ch, g, n, zero):
+    """Total antisymmetrization of the Chern-connection torsion, as a series
+    3-form whose entries with a repeated index are `zero`: the cyclic sum of
+    the lowered torsion, which is antisymmetric in its first two slots."""
     dim = 2 * n
-    zero = Series.zero(dim, _CAP)
+    mixed = Series.zero(dim, _CAP)
 
     def tvec(i, j, k):  # the (1,0) torsion block and its conjugate
         if max(i, j, k) < n:
             return gamma_ch[i][j][k] - gamma_ch[j][i][k]
-        # `_contract_real` builds the slices i < n only; the conjugate block is
-        # read when every slice is built directly, a build the mirror must match
-        return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else zero
+        # `_contract_real` builds the slices i < n only, so the pipeline never
+        # reads the conjugate block; a build of every slice without `_real` does
+        return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else mixed
 
     low = _contract_real(_subtables(dim, 3, tvec), g)
-    return _real_table(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b])
+    return _form(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b], zero)
 
 
 def _nabla_J(J, gamma):
@@ -728,12 +763,11 @@ def _cov0(t, slots, firsts):
 
 
 def _ext_deriv3(t):
-    """Exterior derivative at the base point of a series 3-form; each entry is
-    one fused sum of its four signed derivatives."""
-    dt = _real(partial(_cov0, t, [None] * 3), len(t))
-    return _real_table(len(t), 4, lambda a, b, c, d: sum_products([
-        (dt[a][b][c][d], _ONE), (dt[b][a][c][d], _MINUS_ONE),
-        (dt[c][a][b][d], _ONE), (dt[d][a][b][c], _MINUS_ONE)]))
+    """Exterior derivative at the base point of a series 3-form, a 4-form;
+    each entry is one fused sum of its four signed first derivatives."""
+    return _form(len(t), 4, lambda a, b, c, d: sum_products([
+        (_d0(t[b][c][d], a), _ONE), (_d0(t[a][c][d], b), _MINUS_ONE),
+        (_d0(t[a][b][d], c), _ONE), (_d0(t[a][b][c], d), _MINUS_ONE)]), _ZERO)
 
 
 def _aux_curvature(phi_e, n, rk_e):
@@ -800,12 +834,14 @@ def _radial_gauge_derivatives(RL, gamma, gam0):
     dim = len(RL)
     zmap = _normal_coordinates(gamma, gam0)
 
-    # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d], as jac (comp jac^T)
+    # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d] with comp = RL o zmap,
+    # as jac (comp jac^T)
     jac = _table(dim, 2, lambda a, c: _deriv(zmap[c], a))
     jac_t = _table(dim, 2, lambda d, b: jac[b][d])
-    # RL is imaginary, and so is its pullback
-    comp = _real(lambda firsts: mat_compose([RL[a] for a in firsts], zmap, cap=2), dim, -1)
-    comp_jac_t = _real(lambda firsts: mat_mul([comp[a] for a in firsts], jac_t), dim, -1)
+    # RL is imaginary, and so is its pullback; comp is formed on the rows that the
+    # product with jac^T reads
+    comp_jac_t = _real(lambda firsts: mat_mul(
+        mat_compose([RL[a] for a in firsts], zmap, cap=2), jac_t), dim, -1)
     pulled = _real(lambda firsts: mat_mul([jac[a] for a in firsts], comp_jac_t), dim, -1)
     return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
             _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))

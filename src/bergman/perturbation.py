@@ -263,11 +263,16 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
             if not endo.is_zero():
                 rbl[(a, b)] = endo.scale(rat("1/2"))
 
-    # structure-map second derivative, Clifford action, coefficient -2 pi i
+    # structure-map second derivative, Clifford action, coefficient -2 pi i.
+    # The forms of (a, b) and (b, a) multiply the same monomial Z_a Z_b, and
+    # the Clifford map is linear: one form per unordered pair, added first
+    d2j = jet.nablaB2J
     d2j_endo: list[tuple[Series, ExteriorEndo]] = []
     for a in range(dim):
-        for b in range(dim):
-            endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.nablaB2J[a][b][c][d])
+        for b in range(a, dim):
+            form = ((lambda c, d, a=a: d2j[a][a][c][d]) if a == b else
+                    (lambda c, d, a=a, b=b: d2j[a][b][c][d] + d2j[b][a][c][d]))
+            endo = _clifford_form(alg, q, 2, form)
             if not endo.is_zero():
                 # -2 pi i times the quarter action, which is half the contraction
                 d2j_endo.append((_var(n, a) * _var(n, b),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from bergman.geometry import (
@@ -11,9 +14,33 @@ from bergman.geometry import (
     parse_potential,
     random_potential,
 )
+from bergman.scalars import ExactScalar
 from bergman.series import Series
 
 CROSSCHECK_SEEDS = tuple(range(1, 21))
+
+
+def dense_potential(n: int, q: int, seed: int) -> Series:
+    """A seeded normalized real potential whose every cubic and quartic
+    coefficient is nonzero (`random_potential` zeroes about a fifth of them):
+    a nonzero Gaussian rational times pi^2 per monomial, conjugated onto its
+    mirror."""
+    rng = random.Random(seed)
+    terms = dict(flat_potential(n, q).terms)
+
+    def small() -> str:
+        return f"{rng.choice((-2, -1, 1, 2))}/{rng.choice((1, 2, 3))}"
+
+    for degree in (3, 4):
+        for combo in combinations_with_replacement(range(2 * n), degree):
+            e = tuple(combo.count(i) for i in range(2 * n))
+            mirror = e[n:] + e[:n]
+            if mirror < e:
+                continue
+            c = ExactScalar.rational(small(), 0 if mirror == e else small(), 2)
+            terms[e] = c
+            terms[mirror] = c.conjugate()
+    return Series(2 * n, 4, terms)
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +57,8 @@ def jet_cache():
                 phi = fs_product_potential(n, q)
             elif kind == "random":
                 phi = random_potential(n, q, seed)
+            elif kind == "dense":
+                phi = dense_potential(n, q, seed)
             else:
                 raise ValueError(kind)
             if swap is not None:

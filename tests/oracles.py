@@ -4,8 +4,9 @@ Each one recomputes a library operation by a different route: a jet's
 JSON body as a dict of scalar payloads, scalar arithmetic on `Fraction`
 pairs, series products and sums one term pair at a time, substitution into
 a series one entry at a time, the exp-map substitution as a sum of
-variable products, the base-point covariant derivative with its
-connection corrections added one term at a time, the oscillator L0 as a
+variable products, the metric and its inverse on all 2n slots of the
+frame, the base-point covariant derivative with its connection
+corrections added one term at a time, the oscillator L0 as a
 raw differential operator on the polynomial form, multiplication by a
 polynomial and the polynomial form of a state one factor at a time, the
 one-factor normal-ordering rules themselves, the 2-form Clifford
@@ -52,7 +53,7 @@ from bergman.oscillator import (
     _bump,
 )
 from bergman.scalars import ExactScalar, _format_gaussian, rat
-from bergman.series import Exps, Series
+from bergman.series import Exps, Series, mat_inverse, mat_mul, mat_sqrt
 
 _ZERO = ExactScalar.zero()
 
@@ -229,6 +230,30 @@ def normal_coordinates_by_products(gamma, gam0) -> list[Series]:
                 c3 = add(c3, mul(w[b], c2c).scale(gam0[b][c][a].scale(4)))
         zmap[a] = add(zmap[a], c3.scale(rat("-1/6")))
     return zmap
+
+
+def metric_by_full_frame(phi: Series, n: int):
+    """The metric g and its inverse as series matrices on all 2n slots, by the
+    full-frame chain: R = d dbar phi, omega = (i / 2 pi) R, B(U, V) =
+    omega(U, J_std V), M = 2 B with rows moved by part(a) = (a + n) mod 2n,
+    g_endo = sqrt(M M) and its inverse by binomial series; g is g_endo / 2
+    with rows moved by part and g^-1 is 2 g_endo^-1 with columns moved by it."""
+    dim = 2 * n
+    part = lambda a: (a + n) % dim
+    rl = [[Series.zero(dim, 2) for _ in range(dim)] for _ in range(dim)]
+    for a, b in product(range(n), repeat=2):
+        d2 = phi.diff(a).truncate(phi.cap - 1).diff(n + b).truncate(phi.cap - 2).truncate(2)
+        rl[a][n + b], rl[n + b][a] = d2, -d2
+    i = ExactScalar.i()
+    jstd = [i if a < n else -i for a in range(dim)]
+    omega = [[s.scale(ExactScalar.rational(0, "1/2", -1)) for s in row] for row in rl]
+    b_form = [[omega[a][b].scale(jstd[b]) for b in range(dim)] for a in range(dim)]
+    m = [[b_form[part(a)][b].scale(rat(2)) for b in range(dim)] for a in range(dim)]
+    g_endo = mat_sqrt(mat_mul(m, m))
+    g_endo_inv = mat_inverse(g_endo)
+    g = [[g_endo[part(a)][b].scale(rat("1/2")) for b in range(dim)] for a in range(dim)]
+    ginv = [[g_endo_inv[a][part(b)].scale(rat(2)) for b in range(dim)] for a in range(dim)]
+    return g, ginv
 
 
 def poly_evaluate_origin(form: PolyGaussianForm) -> ExteriorEndo:

@@ -25,6 +25,7 @@ from oracles import (
     cov0_per_term,
     jet_body,
     jet_digest,
+    metric_by_full_frame,
     normal_coordinates_by_products,
     potential_to_dict,
 )
@@ -304,7 +305,7 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
 def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
-    """Every `_cov0` call of the pipeline (the two curvatures, covTas, dTas,
+    """Every `_cov0` call of the pipeline (the two curvatures, covTas,
     nablaXJ and nablaB2J) gives the subtensors that adding each Christoffel
     correction one term at a time gives; the calls move slots with the
     Levi-Civita and the Bismut Gamma(0), each raised and lowered."""
@@ -325,13 +326,16 @@ def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
 
 
 @pytest.mark.parametrize("n, q, twist", [
-    (2, 1, None), (3, 2, None), (4, 2, None), (3, 1, ("1/2", "-1/3", "1/4")),
+    (2, 1, None), (3, 2, None), (4, 2, None), (3, 1, ("1/2", "-1/3", "1/4")), (1, 0, None),
 ])
 def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
-    """The pipeline inverts g once, through g_endo, and g g^-1 = I exactly.
+    """The pipeline inverts g once, through the block S of g_endo, and
+    g g^-1 = I exactly.
     g pairs unbarred with barred slots only, so the inverse of its block
     h[j][k] = g[j][n+k] is the block ginv[n+j][k] of g^-1, in value and cap:
-    the Chern connection reads h^-1 there instead of inverting h again."""
+    the Chern connection reads h^-1 there instead of inverting h again.
+    The pipeline forms the metric on its holomorphic block; g and g^-1 are
+    those of the full-frame construction on all 2n slots, entry and cap."""
     seen, inverted = [], []
     real, real_inverse = geometry._christoffels, geometry.mat_inverse
 
@@ -347,10 +351,15 @@ def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
     monkeypatch.setattr(geometry, "mat_inverse", spy_inverse)
     phi_e = None if twist is None else parse_potential(
         {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
-    jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=1 if twist is None else 2)
+    phi = random_potential(n, q, 5)
+    jet_from_potential(phi, phi_e, n=n, q=q, rk_e=1 if twist is None else 2)
     [(g, ginv)] = seen
     assert len(inverted) == 1
     dim = 2 * n
+    want_g, want_ginv = metric_by_full_frame(phi, n)
+    for got, want in ((g, want_g), (ginv, want_ginv)):
+        for a, b in product(range(dim), repeat=2):
+            assert got[a][b] == want[a][b] and got[a][b].cap == want[a][b].cap, (a, b)
     assert all(g[a][b].is_zero() for a, b in product(range(dim), repeat=2) if (a < n) == (b < n))
     # h(0) = I / 2, so 2h has a binomial inverse
     two = rat(2)
@@ -460,22 +469,24 @@ def test_pluriharmonic_change_keeps_the_jet(jet_cache):
 
 
 _PINNED_JETS = [
-    (3, 1, 0, None, "1abe9a63ed6793ac"), (3, 2, 5, None, "1c006ba8baac7139"),
-    (3, 1, 7, None, "732d22cae15521b4"), (3, 0, 3, None, "3459c8461deafa13"),
-    (3, 3, 2, None, "c64b699e172ed2ae"), (4, 2, 5, None, "1c00aa87501e34cd"),
-    (4, 2, 5, ("1/2", "-1/3", "1/4", "-1/5"), "353c2a76679eeb2b"),
+    ("random", 3, 1, 0, None, "1abe9a63ed6793ac"), ("random", 3, 2, 5, None, "1c006ba8baac7139"),
+    ("random", 3, 1, 7, None, "732d22cae15521b4"), ("random", 3, 0, 3, None, "3459c8461deafa13"),
+    ("random", 3, 3, 2, None, "c64b699e172ed2ae"), ("random", 4, 2, 5, None, "1c00aa87501e34cd"),
+    ("random", 4, 2, 5, ("1/2", "-1/3", "1/4", "-1/5"), "353c2a76679eeb2b"),
+    ("dense", 3, 1, 1, None, "63d40174cf9e3fde"), ("dense", 3, 2, 1, None, "f0514f756460fe12"),
 ]
 
 
-@pytest.mark.parametrize("n,q,seed,twist,jet_id", _PINNED_JETS, ids=[
-    f"{n}-{q}-{seed}-{'twisted-' if twist else ''}{jet_id}"
-    for n, q, seed, twist, jet_id in _PINNED_JETS])
-def test_pipeline_jet_ids_are_pinned(jet_cache, n, q, seed, twist, jet_id):
-    """Digests of the full pipeline at n = 3 and 4, one with a rank-2 twist:
-    any change to a series truncation, the metric square root or the exp-map
-    pullback shows here."""
+@pytest.mark.parametrize("kind,n,q,seed,twist,jet_id", _PINNED_JETS, ids=[
+    f"{'dense-' if kind == 'dense' else ''}{n}-{q}-{seed}-{'twisted-' if twist else ''}{jet_id}"
+    for kind, n, q, seed, twist, jet_id in _PINNED_JETS])
+def test_pipeline_jet_ids_are_pinned(jet_cache, kind, n, q, seed, twist, jet_id):
+    """Digests of the full pipeline at n = 3 and 4, one with a rank-2 twist
+    and two dense ones, every cubic and quartic coefficient nonzero: any change
+    to a series truncation, the metric square root or the exp-map pullback
+    shows here."""
     rk_e = 1 if twist is None else 2
-    assert jet_cache("random", n, q, seed, rk_e=rk_e, twist=twist).jet_id == jet_id
+    assert jet_cache(kind, n, q, seed, rk_e=rk_e, twist=twist).jet_id == jet_id
 
 
 @pytest.mark.parametrize("n,q,twist", [
@@ -497,10 +508,40 @@ def test_mirrored_stages_match_the_direct_build(jet_cache, monkeypatch, n, q, tw
     phi_e = None if twist is None else parse_potential(
         {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
     jet = jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=rk_e)
-    assert built.count(-1) == 3 and len(built) > 20
+    assert built.count(-1) == 2 and len(built) == 18
     assert jet.jet_id == mirrored.jet_id and jet.rX == mirrored.rX
     for name in _TENSOR_FIELDS:
         assert getattr(jet, name) == getattr(mirrored, name), name
+
+
+@pytest.mark.parametrize("n,q,twist", [
+    (1, 0, None), (2, 1, None), (2, 2, None), (3, 2, None), (3, 1, ("1/2", "-1/3", "1/4")),
+])
+def test_forms_match_the_direct_build(jet_cache, monkeypatch, n, q, twist):
+    """Tas, SB and dTas are built on increasing index words and filled by
+    antisymmetry through `_form`; building every entry directly gives the
+    same seed-5 jet, field by field, and each form the same entries and caps."""
+    rk_e = 1 if twist is None else 2
+    formed = jet_cache("random", n, q, 5, rk_e=rk_e, twist=twist)
+    built = []
+    real = geometry._form
+
+    def direct(dim, rank, fn, zero):
+        got, want = real(dim, rank, fn, zero), geometry._table(dim, rank, fn)
+        for idx in product(range(dim), repeat=rank):
+            x, y = _entry(got, idx), _entry(want, idx)
+            assert x == y and getattr(x, "cap", None) == getattr(y, "cap", None), (rank, idx)
+        built.append(rank)
+        return want
+
+    monkeypatch.setattr(geometry, "_form", direct)
+    phi_e = None if twist is None else parse_potential(
+        {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
+    jet = jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=rk_e)
+    assert sorted(built) == [3, 3, 4]
+    assert jet.jet_id == formed.jet_id and jet.rX == formed.rX
+    for name in _TENSOR_FIELDS:
+        assert getattr(jet, name) == getattr(formed, name), name
 
 
 def _entry(t, idx):
