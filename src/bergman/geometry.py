@@ -60,8 +60,8 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, permutations, product
 from operator import getitem
 
@@ -261,7 +261,12 @@ class GeometryJet:
     nablaB2J: Tensor4
     SB: Tensor3
     RB: Tensor4
-    jet_id: str = ""
+
+    @cached_property
+    def jet_id(self) -> str:
+        """The first 16 hex digits of the sha256 of the compact text, hashed
+        when first read: a jet whose id is never read is never hashed."""
+        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
     @property
     def dim(self) -> int:
@@ -282,19 +287,21 @@ class GeometryJet:
         body with those options.
         """
         level = 2 if file else None
-        fields = {"schema": json.dumps(JET_SCHEMA), "n": str(self.n), "q": str(self.q),
-                  "rk_e": str(self.rk_e), "frame": json.dumps(_FRAME),
-                  "rX": _payload(self.rX, *_punctuation(level))}
+        # the id first: the compact text it hashes is freed before this text is built
+        fields = {"jet_id": json.dumps(self.jet_id)} if file else {}
+        fields.update(schema=json.dumps(JET_SCHEMA), n=str(self.n), q=str(self.q),
+                      rk_e=str(self.rk_e), frame=json.dumps(_FRAME),
+                      rX=_payload(self.rX, *_punctuation(level)))
         for name, rank in _TENSOR_FIELDS.items():
             fields[name] = _text(getattr(self, name), rank + 2 * (name == "RE"), level, {})
         if file:
-            fields["jet_id"] = json.dumps(self.jet_id or _digest(self.to_text()))
             return "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in sorted(fields.items())) + "\n}"
         return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(fields.items())) + "}"
 
     @classmethod
     def from_json(cls, data: object) -> "GeometryJet":
-        """Check the schema and every shape; `jet_id` is recomputed from the content."""
+        """Check the schema and every shape; a `jet_id` in `data` is ignored, the
+        loaded jet's own is computed from its values."""
         if not isinstance(data, dict):
             raise InvalidJetError("a jet must be a JSON object")
         if data.get("schema") != JET_SCHEMA:
@@ -310,7 +317,7 @@ class GeometryJet:
         for name, rank in _TENSOR_FIELDS.items():
             matrix = (rk_e, rk_e) if name == "RE" else ()
             tensors[name] = _load(data[name], (2 * n,) * rank + matrix, name)
-        return _with_id(cls(n=n, q=q, rk_e=rk_e, rX=_load_scalar(data["rX"], "rX"), **tensors))
+        return cls(n=n, q=q, rk_e=rk_e, rX=_load_scalar(data["rX"], "rX"), **tensors)
 
 
 _FRAME = "xi-adapted complex frame; index a<n is d/dxi_{a+1}, a+n its conjugate"
@@ -378,16 +385,6 @@ def _load_scalar(t: object, name: str) -> ExactScalar:
         raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
 
 
-def _digest(text: str) -> str:
-    """The `jet_id` of a jet's compact text: the first 16 hex digits of its sha256."""
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _with_id(jet: GeometryJet) -> GeometryJet:
-    """The jet with its content digest as `jet_id`."""
-    return replace(jet, jet_id=_digest(jet.to_text()))
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -398,12 +395,6 @@ _CAP = 2  # all derived fields need at most two more derivatives at 0
 def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
                        n: int, q: int, rk_e: int = 1) -> GeometryJet:
     """Run the full truncated-series pipeline on a normalized potential."""
-    return _with_id(_build_jet(phi_l, phi_e, n, q, rk_e))
-
-
-def _build_jet(phi_l: Series, phi_e: Series | None,
-               n: int, q: int, rk_e: int) -> GeometryJet:
-    """The jet of `jet_from_potential`, without its `jet_id`."""
     if not 0 <= q <= n:
         raise ValueError("signature index out of range")
     dim = 2 * n

@@ -305,6 +305,12 @@ def validate_jet(jet) -> CheckReport:
             and all(jet.RB[a][b][c][d].negates(jet.RB[a][b][d][c])
                     and jet.nablaB2J[a][b][c][d].negates(jet.nablaB2J[a][b][d][c])
                     for a, b, c, d in _indices(dim, 4) if c <= d))
+    # the engine quantizes RB once per unordered front pair and negates it for
+    # the other order; the antisymmetrization check above sees RB only where
+    # jsum is nonzero
+    rep.add("bismut-curvature-antisym-front",
+            all(jet.RB[a][b][c][d].negates(jet.RB[b][a][c][d])
+                for a, b, c, d in _indices(dim, 4) if a <= b))
     return rep
 
 

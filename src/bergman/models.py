@@ -121,8 +121,7 @@ def rrh_coefficients(n: int, q: int, rk_e: int = 1) -> dict[str, Fraction]:
 MAX_SECTIONS_POWER = 60
 
 
-def cp1_sections_kernel(p: int, sample_points: list[complex] | None = None,
-                        count: int = 20) -> dict[str, object]:
+def cp1_sections_kernel(p: int, count: int = 20) -> dict[str, object]:
     """Float witness that the section kernel of the p-th power is constant.
 
     For each sample z the normalized section sum equals
@@ -131,12 +130,10 @@ def cp1_sections_kernel(p: int, sample_points: list[complex] | None = None,
     """
     if not 0 <= p <= MAX_SECTIONS_POWER:
         raise ValueError(f"tensor power out of the supported range 0..{MAX_SECTIONS_POWER}")
-    if sample_points is None:
-        sample_points = [complex(Fraction(k, 7), Fraction((3 * k) % 11, 13))
-                         for k in range(count)]
     rows = []
     max_dev = 0.0
-    for z in sample_points:
+    for j in range(count):
+        z = complex(Fraction(j, 7), Fraction((3 * j) % 11, 13))
         r2 = abs(z) ** 2
         total = sum(comb(p, k) * r2 ** k for k in range(p + 1))
         value = (p + 1) * total / (1.0 + r2) ** p

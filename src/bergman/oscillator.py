@@ -45,7 +45,6 @@ in the quotient, and `to_poly`, `adjoint`, `compose`, `from_poly` and
 
 from __future__ import annotations
 
-import os
 from copy import copy
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +53,7 @@ from math import comb, factorial, perm
 from operator import add
 from typing import Iterable
 
-from .errors import DegreeCapError, KernelComponentError, UsageError
+from .errors import DegreeCapError, KernelComponentError
 from .exterior import ExteriorAlgebra, ExteriorEndo
 from .scalars import ExactScalar, rat
 
@@ -62,15 +61,6 @@ Multi = tuple[int, ...]
 TermKey = tuple[Multi, Multi, Multi, Multi]  # (alpha, beta, primed, barred-primed)
 
 DEFAULT_DEGREE_CAP = 8
-
-
-def _env_degree_cap() -> int:
-    raw = os.environ.get("BERGMAN_DEGREE_CAP")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    if not raw.strip().isdecimal():
-        raise UsageError(f"BERGMAN_DEGREE_CAP must be a non-negative integer, not {raw!r}")
-    return int(raw)
 
 
 class OscillatorContext:
@@ -83,7 +73,7 @@ class OscillatorContext:
         self.q = q
         self.alg = ExteriorAlgebra(n, rk_e)
         self.rk_e = rk_e
-        self.degree_cap = degree_cap if degree_cap is not None else _env_degree_cap()
+        self.degree_cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
         self.zero_multi: Multi = (0,) * n
         self._project_det = self.alg.project_det(q)
         self._identity = self.alg.identity()
@@ -126,8 +116,7 @@ def _bump(m: Multi, j: int, by: int = 1) -> Multi:
 
 
 def _degree_error(degree: int, cap: int) -> DegreeCapError:
-    return DegreeCapError(f"term degree {degree} exceeds cap {cap}; "
-                          "raise BERGMAN_DEGREE_CAP if this is intentional")
+    return DegreeCapError(f"term degree {degree} exceeds cap {cap}")
 
 
 def _capped_terms(ctx: OscillatorContext,

@@ -252,10 +252,15 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     prime = build_O2_prime(jet, ctx)
 
     # spinor-connection curvature coupled to b / b+: its quarter action plus
-    # half the trace
+    # half the trace.  RB and trRT10 are skew in (a, b) (`validate_jet`), so
+    # the coupling of (b, a) is that of (a, b) negated, and the diagonal is zero
     rbl: dict[tuple[int, int], ExteriorEndo] = {}
     for a in range(dim):
         for b in range(dim):
+            if b <= a:
+                if (b, a) in rbl:
+                    rbl[(a, b)] = -rbl[(b, a)]
+                continue
             endo = _clifford_form(alg, q, 2, lambda c, d, a=a, b=b: jet.RB[a][b][c][d])
             tr = jet.trRT10[a][b]
             if not tr.is_zero():

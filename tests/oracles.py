@@ -131,13 +131,13 @@ class FractionScalar:
 
 
 def jet_body(jet: GeometryJet) -> dict[str, object]:
-    """The JSON body of a jet built as a dict, one scalar payload at a time;
-    `jet_id` is the jet's own if it has one, else the digest of the body."""
+    """The JSON body of a jet built as a dict, one scalar payload at a time,
+    with the jet's own `jet_id`."""
     body = {"schema": JET_SCHEMA, "n": jet.n, "q": jet.q, "rk_e": jet.rk_e,
             "frame": _FRAME, "rX": jet.rX.to_json()}
     for name in _TENSOR_FIELDS:
         body[name] = _dump(getattr(jet, name))
-    body["jet_id"] = jet.jet_id or jet_digest(body)
+    body["jet_id"] = jet.jet_id
     return body
 
 

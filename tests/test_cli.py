@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from bergman import cli
+from bergman import cli, oscillator
 from bergman.cli import main
-from bergman.closed_form import B1Result
+from bergman.closed_form import B1Result, b1_formula
 from bergman.exterior import ExteriorAlgebra
-from bergman.geometry import fs_product_potential
+from bergman.geometry import GeometryJet, fs_product_potential
 from bergman.jet_checks import CheckReport
+from bergman.perturbation import b1_engine
+from bergman.scalars import ExactScalar
 from oracles import jet_digest, potential_to_dict
 
 
@@ -103,6 +105,26 @@ def test_validation_failure_exit(tmp_path, capsys):
     path.write_text(json.dumps(body))
     code, out = run_captured(capsys, ["b1", "closed-form", "--jet", str(path)])
     assert code == 3
+
+
+def test_rb_front_skew_break_is_a_validation_error(jet_cache, tmp_path, capsys):
+    """An RB entry that is not minus its front-swapped partner, with reality
+    and the last-pair skew kept, splits the routes; the antisymmetrization
+    check cannot see it where jsum[c][d] is zero, so only the front-skew
+    check stops it, and crosscheck exits 3."""
+    body = json.loads(jet_cache("random", 3, 2, 5).to_text(file=True))
+    v = ExactScalar.rational("1/3", 1, 0)
+    for (a, b), w in (((0, 3), v), ((3, 0), v.conjugate())):
+        body["RB"][a][b][a][b] = w.to_json()
+        body["RB"][a][b][b][a] = (-w).to_json()
+    jet = GeometryJet.from_json(body)
+    assert b1_formula(jet, check=False).endo != b1_engine(jet, check=False).endo
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(body))
+    code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
+    assert code == 3
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == \
+        ["bismut-curvature-antisym-front"]
 
 
 @pytest.mark.parametrize("command", ["random", "build"])
@@ -250,7 +272,7 @@ PINNED_STDOUT = {
     "b1 crosscheck --jet JET":
         "963e9af8eedca730d992df19478fc5437f64ba11e97e073f41a66dcbc27508b8",
     "identities --jet JET":
-        "0051422a6605e6dc59c2d2004c607577d914b5c526832f6a00a2209a3cc98ed0",
+        "1522f5a12e22b3738d12b58600890a827f2b85b0088f93c939003fa8a9a70963",
     "selftest":
         "e8a79f207f511d1ba5a25fda2f5c2c290dd6866cab6a22c9cbc36b57f0829756",
 }
@@ -332,24 +354,15 @@ def test_tampered_jet_gets_a_fresh_id(small_jet_body, tmp_path, capsys):
     assert json.loads(out)["jet_id"] == jet_digest(body) != small_jet_body["jet_id"]
 
 
-def test_bad_degree_cap_is_usage_error(jet_file, monkeypatch, capsys):
-    for bad in ("junk", "-3"):
-        monkeypatch.setenv("BERGMAN_DEGREE_CAP", bad)
-        assert main(["b1", "engine", "--jet", str(jet_file)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: BERGMAN_DEGREE_CAP") and err.count("\n") == 1, err
-
-
 def test_degree_cap_below_the_engine_is_exit_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "jet.json"
     assert main(["jet", "random", "--n", "2", "--q", "1", "--seed", "5",
                  "--out", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "3")
+    monkeypatch.setattr(oscillator, "DEFAULT_DEGREE_CAP", 3)
     assert main(["b1", "engine", "--jet", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: term degree 4 exceeds cap 3;") and err.count("\n") == 1, err
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "4")
+    assert capsys.readouterr().err == "error: term degree 4 exceeds cap 3\n"
+    monkeypatch.setattr(oscillator, "DEFAULT_DEGREE_CAP", 4)
     assert main(["b1", "engine", "--jet", str(path)]) == 0
 
 

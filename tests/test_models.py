@@ -107,9 +107,10 @@ def test_numeric_kernel_witness():
         rep = cp1_sections_kernel(p)
         assert len(rep["samples"]) == 20
         assert rep["max_deviation"] < 1e-9
-    rep = cp1_sections_kernel(3, [complex(0, 0), complex(1, 0)])
+    rep = cp1_sections_kernel(3, count=2)
+    assert [row["z"] for row in rep["samples"]] == [[0.0, 0.0], [1 / 7, 3 / 13]]
     for row in rep["samples"]:
         assert abs(row["value"] - 4) < 1e-9
-    assert cp1_sections_kernel(0, [complex(2, 1)])["max_deviation"] == 0.0
+    assert cp1_sections_kernel(0)["max_deviation"] == 0.0
     with pytest.raises(ValueError):
         cp1_sections_kernel(61)

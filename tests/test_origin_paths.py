@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from bergman import oscillator
 from bergman.errors import DegreeCapError
 from bergman.oscillator import OscillatorContext, PolyGaussianForm, TwoPointState, sum_states
 from bergman.perturbation import (
@@ -182,12 +183,12 @@ def test_the_quotient_has_no_polynomial_form(n, q):
 def test_engine_degree_cap(jet_cache, monkeypatch, n, q):
     """The engine's terms reach degree 4 on seed-5 jets: cap 3 is refused."""
     jet = jet_cache("random", n, q, 5)
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "3")
+    monkeypatch.setattr(oscillator, "DEFAULT_DEGREE_CAP", 3)
     with pytest.raises(DegreeCapError, match="term degree 4 exceeds cap 3"):
         b1_engine(jet, check=False)
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "4")
+    monkeypatch.setattr(oscillator, "DEFAULT_DEGREE_CAP", 4)
     capped = b1_engine(jet, check=False)
-    monkeypatch.delenv("BERGMAN_DEGREE_CAP")
+    monkeypatch.undo()
     assert capped == b1_engine(jet, check=False)
 
 

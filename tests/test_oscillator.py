@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bergman.errors import DegreeCapError, KernelComponentError, UsageError
+from bergman.errors import DegreeCapError, KernelComponentError
 from bergman.oscillator import OscillatorContext, TwoPointState, _mode_moment, sum_states
 from bergman.scalars import ExactScalar, rat
 
@@ -345,13 +345,3 @@ def test_degree_cap_enforced():
         s = s.mul_xi(0)
     with pytest.raises(DegreeCapError):
         s.mul_xi(0)
-
-
-def test_degree_cap_env_override(monkeypatch):
-    monkeypatch.setenv("BERGMAN_DEGREE_CAP", "2")
-    ctx = OscillatorContext(1, 0)
-    assert ctx.degree_cap == 2
-    for bad in ("junk", "-3"):
-        monkeypatch.setenv("BERGMAN_DEGREE_CAP", bad)
-        with pytest.raises(UsageError, match="non-negative integer"):
-            OscillatorContext(1, 0)
