@@ -15,8 +15,8 @@ All coefficients live in the field of Gaussian rationals extended by integer
 powers of pi, so every advertised equality is bitwise exact.
 """
 
-from .closed_form import B1Result, b1_formula, b1_trace
-from .exterior import CliffordFactor, ExteriorAlgebra, ExteriorEndo
+from .closed_form import b1_formula, b1_trace
+from .exterior import B1Result, CliffordFactor, ExteriorAlgebra, ExteriorEndo
 from .geometry import (
     GeometryJet,
     flat_potential,

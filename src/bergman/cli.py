@@ -151,25 +151,17 @@ def cmd_jet_random(args) -> int:
     return _write_jet(jet_from_potential(phi, n=args.n, q=args.q, rk_e=args.rk_e), args.out)
 
 
-def cmd_b1_closed_form(args) -> int:
-    jet = _load_valid_jet(args.jet)
-    if jet is None:
-        return EXIT_VALIDATION
-    res = b1_formula(jet, check=False)
-    payload = res.to_json()
-    payload["trace_pretty"] = str(res.trace)
-    _emit(payload, table=args.table)
-    return EXIT_OK
-
-
-def cmd_b1_engine(args) -> int:
+def cmd_b1_route(args) -> int:
+    """One route's coefficient, labelled with the id of the jet it evaluated."""
     jet = _load_valid_jet(args.jet)
     if jet is None:
         return EXIT_VALIDATION
     terms: dict = {}
-    res = b1_engine(jet, check=False, terms_out=terms)
-    payload = res.to_json()
-    payload["trace_pretty"] = str(res.trace)
+    if args.route == "engine":
+        res = b1_engine(jet, check=False, terms_out=terms)
+    else:
+        res = b1_formula(jet, check=False)
+    payload = {**res.to_json(), "jet_id": jet.jet_id, "trace_pretty": str(res.trace)}
     if args.terms:
         payload["terms"] = {name: endo.to_json() for name, endo in terms.items()}
     _emit(payload, table=args.table)
@@ -353,16 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     b1 = sub.add_parser("b1", help="evaluate the subleading coefficient")
     b1_sub = b1.add_subparsers(dest="b1_command", required=True)
-    c = b1_sub.add_parser("closed-form")
-    c.add_argument("--jet", required=True)
-    c.add_argument("--table", action="store_true")
-    c.set_defaults(func=cmd_b1_closed_form)
-    e = b1_sub.add_parser("engine")
-    e.add_argument("--jet", required=True)
-    e.add_argument("--terms", action="store_true",
-                   help="emit the per-term expansion breakdown")
-    e.add_argument("--table", action="store_true")
-    e.set_defaults(func=cmd_b1_engine)
+    for route in ("closed-form", "engine"):
+        r = b1_sub.add_parser(route)
+        r.add_argument("--jet", required=True)
+        if route == "engine":
+            r.add_argument("--terms", action="store_true",
+                           help="emit the per-term expansion breakdown")
+        r.add_argument("--table", action="store_true")
+        r.set_defaults(func=cmd_b1_route, route=route, terms=False)
     x = b1_sub.add_parser("crosscheck")
     x.add_argument("--jet", required=True)
     x.set_defaults(func=cmd_b1_crosscheck)

@@ -13,38 +13,12 @@ in even totals, so every constant below is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exterior import ExteriorAlgebra, ExteriorEndo
+from .exterior import B1Result, ExteriorAlgebra
 from .geometry import GeometryJet
 from .jet_checks import lambda_scalars, require_valid, s_norm
 from .scalars import ExactScalar, rat
 
 _ZERO = ExactScalar.zero()
-
-
-@dataclass(frozen=True)
-class B1Result:
-    """A computed coefficient with its trace, evaluation route, and source jet."""
-
-    endo: ExteriorEndo
-    trace: ExactScalar
-    route: str
-    jet_id: str
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "route": self.route,
-            "jet_id": self.jet_id,
-            "trace": self.trace.to_json(),
-            "endo": self.endo.to_json(),
-        }
-
-
-def _result(jet: GeometryJet, block: ExteriorEndo) -> B1Result:
-    """The closed-form result for the pi-multiple `block` of the coefficient."""
-    endo = block.scale(ExactScalar.pi(-1))
-    return B1Result(endo=endo, trace=endo.trace(), route="closed-form", jet_id=jet.jet_id)
 
 
 def _mat_sum_mixed(jet: GeometryJet):
@@ -134,7 +108,7 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
                         if not co.is_zero():
                             block = block + make_op(i, j, k, l).scale(co.scale("1/8"))
 
-    return _result(jet, block)
+    return B1Result(block.scale(ExactScalar.pi(-1)), "closed-form")
 
 
 def _scale_mat(mat, c: ExactScalar):

@@ -29,6 +29,7 @@ action `action_two_form` is half the degree-2 case.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Sequence
@@ -335,6 +336,22 @@ class ExteriorEndo:
                 row.append(v.to_json() if v is not None else [])
             rows.append(row)
         return {"n": self.alg.n, "rk_e": self.alg.rk_e, "matrix": rows}
+
+
+@dataclass(frozen=True)
+class B1Result:
+    """A computed coefficient and the route that evaluated it.  It lives in a
+    module both routes import, so that neither imports the other."""
+
+    endo: ExteriorEndo
+    route: str
+
+    @property
+    def trace(self) -> ExactScalar:
+        return self.endo.trace()
+
+    def to_json(self) -> dict[str, object]:
+        return {"route": self.route, "trace": self.trace.to_json(), "endo": self.endo.to_json()}
 
 
 class CliffordFactor:

@@ -637,8 +637,7 @@ def _christoffels(g, ginv):
     dim = len(g)
     dg = _real_table(dim, 3, lambda a, b, c: _deriv(g[b][c], a))
     low = lambda a, b, c: (dg[a][b][c] + dg[b][a][c] - dg[c][a][b]).scale(_HALF)
-    return _real(lambda firsts: _contract_last(
-        [_table(dim, 2, partial(low, a)) for a in firsts], ginv), dim)
+    return _contract_real(_subtables(dim, 3, low), ginv)
 
 
 def _curvature(gamma, gam0):

@@ -311,6 +311,10 @@ def validate_jet(jet) -> CheckReport:
     rep.add("bismut-curvature-antisym-front",
             all(jet.RB[a][b][c][d].negates(jet.RB[b][a][c][d])
                 for a, b, c, d in _indices(dim, 4) if a <= b))
+    # the routes read different entries of these forms, so an entry that is
+    # not the conjugate of its partner makes them disagree
+    reality("dTas", jet.dTas, 4)
+    reality("trRT10", jet.trRT10, 2, anti=True)
     return rep
 
 

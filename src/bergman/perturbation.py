@@ -23,8 +23,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable
 
-from .closed_form import B1Result
-from .exterior import ExteriorAlgebra, ExteriorEndo
+from .exterior import B1Result, ExteriorAlgebra, ExteriorEndo
 from .geometry import GeometryJet
 from .jet_checks import require_valid
 from .oscillator import OscillatorContext, TwoPointState, sum_states
@@ -385,6 +384,4 @@ def b1_engine(jet: GeometryJet, check: bool = True,
           + terms["kernel-sandwich"]
           - terms["iterated-resolvent"])
     ie = f2.alg.project_degree(jet.q)
-    endo = ie @ f2 @ ie
-    return B1Result(endo=endo, trace=endo.trace(), route="engine",
-                    jet_id=jet.jet_id)
+    return B1Result(ie @ f2 @ ie, "engine")

@@ -33,15 +33,9 @@ from itertools import product
 from math import factorial
 from operator import getitem
 
-from bergman.closed_form import (
-    B1Result,
-    _mat_sum_mixed,
-    _result,
-    _scale_mat,
-    _trace_form_sum,
-)
+from bergman.closed_form import _mat_sum_mixed, _scale_mat, _trace_form_sum
 from bergman.errors import BergmanError
-from bergman.exterior import CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
+from bergman.exterior import B1Result, CliffordFactor, CompFn, ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import _FRAME, _TENSOR_FIELDS, JET_SCHEMA, GeometryJet
 from bergman.jet_checks import require_valid, s_norm
 from bergman.oscillator import (
@@ -584,7 +578,7 @@ def b1_kahler(jet: GeometryJet, check: bool = True) -> B1Result:
                 block = block + (op @ alg.endo_from_aux_matrix(
                     _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
 
-    return _result(jet, block)
+    return B1Result(block.scale(ExactScalar.pi(-1)), "closed-form")
 
 
 def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
@@ -599,7 +593,7 @@ def b1_positive(jet: GeometryJet, check: bool = True) -> B1Result:
     proj = alg.project_det(0)
     block = (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
     block = block + proj.scale(jet.rX.scale("1/8"))
-    return _result(jet, block)
+    return B1Result(block.scale(ExactScalar.pi(-1)), "closed-form")
 
 
 # -- a tiny square-zero cohomology ring for the product model -------------------

@@ -1,13 +1,16 @@
 import copy
 import hashlib
 import json
+from functools import reduce
+from itertools import combinations, permutations
+from operator import getitem
 
 import pytest
 
 from bergman import cli, oscillator
 from bergman.cli import main
-from bergman.closed_form import B1Result, b1_formula
-from bergman.exterior import ExteriorAlgebra
+from bergman.closed_form import b1_formula
+from bergman.exterior import B1Result, ExteriorAlgebra
 from bergman.geometry import GeometryJet, fs_product_potential
 from bergman.jet_checks import CheckReport
 from bergman.perturbation import b1_engine
@@ -107,24 +110,60 @@ def test_validation_failure_exit(tmp_path, capsys):
     assert code == 3
 
 
-def test_rb_front_skew_break_is_a_validation_error(jet_cache, tmp_path, capsys):
-    """An RB entry that is not minus its front-swapped partner, with reality
-    and the last-pair skew kept, splits the routes; the antisymmetrization
-    check cannot see it where jsum[c][d] is zero, so only the front-skew
-    check stops it, and crosscheck exits 3."""
-    body = json.loads(jet_cache("random", 3, 2, 5).to_text(file=True))
+_I_PI2 = ExactScalar.rational(0, 1, 2)
+
+
+def _add(body, field, index, v):
+    """Add v to the entry of a jet file's field at `index`."""
+    row = reduce(getitem, index[:-1], body[field])
+    row[index[-1]] = (ExactScalar.from_json(row[index[-1]]) + v).to_json()
+
+
+def _break_rb_front_skew(body):
     v = ExactScalar.rational("1/3", 1, 0)
     for (a, b), w in (((0, 3), v), ((3, 0), v.conjugate())):
         body["RB"][a][b][a][b] = w.to_json()
         body["RB"][a][b][b][a] = (-w).to_json()
+
+
+def _break_trrt10_anti_reality(body):
+    _add(body, "trRT10", (0, 2), _I_PI2)
+    _add(body, "trRT10", (2, 0), -_I_PI2)
+
+
+def _break_dtas_reality(body):
+    for sigma in permutations(range(4)):
+        odd = sum(x > y for x, y in combinations(sigma, 2)) % 2
+        _add(body, "dTas", sigma, -_I_PI2 if odd else _I_PI2)
+
+
+# Each break keeps every other slot relation of its field, so before its
+# check the jet validated: RB its reality and last-pair skew (the
+# antisymmetrization check cannot see the front pair where jsum[c][d] is
+# zero), trRT10 its skew, dTas its total antisymmetry.
+ROUTE_SPLITTING_BREAKS = {
+    "RB-front-skew": (_break_rb_front_skew, "bismut-curvature-antisym-front"),
+    "trRT10-anti-reality": (_break_trrt10_anti_reality, "anti-reality[trRT10]"),
+    "dTas-reality": (_break_dtas_reality, "reality[dTas]"),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_SPLITTING_BREAKS)
+def test_a_break_that_splits_the_routes_is_a_validation_error(jet_cache, tmp_path, capsys,
+                                                               case):
+    """A jet field broken in one slot relation makes the routes disagree, so
+    that relation's check must refuse the file: crosscheck exits 3, and the
+    report fails that check alone."""
+    body = json.loads(jet_cache("random", 3, 2, 5).to_text(file=True))
+    mutate, check = ROUTE_SPLITTING_BREAKS[case]
+    mutate(body)
     jet = GeometryJet.from_json(body)
     assert b1_formula(jet, check=False).endo != b1_engine(jet, check=False).endo
     path = tmp_path / "jet.json"
     path.write_text(json.dumps(body))
     code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
     assert code == 3
-    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == \
-        ["bismut-curvature-antisym-front"]
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [check]
 
 
 @pytest.mark.parametrize("command", ["random", "build"])
@@ -148,7 +187,8 @@ def test_jet_is_validated_before_it_is_written(tmp_path, capsys, monkeypatch, co
 
 def test_a_form_that_is_not_skew_fails_validation(tmp_path, capsys):
     """The Clifford map reads trRT10 on increasing label words only, so a jet
-    whose trRT10 has a symmetric part is refused before either route runs."""
+    whose trRT10 has a symmetric part is refused before either route runs.
+    The copied entry is also not minus the conjugate of its partner."""
     path = tmp_path / "jet.json"
     assert main(["jet", "random", "--n", "3", "--q", "2", "--seed", "5",
                  "--out", str(path)]) == 0
@@ -160,7 +200,7 @@ def test_a_form_that_is_not_skew_fails_validation(tmp_path, capsys):
     code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
     assert code == 3
     assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == \
-        ["clifford-forms-skew"]
+        ["clifford-forms-skew", "anti-reality[trRT10]"]
 
 
 def test_engine_terms_output(jet_file, capsys):
@@ -263,6 +303,10 @@ def test_output_determinism(jet_file, capsys):
 
 # sha256 of each command's stdout, JET being the `jet random --n 2 --q 1 --seed 7` file
 PINNED_STDOUT = {
+    "b1 engine --jet JET":
+        "38953ab8dc949bc1bd09db90f8796e6dbaf96fafe35b2f27c0e82e77e557191d",
+    "b1 engine --jet JET --table":
+        "75eadd9297c9a3a9a1405a14f92fd66af7a3a1575ca9802b510b2f142ffc5f0f",
     "b1 engine --jet JET --terms":
         "249b6ed6606a4186194ec9e54cfb3c61e17b43d4dcf0221132392028a50bedce",
     "b1 closed-form --jet JET":
@@ -272,7 +316,7 @@ PINNED_STDOUT = {
     "b1 crosscheck --jet JET":
         "963e9af8eedca730d992df19478fc5437f64ba11e97e073f41a66dcbc27508b8",
     "identities --jet JET":
-        "1522f5a12e22b3738d12b58600890a827f2b85b0088f93c939003fa8a9a70963",
+        "e0a30dd5e739aedcc10601643726702fec91f1ac6816a75e2e8a16caffe04dc7",
     "selftest":
         "e8a79f207f511d1ba5a25fda2f5c2c290dd6866cab6a22c9cbc36b57f0829756",
 }
@@ -401,15 +445,12 @@ def test_crosscheck_requires_self_adjoint(small_jet_body, tmp_path, capsys, monk
     skew = alg.wedge(1)      # not self-adjoint
     sym = skew + skew.adjoint()
 
-    def result(endo, route):
-        return B1Result(endo=endo, trace=endo.trace(), route=route,
-                        jet_id=small_jet_body["jet_id"])
-
     for closed, engine, skewed in ((skew, skew, ["closed-form", "engine"]),
                                    (sym, skew, ["engine"])):
         monkeypatch.setattr(cli, "b1_formula", lambda jet, check, e=closed:
-                            result(e, "closed-form"))
-        monkeypatch.setattr(cli, "b1_engine", lambda jet, check, e=engine: result(e, "engine"))
+                            B1Result(e, "closed-form"))
+        monkeypatch.setattr(cli, "b1_engine", lambda jet, check, e=engine:
+                            B1Result(e, "engine"))
         code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
         payload = json.loads(out)
         assert code == 4

@@ -113,5 +113,4 @@ def test_result_serialization(jet_cache):
     res = b1_formula(jet_cache("fs", 2, 1), check=False)
     payload = res.to_json()
     assert payload["route"] == "closed-form"
-    assert payload["jet_id"] == jet_cache("fs", 2, 1).jet_id
     assert isinstance(payload["endo"]["matrix"], list)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bergman import geometry
+from bergman.closed_form import b1_formula
 from bergman.errors import DegenerateCurvatureError, TruncationInsufficientError
 from bergman.geometry import (
     _TENSOR_FIELDS,
@@ -17,6 +18,7 @@ from bergman.geometry import (
     random_potential,
 )
 from bergman.jet_checks import identity_suite, lambda_scalars, validate_jet
+from bergman.perturbation import b1_engine
 from bergman.scalars import ExactScalar, rat
 from bergman.series import Series, mat_compose, mat_identity, mat_inverse, mat_mul, mat_scale
 from oracles import (
@@ -170,8 +172,9 @@ def test_jet_json_roundtrip(jet_cache):
 
 
 def test_jet_id_is_hashed_when_first_read(jet_cache, monkeypatch):
-    """Building and validating a jet writes no text; the first read of
-    `jet_id` writes the compact text once, and loading a jet file writes none."""
+    """Building, validating and evaluating a jet on either route writes no
+    text; the first read of `jet_id` writes the compact text once, and
+    loading a jet file writes none."""
     text = jet_cache("random", 2, 1, 5).to_text(file=True)
     calls = []
     to_text = GeometryJet.to_text
@@ -183,6 +186,9 @@ def test_jet_id_is_hashed_when_first_read(jet_cache, monkeypatch):
     monkeypatch.setattr(GeometryJet, "to_text", spy)
     jet = jet_from_potential(random_potential(2, 1, 5), n=2, q=1)
     assert validate_jet(jet).ok and calls == []
+    b1_formula(jet, check=False)
+    b1_engine(jet, check=False)
+    assert calls == []
     assert [jet.jet_id, jet.jet_id] == ["92d5bb2e9ad3c406"] * 2 and calls == [{}]
     loaded = GeometryJet.from_json(json.loads(text))
     assert len(calls) == 1 and loaded == jet
