@@ -52,6 +52,21 @@ series of cap 2.  The totally antisymmetric tensors Tas, SB and dTas are
 built by `_form` on increasing index words only; every permutation of a word
 gets the word's value times its sign, and a word with a repeated index gets
 a zero of the entries' cap.
+
+Stages.  `jet_from_potential` runs its stages in dependency order:
+  1. the curvature form RL = d dbar phi and the metric g, g^-1;
+  2. the Levi-Civita Christoffels;
+  3. the exp-map pullback of RL: dRL1, dRL2;
+  4. the structure map J, then the Levi-Civita curvature: RTX, rX;
+  5. the Chern connection and the torsion: trRT10, Tas, covTas, dTas, SB,
+     and the Bismut Christoffels;
+  6. nabla J and the Bismut curvature: nablaXJ, nablaBJ, nablaB2J, RB;
+  7. the auxiliary curvature RE.
+The rule: freeze each field into the xi frame (`_relabel`) as soon as it is
+final, and drop each intermediate after its last reader, by a stage helper's
+return or by `del`.  A build then holds little beyond the finished fields and
+the series of the stage at hand.  The pullback has the largest transients,
+so it runs before J and RTX exist.
 """
 
 from __future__ import annotations
@@ -394,7 +409,8 @@ _CAP = 2  # all derived fields need at most two more derivatives at 0
 
 def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
                        n: int, q: int, rk_e: int = 1) -> GeometryJet:
-    """Run the full truncated-series pipeline on a normalized potential."""
+    """Run the full truncated-series pipeline on a normalized potential, stage
+    by stage (see the module docstring)."""
     if not 0 <= q <= n:
         raise ValueError("signature index out of range")
     dim = 2 * n
@@ -408,79 +424,80 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
         raise DegenerateCurvatureError("auxiliary potential is not real")
     _check_hessian(phi_l, n, q)
 
-    # curvature 2-form of the line bundle: R = d dbar phi
+    # xi-frame slot a is the z-frame slot (a + n) mod 2n if a mod n < q, else a
+    xi = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, dim)]
+    fields = {}
+
+    def freeze(name, t):
+        fields[name] = _relabel(t, xi, _TENSOR_FIELDS[name])
+
+    # 1. curvature 2-form of the line bundle, R = d dbar phi, and the metric
     RL = mat_zero(dim, dim, _CAP)
     for a in range(n):
         for b in range(n):
             d2 = _deriv(_deriv(phi_l, a), n + b).truncate(_CAP)
             RL[a][n + b] = d2
             RL[n + b][a] = -d2
-
-    # the metric on its holomorphic block (see the module docstring)
-    H = [[RL[b][n + a].scale(_INV_PI) for b in range(n)] for a in range(n)]
-    S = mat_sqrt(mat_mul(H, H))
-    S_inv = mat_inverse(S)  # S(0) = I, so it has a binomial inverse
-    zeros = [Series.zero(dim, _CAP)] * n
-    g = ([zeros + [S[b][a].scale(_HALF) for b in range(n)] for a in range(n)]
-         + [[s.scale(_HALF) for s in row] + zeros for row in S])
-    ginv = ([zeros + [s.scale(_TWO) for s in row] for row in S_inv]
-            + [[S_inv[b][a].scale(_TWO) for b in range(n)] + zeros for a in range(n)])
+    g, ginv = _metric(RL, n)
     g0, ginv0 = _at0(g), _at0(ginv)
 
-    # structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
-    # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
-    J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
-
-    # Levi-Civita data
+    # 2. Levi-Civita data
     gamma = _christoffels(g, ginv)
     gam0 = _at0(gamma)
-    rtx = _contract_real(_curvature(gamma, gam0), g0)
 
-    # Hermitian structure on the holomorphic tangent bundle and its torsion
-    h = _table(n, 2, lambda j, k: g[j][n + k])
-    # g pairs unbarred with barred slots only, so h^-1 is a block of g^-1
-    hinv = _table(n, 2, lambda j, k: ginv[n + j][k])
-    gamma_ch = _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), hinv)
+    # 3. normal-coordinate derivatives of the line-bundle curvature
+    drl1, drl2 = _radial_gauge_derivatives(RL, gamma, gam0)
+    freeze("dRL1", drl1)
+    freeze("dRL2", drl2)
+    del drl1, drl2
+
+    # 4. structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
+    # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
+    J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
+    del RL
+    # the Levi-Civita curvature
+    rtx = _contract_real(_curvature(gamma, gam0), g0)
+    freeze("RTX", rtx)
+    rX = _scalar_curvature(rtx, ginv0)
+    del rtx
+
+    # 5. the torsion of the Chern connection on the holomorphic tangent bundle
+    gamma_ch = _chern_connection(g, ginv, n)
+    freeze("trRT10", _chern_trace_form(gamma_ch, n))
     # every entry of the forms Tas and SB has the cap of the torsion, a first
     # derivative of the metric: their zero entries carry it too
     tzero = Series.zero(dim, _CAP - 1)
     tas = _antisym_torsion(gamma_ch, g, n, tzero)
-
+    del gamma_ch, g
+    lc, lc_up = (gam0, False), (gam0, True)
+    freeze("Tas", _at0(tas))
+    freeze("covTas", _real(partial(_cov0, tas, [lc, lc, lc]), dim))
+    freeze("dTas", _ext_deriv3(tas))
     sb_low = _form(dim, 3, lambda a, b, c: tas[a][b][c].scale(_MINUS_HALF), tzero)
+    del tas
+    freeze("SB", _at0(sb_low))
     sb_up = _contract_real(_firsts(sb_low), ginv)
+    del sb_low, ginv
     gamma_b = _real_table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
+    del sb_up, gamma
     gamb0 = _at0(gamma_b)
 
+    # 6. nabla J and the Bismut curvature.  nablaB2J moves its direction slot
+    # with Levi-Civita and its J slots with Bismut: under that convention its
+    # antisymmetrization is the curvature commutator.
+    bis, bis_up = (gamb0, False), (gamb0, True)
+    freeze("nablaXJ", _contract_real(partial(_cov0, J, [lc, lc_up]), g0))
     # the Bismut-side nabla J keeps its series: nablaB2J differentiates it
     nbj = _nabla_J(J, gamma_b)
+    del J
+    freeze("nablaBJ", _contract_real(_firsts(_at0(nbj)), g0))
+    freeze("nablaB2J", _contract_real(partial(_cov0, nbj, [lc, bis, bis_up]), g0))
+    del nbj
+    freeze("RB", _contract_real(_curvature(gamma_b, gamb0), g0))
 
-    # normal-coordinate derivatives of the line-bundle curvature
-    drl1, drl2 = _radial_gauge_derivatives(RL, gamma, gam0)
-
-    # values at the base point, then relabeled into the xi frame.  nablaB2J moves its
-    # direction slot with Levi-Civita and its J slots with Bismut: under that
-    # convention its antisymmetrization is the curvature commutator.
-    lc, lc_up, bis, bis_up = (gam0, False), (gam0, True), (gamb0, False), (gamb0, True)
-    z_frame = {
-        "dRL1": drl1,
-        "dRL2": drl2,
-        "RTX": rtx,
-        "RE": _aux_curvature(phi_e, n, rk_e),
-        "trRT10": _chern_trace_form(gamma_ch, n),
-        "Tas": _at0(tas),
-        "covTas": _real(partial(_cov0, tas, [lc, lc, lc]), dim),
-        "dTas": _ext_deriv3(tas),
-        "nablaXJ": _contract_real(partial(_cov0, J, [lc, lc_up]), g0),
-        "nablaBJ": _contract_real(_firsts(_at0(nbj)), g0),
-        "nablaB2J": _contract_real(partial(_cov0, nbj, [lc, bis, bis_up]), g0),
-        "SB": _at0(sb_low),
-        "RB": _contract_real(_curvature(gamma_b, gamb0), g0),
-    }
-    # xi-frame slot a is the z-frame slot (a + n) mod 2n if a mod n < q, else a
-    xi = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, dim)]
-    return GeometryJet(
-        n=n, q=q, rk_e=rk_e, rX=_scalar_curvature(rtx, ginv0),
-        **{name: _relabel(z_frame[name], xi, rank) for name, rank in _TENSOR_FIELDS.items()})
+    # 7. the auxiliary bundle
+    freeze("RE", _aux_curvature(phi_e, n, rk_e))
+    return GeometryJet(n=n, q=q, rk_e=rk_e, rX=rX, **fields)
 
 
 def _check_hessian(phi: Series, n: int, q: int) -> None:
@@ -633,11 +650,34 @@ def _relabel(t, xi: list[int], rank: int) -> tuple:
 # -- the geometric stages -------------------------------------------------------
 
 
+def _metric(RL, n):
+    """The metric and its inverse as series, formed on the holomorphic block
+    of the curvature form (see the module docstring)."""
+    H = [[RL[b][n + a].scale(_INV_PI) for b in range(n)] for a in range(n)]
+    S = mat_sqrt(mat_mul(H, H))
+    S_inv = mat_inverse(S)  # S(0) = I, so it has a binomial inverse
+    zeros = [Series.zero(2 * n, _CAP)] * n
+    g = ([zeros + [S[b][a].scale(_HALF) for b in range(n)] for a in range(n)]
+         + [[s.scale(_HALF) for s in row] + zeros for row in S])
+    ginv = ([zeros + [s.scale(_TWO) for s in row] for row in S_inv]
+            + [[S_inv[b][a].scale(_TWO) for b in range(n)] + zeros for a in range(n)])
+    return g, ginv
+
+
 def _christoffels(g, ginv):
     dim = len(g)
     dg = _real_table(dim, 3, lambda a, b, c: _deriv(g[b][c], a))
     low = lambda a, b, c: (dg[a][b][c] + dg[b][a][c] - dg[c][a][b]).scale(_HALF)
     return _contract_real(_subtables(dim, 3, low), ginv)
+
+
+def _chern_connection(g, ginv, n):
+    """Christoffels of the Chern connection of h[j][k] = g[j][n+k], the
+    Hermitian metric on the holomorphic tangent bundle."""
+    h = _table(n, 2, lambda j, k: g[j][n + k])
+    # g pairs unbarred with barred slots only, so h^-1 is a block of g^-1
+    hinv = _table(n, 2, lambda j, k: ginv[n + j][k])
+    return _contract_last(_table(n, 3, lambda i, j, l: _deriv(h[j][l], i)), hinv)
 
 
 def _curvature(gamma, gam0):

@@ -23,7 +23,8 @@ keyed by the output monomial, and each output coefficient is then one
 one-pair case.  `mat_compose` substitutes into a whole matrix through one
 table of monomial images, each formed once.  Every ring result is built by
 one internal constructor that only drops zero coefficients: it never sees a
-term above the cap, because each operation keeps to the cap itself.  The
+term above the cap, because each operation keeps to the cap itself.
+Conjugation, which can make no zero, builds its result directly.  The
 public `Series(nvars, cap, terms)` still filters both.
 
 A matrix of series whose constant term is the identity, I + X with X
@@ -124,8 +125,12 @@ class Series:
     def conj(self) -> "Series":
         """Formal conjugation: swap the paired variables, conjugate coefficients."""
         n = self.nvars // 2
-        return _series(self.nvars, self.cap,
-                       {e[n:] + e[:n]: c.conjugate() for e, c in self.terms.items()})
+        s = _new(Series)
+        s.nvars = self.nvars
+        s.cap = self.cap
+        # the conjugate of a nonzero coefficient is nonzero: there is nothing to drop
+        s.terms = {e[n:] + e[:n]: c.conjugate() for e, c in self.terms.items()}
+        return s
 
     def is_zero(self) -> bool:
         return not self.terms

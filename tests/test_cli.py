@@ -137,14 +137,25 @@ def _break_dtas_reality(body):
         _add(body, "dTas", sigma, -_I_PI2 if odd else _I_PI2)
 
 
+def _break_covtas_divergence(body):
+    v = ExactScalar.rational(1, 1, 2)
+    for sigma in permutations((1, 3, 4)):
+        odd = sum(x > y for x, y in combinations(sigma, 2)) % 2
+        w = -v if odd else v
+        _add(body, "covTas", (0, *sigma), w)
+        _add(body, "covTas", (3, *[(a + 3) % 6 for a in sigma]), w.conjugate())
+
+
 # Each break keeps every other slot relation of its field, so before its
 # check the jet validated: RB its reality and last-pair skew (the
 # antisymmetrization check cannot see the front pair where jsum[c][d] is
-# zero), trRT10 its skew, dTas its total antisymmetry.
+# zero), trRT10 its skew, dTas its total antisymmetry, covTas its reality and
+# its skew in the last three slots.
 ROUTE_SPLITTING_BREAKS = {
     "RB-front-skew": (_break_rb_front_skew, "bismut-curvature-antisym-front"),
     "trRT10-anti-reality": (_break_trrt10_anti_reality, "anti-reality[trRT10]"),
     "dTas-reality": (_break_dtas_reality, "reality[dTas]"),
+    "covTas-divergence": (_break_covtas_divergence, "contracted-divergence-relation"),
 }
 
 
@@ -316,7 +327,7 @@ PINNED_STDOUT = {
     "b1 crosscheck --jet JET":
         "963e9af8eedca730d992df19478fc5437f64ba11e97e073f41a66dcbc27508b8",
     "identities --jet JET":
-        "e0a30dd5e739aedcc10601643726702fec91f1ac6816a75e2e8a16caffe04dc7",
+        "40b4d0b03a66f51f6d0ee666f4d4d37fb40e2bf3c9cb6821d4331b39d68e5bbf",
     "selftest":
         "e8a79f207f511d1ba5a25fda2f5c2c290dd6866cab6a22c9cbc36b57f0829756",
 }

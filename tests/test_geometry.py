@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from bergman.jet_checks import identity_suite, lambda_scalars, validate_jet
 from bergman.perturbation import b1_engine
 from bergman.scalars import ExactScalar, rat
 from bergman.series import Series, mat_compose, mat_identity, mat_inverse, mat_mul, mat_scale
+from conftest import dense_potential
 from oracles import (
     compose_per_entry,
     cov0_per_term,
@@ -511,6 +513,22 @@ def test_pipeline_jet_ids_are_pinned(jet_cache, kind, n, q, seed, twist, jet_id)
     shows here."""
     rk_e = 1 if twist is None else 2
     assert jet_cache(kind, n, q, seed, rk_e=rk_e, twist=twist).jet_id == jet_id
+
+
+def test_the_build_holds_little_beyond_the_jet():
+    """The pipeline freezes each field of the jet as soon as it is final and
+    drops each intermediate after its last reader, so a dense (3,2) build,
+    caches warm, peaks at under twice the traced size of the jet it returns."""
+    phi = dense_potential(3, 2, 1)
+    jet_from_potential(phi, n=3, q=2)
+    tracemalloc.start()
+    try:
+        jet = jet_from_potential(phi, n=3, q=2)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size, (peak, size)
+    assert jet.jet_id == "f0514f756460fe12"
 
 
 @pytest.mark.parametrize("n,q,twist", [
