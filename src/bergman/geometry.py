@@ -86,7 +86,6 @@ from .errors import (
     InvalidPotentialError,
     TruncationInsufficientError,
 )
-from .jet_checks import _allzero
 from .scalars import ExactScalar, _ratio_str, rat, sum_products
 from .series import (
     Series,
@@ -236,6 +235,12 @@ _TENSOR_FIELDS = {
     "dRL1": 3, "dRL2": 4, "RTX": 4, "RE": 2, "trRT10": 2, "Tas": 3, "covTas": 4,
     "dTas": 4, "nablaXJ": 3, "nablaBJ": 3, "nablaB2J": 4, "SB": 3, "RB": 4,
 }
+
+
+def _allzero(t) -> bool:
+    if isinstance(t, ExactScalar):
+        return t.is_zero()
+    return all(_allzero(x) for x in t)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,21 @@ factor 2 per slot pair.  Normalized-frame components (the orthonormal
 u-frame) differ from coordinate components by sqrt(2) per slot; all
 quantities below involve an even total number of slots, so only integer
 powers of 2 appear.
+
+Two primitives carry the module.  `_pairing` computes every partner
+contraction.  `CheckReport.add_slot_check` runs every check that holds slot
+by slot, so every failed check names its first failing slot in its detail;
+a check of one equation (`CheckReport.add_equal`) gives both sides instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
+from operator import eq
 
 from .errors import InvalidJetError
-from .scalars import ExactScalar
+from .scalars import ExactScalar, sum_products
 
 _ZERO = ExactScalar.zero()
 _I = ExactScalar.i()
@@ -35,6 +41,15 @@ class CheckReport:
         ok = lhs == rhs
         detail = "" if ok else f"lhs = {lhs} ; rhs = {rhs}"
         self.add(name, ok, detail)
+
+    def add_slot_check(self, name: str, slots, holds, show=None) -> None:
+        """Add check `name`: `holds(*slot)` for every slot of the lazy iterable
+        `slots`.  A failure's detail names the first failing slot, followed by
+        `show(*slot)` when given."""
+        bad = next((slot for slot in slots if not holds(*slot)), None)
+        detail = "" if bad is None else \
+            f"slot {bad}" + (f": {show(*bad)}" if show else "")
+        self.add(name, bad is None, detail)
 
     @property
     def ok(self) -> bool:
@@ -68,10 +83,12 @@ class LambdaScalars:
     p_form: tuple[tuple[ExactScalar, ...], ...]
 
 
-def _allzero(t) -> bool:
-    if isinstance(t, ExactScalar):
-        return t.is_zero()
-    return all(_allzero(x) for x in t)
+def _indices(dim: int, rank: int):
+    return product(range(dim), repeat=rank)
+
+
+def _total(terms) -> ExactScalar:
+    return sum(terms, _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -79,41 +96,33 @@ def _allzero(t) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(t, u, n: int, *ranges: range) -> ExactScalar:
+    """sum over the slots (a, b, c) in the product of `ranges` of t[a][b][c]
+    times u at the partner slots, the partner of a being (a + n) mod 2n: t
+    against u through the metric at the point, up to its factor 2 per slot
+    pair."""
+    p = [(a + n) % (2 * n) for a in range(2 * n)]
+    return sum_products([(v, u[p[a]][p[b]][p[c]]) for a, b, c in product(*ranges)
+                         if not (v := t[a][b][c]).is_zero()])
+
+
+def _block(n: int, barred: bool) -> range:
+    return range(n, 2 * n) if barred else range(n)
+
+
 def frame_norm3(t, n: int) -> ExactScalar:
     """|T|^2 = sum over an orthonormal real frame of squared 3-slot components."""
-    dim = 2 * n
-    p = lambda a: (a + n) % dim
-    acc = _ZERO
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                v = t[a][b][c]
-                if not v.is_zero():
-                    acc = acc + v * t[p(a)][p(b)][p(c)]
-    return acc.scale(8)
+    return _pairing(t, t, n, *[range(2 * n)] * 3).scale(8)
 
 
 def s_norm(sb, n: int, first_barred: bool) -> ExactScalar:
     """sum over i,j,k of |<S(u-bar_i or u_i) u_j, u_k>|^2 in normalized frame."""
-    return _block_norm(sb, n, range(n), range(n), first_barred)
+    return _pairing(sb, sb, n, _block(n, first_barred), range(n), range(n)).scale(8)
 
 
 def mixed_block_norm(t, n: int, q: int, first_barred: bool) -> ExactScalar:
     """sum_i sum_{j<=q<k} |<(nabla_{.} J) u_j, u_k>|^2 in normalized frame."""
-    return _block_norm(t, n, range(q), range(q, n), first_barred)
-
-
-def _block_norm(t, n: int, js: range, ks: range, first_barred: bool) -> ExactScalar:
-    dim = 2 * n
-    acc = _ZERO
-    for i in range(n):
-        fi = n + i if first_barred else i
-        for j in js:
-            for k in ks:
-                v = t[fi][j][k]
-                if not v.is_zero():
-                    acc = acc + v * t[(fi + n) % dim][n + j][n + k]
-    return acc.scale(8)
+    return _pairing(t, t, n, _block(n, first_barred), range(q), range(q, n)).scale(8)
 
 
 def lambda_scalars(jet) -> LambdaScalars:
@@ -127,48 +136,28 @@ def lambda_scalars(jet) -> LambdaScalars:
     """
     n = jet.n
     dim = 2 * n
+    r = range(dim)
+
+    def trace(t, a, b):  # sum_j t[j][j+n][a][b]
+        return _total(t[j][n + j][a][b] for j in range(n))
 
     # (nabla_U beta)(V) = 2 sum_j covTas[U][j][j+n][V]
-    #                     - 2 i sum_{a,b} nablaXJ[U][pb][pa] Tas[a][b][V]
-    def cov_beta(u: int, v: int) -> ExactScalar:
-        acc = _ZERO
-        for j in range(n):
-            acc = acc + jet.covTas[u][j][n + j][v]
-        acc = acc.scale(2)
-        corr = _ZERO
-        for a in range(dim):
-            for b in range(dim):
-                tv = jet.Tas[a][b][v]
-                if tv.is_zero():
-                    continue
-                nj = jet.nablaXJ[u][(b + n) % dim][(a + n) % dim]
-                if not nj.is_zero():
-                    corr = corr + nj * tv
-        return acc - corr.scale(0, 2)  # times 2i
-
-    lam_d = _ZERO
-    for i in range(n):
-        lam_d = lam_d + cov_beta(i, n + i) - cov_beta(n + i, i)
-    lam_d = lam_d.scale(-4)
-
-    lam_lam = _ZERO
-    for i in range(n):
-        for j in range(n):
-            lam_lam = lam_lam + jet.dTas[j][n + j][i][n + i]
-    lam_lam = lam_lam.scale(-16)
-
-    p_form = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            acc = _ZERO
-            for j in range(n):
-                acc = acc + jet.RB[j][n + j][a][b] \
-                    + jet.dTas[j][n + j][a][b].scale("1/2")
-            acc = acc + jet.trRT10[a][b].scale("1/2")
-            row.append(acc)
-        p_form.append(tuple(row))
-    return LambdaScalars(lam_d, lam_lam, tuple(p_form))
+    #                     - 2 i sum_{a,b} nablaXJ[U][pb][pa] Tas[a][b][V],
+    # contracted as sum_i (nabla_i beta)(i+n) - (nabla_{i+n} beta)(i).  The
+    # second sums pair Tas[a][b][c] with nablaXJ[pc][pb][pa], the reversed
+    # nablaXJ at the partner slots: + for c >= n, - for c < n.
+    x = jet.nablaXJ
+    x_rev = [[[x[c][b][a] for c in r] for b in r] for a in r]
+    cov = _total(jet.covTas[i][j][n + j][n + i] - jet.covTas[n + i][j][n + j][i]
+                 for i, j in _indices(n, 2))
+    corr = _pairing(jet.Tas, x_rev, n, r, r, _block(n, True)) \
+        - _pairing(jet.Tas, x_rev, n, r, r, _block(n, False))
+    lam_d = (cov.scale(2) - corr.scale(0, 2)).scale(-4)
+    lam_lam = _total(trace(jet.dTas, i, n + i) for i in range(n)).scale(-16)
+    p_form = tuple(tuple(trace(jet.RB, a, b)
+                         + (trace(jet.dTas, a, b) + jet.trRT10[a][b]).scale("1/2") for b in r)
+                   for a in r)
+    return LambdaScalars(lam_d, lam_lam, p_form)
 
 
 def _add_divergence_relation(rep: CheckReport, jet, lam: LambdaScalars) -> None:
@@ -176,27 +165,11 @@ def _add_divergence_relation(rep: CheckReport, jet, lam: LambdaScalars) -> None:
     divergence of `lam`, the one reading of covTas by either route, against
     the double contraction of dTas and the pairings of SB with nablaXJ."""
     n = jet.n
-
-    def s_gradient_mix(barred: bool) -> ExactScalar:
-        acc = _ZERO
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if barred:
-                        v = jet.SB[n + i][n + j][n + k]
-                        w = jet.nablaXJ[i][j][k]
-                    else:
-                        v = jet.SB[i][j][k]
-                        w = jet.nablaXJ[n + i][n + j][n + k]
-                    if not v.is_zero():
-                        acc = acc + v * w
-        return acc.scale(8)
-
+    hi, lo = [_block(n, True)] * 3, [_block(n, False)] * 3
+    mix = _pairing(jet.SB, jet.nablaXJ, n, *hi) - _pairing(jet.SB, jet.nablaXJ, n, *lo)
     rep.add_equal("contracted-divergence-relation",
                   lam.contracted_divergence.scale("1/4"),
-                  lam.double_contraction.scale("1/16")
-                  - s_gradient_mix(False).scale(0, "1/2")
-                  + s_gradient_mix(True).scale(0, "1/2"))
+                  lam.double_contraction.scale("1/16") + mix.scale(0, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -215,89 +188,74 @@ def validate_jet(jet) -> CheckReport:
     """Structural consistency of a jet: symmetries, types, derived relations."""
     n, q = jet.n, jet.q
     dim = 2 * n
-    p = lambda a: (a + n) % dim
+    p = [(a + n) % dim for a in range(dim)]
     rep = CheckReport()
+    check = rep.add_slot_check
+    tas, x, bj, rtx, rb = jet.Tas, jet.nablaXJ, jet.nablaBJ, jet.RTX, jet.RB
+    b2j, d1, d2, dtas = jet.nablaB2J, jet.dRL1, jet.dRL2, jet.dTas
 
-    def reality(name, tensor, rank, anti=False):
-        """Each entry against the conjugate of its partner entry, in index order."""
+    def reality(name, t, rank, anti=False):
+        """Each entry against the conjugate of its partner entry, in index
+        order.  The relation is symmetric, so each pair is tested once, from
+        the entry whose first slot is unbarred: the first failing slot is
+        the same."""
         kind, sign = ("anti-reality", -1) if anti else ("reality", 1)
-        flat, partner = list(tensor), [p(a) for a in range(dim)]
-        for _ in range(rank - 1):
-            flat = [y for x in flat for y in x]
-            partner = [i * dim + p(a) for i in partner for a in range(dim)]
-        bad = next((i for i, v in enumerate(flat) if not v.conjugates(flat[partner[i]], sign)),
-                   None)
-        detail = "" if bad is None else \
-            f"component {next(islice(_indices(dim, rank), bad, None))} violates {kind}"
-        rep.add(f"{kind}[{name}]", bad is None, detail)
+        holds = (lambda a, b: t[a][b].conjugates(t[p[a]][p[b]], sign),
+                 lambda a, b, c: t[a][b][c].conjugates(t[p[a]][p[b]][p[c]], sign),
+                 lambda a, b, c, d: t[a][b][c][d].conjugates(t[p[a]][p[b]][p[c]][p[d]], sign))
+        check(f"{kind}[{name}]", product(range(n), *[range(dim)] * (rank - 1)), holds[rank - 2])
 
-    reality("Tas", jet.Tas, 3)
-    reality("nablaXJ", jet.nablaXJ, 3)
-    reality("nablaBJ", jet.nablaBJ, 3)
-    reality("RTX", jet.RTX, 4)
-    reality("RB", jet.RB, 4)
+    reality("Tas", tas, 3)
+    reality("nablaXJ", x, 3)
+    reality("nablaBJ", bj, 3)
+    reality("RTX", rtx, 4)
+    reality("RB", rb, 4)
     # the line-bundle curvature form is imaginary valued, so its derivatives
     # pick up a sign under conjugation
-    reality("dRL1", jet.dRL1, 3, anti=True)
+    reality("dRL1", d1, 3, anti=True)
 
     # A relation between two entries, or a sum over the cyclic orders of
-    # three slots, is tested once per pair of entries or per cyclic orbit.
-    rep.add("riemann-antisym-front",
-            all(jet.RTX[a][b][c][d].negates(jet.RTX[b][a][c][d])
-                for a, b, c, d in _indices(dim, 4) if a <= b))
-    rep.add("riemann-antisym-back",
-            all(jet.RTX[a][b][c][d].negates(jet.RTX[a][b][d][c])
-                for a, b, c, d in _indices(dim, 4) if c <= d))
-    rep.add("riemann-pair-symmetry",
-            all(jet.RTX[a][b][c][d] == jet.RTX[c][d][a][b]
-                for a, b, c, d in _indices(dim, 4) if (a, b) <= (c, d)))
-    rep.add("riemann-first-bianchi",
-            all((jet.RTX[a][b][c][d] + jet.RTX[b][c][a][d]
-                 + jet.RTX[c][a][b][d]).is_zero()
-                for a, b, c, d in _indices(dim, 4) if a <= b and a <= c))
+    # three slots, is tested once per pair of entries or per cyclic orbit:
+    # it holds trivially at the other slots.
+    check("riemann-antisym-front", _indices(dim, 4),
+          lambda a, b, c, d: a > b or rtx[a][b][c][d].negates(rtx[b][a][c][d]))
+    check("riemann-antisym-back", _indices(dim, 4),
+          lambda a, b, c, d: c > d or rtx[a][b][c][d].negates(rtx[a][b][d][c]))
+    check("riemann-pair-symmetry", _indices(dim, 4),
+          lambda a, b, c, d: (a, b) > (c, d) or rtx[a][b][c][d] == rtx[c][d][a][b])
+    check("riemann-first-bianchi", _indices(dim, 4),
+          lambda a, b, c, d: a > b or a > c
+          or (rtx[a][b][c][d] + rtx[b][c][a][d] + rtx[c][a][b][d]).is_zero())
 
-    ric_scalar = _ZERO
-    for a in range(dim):
-        for c in range(dim):
-            ric_scalar = ric_scalar + jet.RTX[c][a][p(a)][p(c)].scale(4)
+    ric_scalar = _total(rtx[c][a][p[a]][p[c]] for a, c in _indices(dim, 2)).scale(4)
     rep.add_equal("scalar-curvature-contraction", jet.rX, ric_scalar)
 
-    rep.add("torsion-totally-antisymmetric",
-            all(jet.Tas[a][b][c].negates(jet.Tas[b][a][c])
-                and jet.Tas[a][b][c].negates(jet.Tas[a][c][b])
-                for a, b, c in _indices(dim, 3)))
-    rep.add("s-tensor-from-torsion",
-            all(jet.SB[a][b][c] == jet.Tas[a][b][c].scale("-1/2")
-                for a, b, c in _indices(dim, 3)))
-    rep.add("four-form-totally-antisymmetric",
-            all(jet.dTas[a][b][c][d].negates(jet.dTas[b][a][c][d])
-                and jet.dTas[a][b][c][d].negates(jet.dTas[a][c][b][d])
-                and jet.dTas[a][b][c][d].negates(jet.dTas[a][b][d][c])
-                for a, b, c, d in _indices(dim, 4)))
+    check("torsion-totally-antisymmetric", _indices(dim, 3),
+          lambda a, b, c: tas[a][b][c].negates(tas[b][a][c])
+          and tas[a][b][c].negates(tas[a][c][b]))
+    minus_half = ExactScalar.rational("-1/2")
+    check("s-tensor-from-torsion", _indices(dim, 3),
+          lambda a, b, c: jet.SB[a][b][c] == tas[a][b][c] * minus_half)
+    check("four-form-totally-antisymmetric", _indices(dim, 4),
+          lambda a, b, c, d: dtas[a][b][c][d].negates(dtas[b][a][c][d])
+          and dtas[a][b][c][d].negates(dtas[a][c][b][d])
+          and dtas[a][b][c][d].negates(dtas[a][b][d][c]))
 
-    rep.add("structure-derivative-cyclic",
-            all((jet.nablaXJ[a][b][c] + jet.nablaXJ[b][c][a]
-                 + jet.nablaXJ[c][a][b]).is_zero()
-                for a, b, c in _indices(dim, 3) if a <= b and a <= c))
-    rep.add("structure-derivative-pure-type",
-            all(jet.nablaXJ[a][b][c].is_zero()
-                for a, b, c in _indices(dim, 3)
-                if len({x < n for x in (a, b, c)}) != 1))
+    check("structure-derivative-cyclic", _indices(dim, 3),
+          lambda a, b, c: a > b or a > c or (x[a][b][c] + x[b][c][a] + x[c][a][b]).is_zero())
+    check("structure-derivative-pure-type", _indices(dim, 3),
+          lambda a, b, c: (a < n) == (b < n) == (c < n) or x[a][b][c].is_zero())
 
-    zi = lambda j: n + j if j < q else j        # d/dz_j in xi labels
-    zbi = lambda j: j if j < q else n + j       # its conjugate
-    rep.add("bismut-derivative-preserves-types",
-            all(jet.nablaBJ[u][zi(j)][zi(k)].is_zero()
-                and jet.nablaBJ[u][zbi(j)][zbi(k)].is_zero()
-                for u in range(dim) for j in range(n) for k in range(n)))
-    rep.add("bismut-derivative-exchanges-signature-blocks",
-            all(jet.nablaBJ[u][zi(j)][zbi(k)].is_zero()
-                for u in range(dim) for j in range(n) for k in range(n)
-                if (j < q) == (k < q)))
+    zi = [n + j if j < q else j for j in range(n)]     # d/dz_j in xi labels
+    zbi = [j if j < q else n + j for j in range(n)]    # its conjugate
+    bj_slots = lambda: product(range(dim), range(n), range(n))
+    check("bismut-derivative-preserves-types", bj_slots(),
+          lambda u, j, k: bj[u][zi[j]][zi[k]].is_zero() and bj[u][zbi[j]][zbi[k]].is_zero())
+    check("bismut-derivative-exchanges-signature-blocks", bj_slots(),
+          lambda u, j, k: (j < q) != (k < q) or bj[u][zi[j]][zbi[k]].is_zero())
 
     jdiag = [_I if c < n else -_I for c in range(dim)]
-    jsum = [[x + y for y in jdiag] for x in jdiag]
-    b2j, rb = jet.nablaB2J, jet.RB
+    jsum = [[u + v for v in jdiag] for u in jdiag]
 
     def sides(a, b, c, d):
         return b2j[a][b][c][d] - b2j[b][a][c][d], rb[a][b][c][d] * jsum[c][d]
@@ -308,54 +266,56 @@ def validate_jet(jet) -> CheckReport:
         lhs, rhs = sides(a, b, c, d)
         return lhs == rhs
 
-    bad = next((slot for slot in _indices(dim, 4) if not holds(*slot)), None)
-    detail = "" if bad is None else "slot {}: {} vs {}".format(bad, *sides(*bad))
-    rep.add("second-derivative-antisymmetrization", bad is None, detail)
+    check("second-derivative-antisymmetrization", _indices(dim, 4), holds,
+          lambda *slot: "{} vs {}".format(*sides(*slot)))
 
-    rep.add("curvature-derivative-antisym",
-            all(jet.dRL1[k][a][b].negates(jet.dRL1[k][b][a])
-                for k, a, b in _indices(dim, 3)))
-    rep.add("curvature-second-derivative-symmetries",
-            all(jet.dRL2[k][l][a][b] == jet.dRL2[l][k][a][b]
-                and jet.dRL2[k][l][a][b].negates(jet.dRL2[k][l][b][a])
-                for k, l, a, b in _indices(dim, 4)))
+    check("curvature-derivative-antisym", _indices(dim, 3),
+          lambda k, a, b: d1[k][a][b].negates(d1[k][b][a]))
+    check("curvature-second-derivative-symmetries", _indices(dim, 4),
+          lambda k, l, a, b: d2[k][l][a][b] == d2[l][k][a][b]
+          and d2[k][l][a][b].negates(d2[k][l][b][a]))
 
     minus_two_pi_i = ExactScalar.rational(0, -2, 1)
-    rep.add("curvature-derivative-matches-structure-derivative",
-            all(jet.dRL1[k][a][b] == minus_two_pi_i * jet.nablaXJ[k][a][b]
-                for k, a, b in _indices(dim, 3)))
+    check("curvature-derivative-matches-structure-derivative", _indices(dim, 3),
+          lambda k, a, b: d1[k][a][b] == minus_two_pi_i * x[k][a][b])
 
     # the engine's Clifford map reads these forms on increasing label words
-    # only, so it would drop the symmetric part of a form that is not skew
-    rep.add("clifford-forms-skew",
-            all(jet.trRT10[c][d].negates(jet.trRT10[d][c])
-                and all(jet.RE[c][d][r][s].negates(jet.RE[d][c][r][s])
-                        for r, s in _indices(jet.rk_e, 2))
-                for c, d in _indices(dim, 2) if c <= d)
-            and all(jet.nablaBJ[a][c][d].negates(jet.nablaBJ[a][d][c])
-                    for a, c, d in _indices(dim, 3) if c <= d)
-            and all(jet.RB[a][b][c][d].negates(jet.RB[a][b][d][c])
-                    and jet.nablaB2J[a][b][c][d].negates(jet.nablaB2J[a][b][d][c])
-                    for a, b, c, d in _indices(dim, 4) if c <= d))
+    # only, so it would drop the symmetric part of a form that is not skew;
+    # the slots of trRT10 and RE, of nablaBJ, and of RB and nablaB2J in turn
+    tr, re = jet.trRT10, jet.RE
+
+    def skew(*s):
+        if len(s) == 4:
+            a, b, c, d = s
+            return rb[a][b][c][d].negates(rb[a][b][d][c]) \
+                and b2j[a][b][c][d].negates(b2j[a][b][d][c])
+        if len(s) == 3:
+            a, c, d = s
+            return bj[a][c][d].negates(bj[a][d][c])
+        c, d = s
+        return tr[c][d].negates(tr[d][c]) \
+            and all(re[c][d][e][f].negates(re[d][c][e][f]) for e, f in _indices(jet.rk_e, 2))
+
+    check("clifford-forms-skew", (s for rank in (2, 3, 4) for s in _indices(dim, rank)
+                                  if s[-2] <= s[-1]), skew)
     # the engine quantizes RB once per unordered front pair and negates it for
     # the other order; the antisymmetrization check above sees RB only where
     # jsum is nonzero
-    rep.add("bismut-curvature-antisym-front",
-            all(jet.RB[a][b][c][d].negates(jet.RB[b][a][c][d])
-                for a, b, c, d in _indices(dim, 4) if a <= b))
+    check("bismut-curvature-antisym-front", _indices(dim, 4),
+          lambda a, b, c, d: a > b or rb[a][b][c][d].negates(rb[b][a][c][d]))
     # the routes read different entries of these forms, so an entry that is
     # not the conjugate of its partner makes them disagree
-    reality("dTas", jet.dTas, 4)
-    reality("trRT10", jet.trRT10, 2, anti=True)
+    reality("dTas", dtas, 4)
+    reality("trRT10", tr, 2, anti=True)
     # the closed form reads covTas only through the contracted divergence, and
     # the engine not at all, so a covTas that keeps its own slot relations and
     # breaks this one splits the routes too
     _add_divergence_relation(rep, jet, lambda_scalars(jet))
+    # a nablaB2J entry that is not the conjugate of its partner splits the
+    # routes too, and the checks above see only differences and skews of its
+    # entries
+    reality("nablaB2J", b2j, 4)
     return rep
-
-
-def _indices(dim: int, rank: int):
-    return product(range(dim), repeat=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +326,8 @@ def _indices(dim: int, rank: int):
 def identity_suite(jet) -> CheckReport:
     """Both sides of each structural identity, evaluated exactly from the jet."""
     n, q = jet.n, jet.q
-    dim = 2 * n
     rep = CheckReport()
+    b2j, rtx = jet.nablaB2J, jet.RTX
 
     norm_b = frame_norm3(jet.nablaBJ, n)
     norm_x = frame_norm3(jet.nablaXJ, n)
@@ -382,35 +342,20 @@ def identity_suite(jet) -> CheckReport:
                   mixed_block_norm(jet.nablaBJ, n, q, first_barred=False),
                   norm_b.scale("1/4") - s_bu.scale(2))
 
-    curv_diff = _ZERO
-    for i in range(n):
-        for j in range(n):
-            curv_diff = curv_diff + (jet.RB[i][n + i][j][n + j] - jet.RTX[i][n + i][j][n + j])
-    curv_diff = curv_diff.scale(4)
+    curv_diff = _total(jet.RB[i][n + i][j][n + j] - rtx[i][n + i][j][n + j]
+                       for i, j in _indices(n, 2)).scale(4)
     rep.add_equal("curvature-difference-vs-torsion-squares",
                   curv_diff,
                   s_uu - s_bu + lam.double_contraction.scale("1/16"))
 
-    def pairing(first_barred: bool) -> ExactScalar:
-        # <S(._i) ._j , (nabla_{conj ._i} J) conj ._j> summed over i, j
-        acc = _ZERO
-        for i in range(n):
-            fi = n + i if first_barred else i
-            ci = (fi + n) % dim
-            for j in range(n):
-                sj = n + j if first_barred else j
-                cj = (sj + n) % dim
-                for k in range(dim):
-                    v = jet.SB[fi][sj][k]
-                    if not v.is_zero():
-                        acc = acc + v * jet.nablaXJ[ci][cj][(k + n) % dim]
-        return acc.scale(8)
-
+    # <S(._i) ._j , (nabla_{conj ._i} J) conj ._j> summed over i, j, both
+    # unbarred minus both barred
+    lo, hi = _block(n, False), _block(n, True)
+    r = range(2 * n)
+    mix = _pairing(jet.SB, jet.nablaXJ, n, lo, lo, r) - _pairing(jet.SB, jet.nablaXJ, n, hi, hi, r)
     rep.add_equal("norm-difference-decomposition",
                   (norm_b - norm_x).scale("1/8"),
-                  s_uu + s_bu
-                  + pairing(False).scale(0, "1/2")
-                  - pairing(True).scale(0, "1/2"))
+                  s_uu + s_bu + mix.scale(0, 4))
 
     _add_divergence_relation(rep, jet, lam)
 
@@ -420,52 +365,24 @@ def identity_suite(jet) -> CheckReport:
                   + lam.contracted_divergence.scale("1/4")
                   - s_bu.scale(2))
 
-    def second_deriv_trace() -> ExactScalar:
-        acc = _ZERO
-        for i in range(n):
-            for j in range(n):
-                acc = acc + jet.nablaB2J[i][n + i][j][n + j]
-        return acc.scale(0, 1)
-
     rep.add_equal("second-derivative-trace-norm",
-                  second_deriv_trace(), norm_b.scale("1/16"))
-
-    def bisectional() -> ExactScalar:
-        acc = _ZERO
-        for i in range(n):
-            for j in range(n):
-                acc = acc + jet.RTX[i][j][n + i][n + j]
-        return acc
-
+                  _total(b2j[i][n + i][j][n + j] for i, j in _indices(n, 2)).scale(0, 1),
+                  norm_b.scale("1/16"))
     rep.add_equal("holomorphic-pair-curvature-norm",
-                  bisectional(), norm_x.scale("1/32"))
+                  _total(rtx[i][j][n + i][n + j] for i, j in _indices(n, 2)),
+                  norm_x.scale("1/32"))
 
     if jet.is_torsion_free():
-        ok = True
-        detail = ""
-        for j in range(n):
-            for k in range(n):
-                acc = _ZERO
-                for i in range(n):
-                    acc = acc + jet.nablaB2J[n + i][i][n + j][n + k]
-                if not acc.is_zero():
-                    ok = False
-                    detail = f"slot ({j},{k}): {acc}"
-                    break
-        rep.add("kahler-mixed-second-derivative-vanishes", ok, detail)
+        def mixed(j, k):
+            return _total(b2j[n + i][i][n + j][n + k] for i in range(n))
 
-        ok = True
-        detail = ""
-        for j in range(n):
-            for k in range(n):
-                lhs = _ZERO
-                rhs = _ZERO
-                for i in range(n):
-                    lhs = lhs + jet.nablaB2J[i][n + i][n + j][n + k]
-                    rhs = rhs + jet.RTX[i][n + i][n + j][n + k]
-                if lhs != rhs.scale(0, -2):
-                    ok = False
-                    detail = f"slot ({j},{k}): {lhs} vs {rhs.scale(0, -2)}"
-                    break
-        rep.add("kahler-second-derivative-vs-curvature", ok, detail)
+        def vs_curvature(j, k):
+            return (_total(b2j[i][n + i][n + j][n + k] for i in range(n)),
+                    _total(rtx[i][n + i][n + j][n + k] for i in range(n)).scale(0, -2))
+
+        rep.add_slot_check("kahler-mixed-second-derivative-vanishes", _indices(n, 2),
+                           lambda j, k: mixed(j, k).is_zero(), mixed)
+        rep.add_slot_check("kahler-second-derivative-vs-curvature", _indices(n, 2),
+                           lambda j, k: eq(*vs_curvature(j, k)),
+                           lambda j, k: "{} vs {}".format(*vs_curvature(j, k)))
     return rep

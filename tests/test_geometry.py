@@ -1,7 +1,9 @@
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
+from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,8 +161,106 @@ def test_corrupted_jet_is_rejected(jet_cache):
     bad = GeometryJet.from_json(broken)
     rep = validate_jet(bad)
     assert not rep.ok
-    names = [name for name, _ in rep.failures()]
-    assert any("riemann" in name for name in names)
+    details = dict(rep.failures())
+    assert any("riemann" in name for name in details)
+    # the first failing slot lies in the symmetrized pair RTX[0][1]
+    assert details["riemann-antisym-front"] == "slot (0, 1, 0, 1)"
+    assert details["riemann-pair-symmetry"].startswith("slot (0, 1, ")
+
+
+@pytest.mark.parametrize("front,check", [
+    ((2, 0), "kahler-mixed-second-derivative-vanishes"),
+    ((0, 2), "kahler-second-derivative-vs-curvature"),
+])
+def test_kahler_checks_name_their_first_failing_slot(jet_cache, front, check):
+    """Break nablaB2J[front][c][c] at c = 2 and 3, which enter the Kahler
+    sums at slots (0, 0) and (1, 1): the detail names (0, 0), the first."""
+    jet = jet_cache("random", 2, 0, 3)
+    assert jet.is_torsion_free()
+    broken = json.loads(jet.to_text(file=True))
+    for c in (2, 3):
+        broken["nablaB2J"][front[0]][front[1]][c][c] = ExactScalar.one().to_json()
+    details = dict(identity_suite(GeometryJet.from_json(broken)).failures())
+    assert details[check].startswith("slot (0, 0): 1")
+
+
+# Every signed slot transposition and partner conjugation that pipeline jets
+# satisfy, with the validate_jet check that enforces it.  RE is zero on
+# untwisted jets, where every relation holds vacuously, so it is left out.
+_ENFORCED_RELATIONS = {
+    ("RB", "reality"): "reality[RB]",
+    ("RB", "skew 01"): "bismut-curvature-antisym-front",
+    ("RB", "skew 23"): "clifford-forms-skew",
+    ("RTX", "reality"): "reality[RTX]",
+    ("RTX", "skew 01"): "riemann-antisym-front",
+    ("RTX", "skew 23"): "riemann-antisym-back",
+    ("SB", "reality"): "s-tensor-from-torsion",
+    ("SB", "skew 01"): "s-tensor-from-torsion",
+    ("SB", "skew 02"): "s-tensor-from-torsion",
+    ("SB", "skew 12"): "s-tensor-from-torsion",
+    ("Tas", "reality"): "reality[Tas]",
+    ("Tas", "skew 01"): "torsion-totally-antisymmetric",
+    ("Tas", "skew 02"): "torsion-totally-antisymmetric",
+    ("Tas", "skew 12"): "torsion-totally-antisymmetric",
+    ("dRL1", "anti-reality"): "anti-reality[dRL1]",
+    ("dRL1", "skew 12"): "curvature-derivative-antisym",
+    ("dRL2", "skew 23"): "curvature-second-derivative-symmetries",
+    ("dRL2", "symmetric 01"): "curvature-second-derivative-symmetries",
+    ("dTas", "reality"): "reality[dTas]",
+    **{("dTas", f"skew {i}{j}"): "four-form-totally-antisymmetric"
+       for i, j in combinations(range(4), 2)},
+    ("nablaB2J", "reality"): "reality[nablaB2J]",
+    ("nablaB2J", "skew 23"): "clifford-forms-skew",
+    ("nablaBJ", "reality"): "reality[nablaBJ]",
+    ("nablaBJ", "skew 12"): "clifford-forms-skew",
+    ("nablaXJ", "reality"): "reality[nablaXJ]",
+    ("trRT10", "anti-reality"): "anti-reality[trRT10]",
+    ("trRT10", "skew 01"): "clifford-forms-skew",
+}
+# ... and those no check enforces, with the reason none is needed
+_UNENFORCED_RELATIONS = {
+    ("nablaXJ", "skew 12"): "follows from dRL1's skew and "
+                            "curvature-derivative-matches-structure-derivative",
+    **{("covTas", rel): "read only through contracted-divergence-relation"
+       for rel in ("reality", "skew 12", "skew 13", "skew 23")},
+    ("dRL2", "anti-reality"): "read only by the engine, and a break of it alone leaves "
+                              "the routes agreeing",
+}
+
+
+def _slot_relations(jet):
+    """(field, relation) for each signed slot transposition ("symmetric ij",
+    "skew ij") and partner conjugation ("reality", "anti-reality") that holds
+    at every slot of the field."""
+    n, dim = jet.n, 2 * jet.n
+    found = set()
+    for name, rank in _TENSOR_FIELDS.items():
+        if name == "RE":
+            continue
+        t = getattr(jet, name)
+        at = lambda idx: reduce(getitem, idx, t)
+        slots = list(product(range(dim), repeat=rank))
+        for i, j in combinations(range(rank), 2):
+            swapped = [at([s[j] if k == i else s[i] if k == j else x
+                           for k, x in enumerate(s)]) for s in slots]
+            if all(w == at(s) for s, w in zip(slots, swapped)):
+                found.add((name, f"symmetric {i}{j}"))
+            if all(w.negates(at(s)) for s, w in zip(slots, swapped)):
+                found.add((name, f"skew {i}{j}"))
+        for kind, sign in (("reality", 1), ("anti-reality", -1)):
+            if all(at(s).conjugates(at([(a + n) % dim for a in s]), sign) for s in slots):
+                found.add((name, kind))
+    return found
+
+
+def test_pipeline_slot_relations_are_pinned(jet_cache):
+    """The slot relations that hold on a dense (3,2) jet and a random (2,1)
+    jet are exactly the pinned ones, and each enforcing check exists."""
+    jets = [jet_cache("dense", 3, 2, 1), jet_cache("random", 2, 1, 5)]
+    held = _slot_relations(jets[0]) & _slot_relations(jets[1])
+    assert held == _ENFORCED_RELATIONS.keys() | _UNENFORCED_RELATIONS.keys()
+    checks = {name for name, _, _ in validate_jet(jets[0]).checks}
+    assert set(_ENFORCED_RELATIONS.values()) <= checks
 
 
 def test_jet_json_roundtrip(jet_cache):

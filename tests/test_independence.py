@@ -52,6 +52,10 @@ def test_engine_imports_nothing_from_the_closed_form():
         assert not _from(module, "closed_form"), module
 
 
+def test_the_jet_pipeline_imports_nothing_from_its_checks():
+    assert not _from("geometry", "jet_checks")
+
+
 def test_the_import_reader_sees_every_form():
     source = ("from . import closed_form\nimport bergman.oscillator\n"
               "from .closed_form import b1_formula\nfrom bergman.perturbation import b1_engine\n"
