@@ -35,7 +35,7 @@ from .models import (
     rrh_coefficients,
 )
 from .oscillator import OscillatorContext, _mode_moment
-from .perturbation import b1_engine, build_O1, engine_context
+from .perturbation import b1_engine, b1_from_terms, build_O1, compute_F2_terms, engine_context
 from .scalars import ExactScalar, rat
 from .series import Series
 
@@ -156,9 +156,9 @@ def cmd_b1_route(args) -> int:
     jet = _load_valid_jet(args.jet)
     if jet is None:
         return EXIT_VALIDATION
-    terms: dict = {}
     if args.route == "engine":
-        res = b1_engine(jet, check=False, terms_out=terms)
+        terms = compute_F2_terms(jet)
+        res = b1_from_terms(terms, jet.q)
     else:
         res = b1_formula(jet, check=False)
     payload = {**res.to_json(), "jet_id": jet.jet_id, "trace_pretty": str(res.trace)}

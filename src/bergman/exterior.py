@@ -10,9 +10,11 @@ Clifford conventions.  For a complexified tangent vector v with parts
 (v10, v01) the Clifford action is c(v) = sqrt(2) (dual(v10) wedge - i_{v01}),
 so c(v_j) = sqrt(2) vb^j wedge and c(vb_j) = -sqrt(2) i_{vb_j}.  A single
 factor carries sqrt(2), which is irrational; every quantity this package
-evaluates is an even product of factors, so products are exposed through
-:class:`CliffordFactor`, which tracks the pending power of sqrt(2) and only
-materializes an exact matrix when that power is even.
+evaluates is an even product of factors.  The routes quantize through
+`clifford_of_form`.  `CliffordFactor` (a product with its power of sqrt(2)
+kept aside), `clifford_factor`, `clifford_vector`, `clifford_pair` and
+`action_two_form` run on no program path: they stay only because
+`perfbench/spans.py` wraps them.
 
 Complex frame labels: an integer a in 0..2n-1 denotes v_{a+1} for a < n and
 vb_{a-n+1} for a >= n.  Metric pairing partners v_j <-> vb_j implement frame
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .scalars import ExactScalar, rat, sum_products
 
@@ -41,16 +43,6 @@ CompFn = Callable[[int, int], ExactScalar]
 _ZERO = ExactScalar.zero()
 _ONE = ExactScalar.one()
 _HALF = ExactScalar.rational("1/2")
-
-
-def _lex_words(n: int) -> list[tuple[int, ...]]:
-    words = [tuple(sorted(w)) for w in _all_subsets(n)]
-    return sorted(words)
-
-
-def _all_subsets(n: int) -> Iterable[tuple[int, ...]]:
-    for mask in range(1 << n):
-        yield tuple(j + 1 for j in range(n) if mask >> j & 1)
 
 
 class ExteriorAlgebra:
@@ -63,7 +55,7 @@ class ExteriorAlgebra:
             raise ValueError("auxiliary rank must be positive")
         self.n = n
         self.rk_e = rk_e
-        self.words = _lex_words(n)
+        self.words = sorted(w for k in range(n + 1) for w in combinations(range(1, n + 1), k))
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.dim = len(self.words) * rk_e
         self._quantized_words: dict[tuple[int, ...], dict[tuple[int, int], ExactScalar]] = {}
@@ -119,17 +111,8 @@ class ExteriorAlgebra:
         return ExteriorEndo(self, entries)
 
     def contract(self, j: int) -> "ExteriorEndo":
-        """Interior multiplication i_{vb_j}, 1-based."""
-        entries: dict[tuple[int, int], ExactScalar] = {}
-        for w in self.words:
-            if j not in w:
-                continue
-            pos = w.index(j)
-            sign = rat(-1 if pos % 2 else 1)
-            target = tuple(s for s in w if s != j)
-            for e in range(self.rk_e):
-                entries[(self.basis_index(target, e), self.basis_index(w, e))] = sign
-        return ExteriorEndo(self, entries)
+        """Interior multiplication i_{vb_j}, 1-based: the adjoint, so transpose, of `wedge(j)`."""
+        return ExteriorEndo(self, {(c, r): v for (r, c), v in self.wedge(j).entries.items()})
 
     def omega_d(self, q: int) -> "ExteriorEndo":
         """Diagonal degree operator; eigenvalue -2 pi (defect count of the word).
@@ -298,16 +281,6 @@ class ExteriorEndo:
             if r == c:
                 t = t + v
         return t
-
-    def row_sector_split(self, q: int) -> dict[int, "ExteriorEndo"]:
-        """Group rows by word defect; the defect fixes the degree-operator eigenvalue."""
-        buckets: dict[int, dict[tuple[int, int], ExactScalar]] = {}
-        rk = self.alg.rk_e
-        for (r, c), v in self.entries.items():
-            word = self.alg.words[r // rk]
-            d = self.alg.word_defect(word, q)
-            buckets.setdefault(d, {})[(r, c)] = v
-        return {d: ExteriorEndo(self.alg, e) for d, e in buckets.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExteriorEndo):

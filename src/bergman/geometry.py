@@ -288,10 +288,6 @@ class GeometryJet:
         when first read: a jet whose id is never read is never hashed."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
     def is_torsion_free(self) -> bool:
         return _allzero(self.Tas) and _allzero(self.covTas) and _allzero(self.dTas)
 

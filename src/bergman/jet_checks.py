@@ -284,20 +284,23 @@ def validate_jet(jet) -> CheckReport:
     # the slots of trRT10 and RE, of nablaBJ, and of RB and nablaB2J in turn
     tr, re = jet.trRT10, jet.RE
 
-    def skew(*s):
+    def unskewed(*s) -> list[str]:
+        """The fields that are not skew in the last two slots of s."""
+        *front, c, d = s
         if len(s) == 4:
-            a, b, c, d = s
-            return rb[a][b][c][d].negates(rb[a][b][d][c]) \
-                and b2j[a][b][c][d].negates(b2j[a][b][d][c])
-        if len(s) == 3:
-            a, c, d = s
-            return bj[a][c][d].negates(bj[a][d][c])
-        c, d = s
-        return tr[c][d].negates(tr[d][c]) \
-            and all(re[c][d][e][f].negates(re[d][c][e][f]) for e, f in _indices(jet.rk_e, 2))
+            a, b = front
+            pairs = [("RB", rb[a][b][c][d], rb[a][b][d][c]),
+                     ("nablaB2J", b2j[a][b][c][d], b2j[a][b][d][c])]
+        elif len(s) == 3:
+            pairs = [("nablaBJ", bj[front[0]][c][d], bj[front[0]][d][c])]
+        else:
+            pairs = [("trRT10", tr[c][d], tr[d][c]), *(("RE", re[c][d][e][f], re[d][c][e][f])
+                                                      for e, f in _indices(jet.rk_e, 2))]
+        return list(dict.fromkeys(name for name, u, v in pairs if not u.negates(v)))
 
     check("clifford-forms-skew", (s for rank in (2, 3, 4) for s in _indices(dim, rank)
-                                  if s[-2] <= s[-1]), skew)
+                                  if s[-2] <= s[-1]),
+          lambda *s: not unskewed(*s), lambda *s: ", ".join(unskewed(*s)))
     # the engine quantizes RB once per unordered front pair and negates it for
     # the other order; the antisymmetrization check above sees RB only where
     # jsum is nonzero

@@ -76,6 +76,9 @@ class OscillatorContext:
         self.degree_cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
         self.zero_multi: Multi = (0,) * n
         self._project_det = self.alg.project_det(q)
+        # -2 omega_d / pi on each basis row: 4 times the defect of the row's word
+        self.row_shift = [4 * self.alg.word_defect(self.alg.words[r // rk_e], q)
+                          for r in range(self.alg.dim)]
         self._identity = self.alg.identity()
         self.primed_free = False
         self._quotient: OscillatorContext | None = None
@@ -184,6 +187,14 @@ def _b_table(a: int, b: int) -> tuple:
     return tuple((b - k1, k2, a - k1 - k2, _coefficient(
         a - k1, comb(a, k1) * comb(a - k1, k2) * perm(b, k1) * 2 ** a * (-1) ** (a - k2)))
         for k1 in range(min(a, b) + 1) for k2 in range(a - k1 + 1))
+
+
+@lru_cache(maxsize=None)
+def _inverse_pi(lam: int) -> ExactScalar:
+    """1 / (pi lam), the resolvent's scale on an eigenvalue pi lam."""
+    if lam == 0:
+        raise KernelComponentError("resolvent hit a kernel component; project it away first")
+    return ExactScalar.pi(-1, f"1/{lam}")
 
 
 def _across_modes(tables: Iterable[tuple]) -> list[tuple]:
@@ -336,18 +347,15 @@ class TwoPointState:
         return TwoPointState(self.ctx, out)
 
     def resolvent_L20(self) -> "TwoPointState":
-        """Inverse of L0 - 2 omega_d; the sector eigenvalue comes from the word defect."""
-        q = self.ctx.q
+        """Inverse of L0 - 2 omega_d in one pass: the entry in row r of a term's
+        endomorphism scales by 1 / (pi (4|alpha| + row_shift[r]))."""
+        ctx, shift = self.ctx, self.ctx.row_shift
         out: dict[TermKey, ExteriorEndo] = {}
-        for (a, b, g, d), endo in self.terms.items():
-            tot = sum(a)
-            for defect, block in endo.row_sector_split(q).items():
-                lam = 4 * tot + 4 * defect
-                if lam == 0:
-                    raise KernelComponentError(
-                        "resolvent hit a kernel component; project it away first")
-                _add_term(out, (a, b, g, d), block.scale(ExactScalar.pi(-1, f"1/{lam}")))
-        return TwoPointState(self.ctx, out)
+        for key, endo in self.terms.items():
+            tot = 4 * sum(key[0])
+            out[key] = ExteriorEndo(ctx.alg, {(r, c): v * _inverse_pi(tot + shift[r])
+                                              for (r, c), v in endo.entries.items()})
+        return TwoPointState(ctx, out)
 
     def resolvent_L0(self) -> "TwoPointState":
         out: dict[TermKey, ExteriorEndo] = {}

@@ -323,7 +323,7 @@ def engine_context(jet: GeometryJet) -> OscillatorContext:
     return OscillatorContext(jet.n, jet.q, jet.rk_e)
 
 
-def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, ExteriorEndo]:
+def compute_F2_terms(jet: GeometryJet) -> dict[str, ExteriorEndo]:
     """Origin values of the six resolvent-expansion terms, keyed by name.
 
     Only what the origin values read is computed.  No primitive the
@@ -340,8 +340,6 @@ def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, Exterior
     at the origin without forming the product
     (`PolyGaussianForm.compose_origin`).
     """
-    if check:
-        require_valid(jet)
     ctx = engine_context(jet)
     o1 = build_O1(jet, ctx)
     o2 = build_O2(jet, ctx)
@@ -368,20 +366,20 @@ def compute_F2_terms(jet: GeometryJet, check: bool = True) -> dict[str, Exterior
     }
 
 
-def b1_engine(jet: GeometryJet, check: bool = True,
-              terms_out: dict[str, ExteriorEndo] | None = None) -> B1Result:
-    """The engine route: compress the expansion value to the degree-q sector.
-
-    If `terms_out` is given, the six expansion terms are stored in it.
-    """
-    terms = compute_F2_terms(jet, check=check)
-    if terms_out is not None:
-        terms_out.update(terms)
+def b1_from_terms(terms: dict[str, ExteriorEndo], q: int) -> B1Result:
+    """Sum the six expansion terms and compress the sum to the degree-q sector."""
     f2 = (terms["double-resolved-gradient"]
           - terms["resolved-second-order"]
           + terms["double-resolved-gradient-adjoint"]
           - terms["resolved-second-order-adjoint"]
           + terms["kernel-sandwich"]
           - terms["iterated-resolvent"])
-    ie = f2.alg.project_degree(jet.q)
+    ie = f2.alg.project_degree(q)
     return B1Result(ie @ f2 @ ie, "engine")
+
+
+def b1_engine(jet: GeometryJet, check: bool = True) -> B1Result:
+    """The engine route: the expansion terms at the origin, summed and compressed."""
+    if check:
+        require_valid(jet)
+    return b1_from_terms(compute_F2_terms(jet), jet.q)

@@ -304,7 +304,7 @@ def check_all_displays(jet) -> list[str]:
     if not o1p(resolved).project_Nperp().resolvent_L20().evaluate_origin().is_zero():
         failures.append("scalar-composite-vanishes")
 
-    terms = compute_F2_terms(jet, check=False)
+    terms = compute_F2_terms(jet)
     if terms["iterated-resolvent"] != iterated_resolvent_display(jet, ctx):
         failures.append("iterated-resolvent")
     if terms["kernel-sandwich"] != kernel_sandwich_display(jet, ctx):

@@ -17,10 +17,12 @@ block.
 Also here, because no program path runs them: the torsion-free and
 positive-curvature specializations of the closed formula, the square-zero
 cohomology ring of a product of projective lines, a potential written back
-to its JSON map, multiplication by a primed variable, and short
-compositions of oscillator and Clifford primitives (the shifted oscillator
-L0 - 2 omega_d, the derivatives d/dxi and d/dxibar, the Gram pairing of
-kernel columns, a kernel at Z = 0 and the Clifford anticommutator).
+to its JSON map, the Serre-dual potential with its K_X twist (a Leibniz
+determinant and log(1 + x) at cap 2) and word map, multiplication by a
+primed variable, and short compositions of oscillator and Clifford
+primitives (the shifted oscillator L0 - 2 omega_d, the derivatives d/dxi
+and d/dxibar, the Gram pairing of kernel columns, a kernel at Z = 0 and the
+Clifford anticommutator).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import getitem
 
@@ -518,6 +520,64 @@ def potential_to_dict(phi: Series) -> dict[str, object]:
             if e[n + j]:
                 factors.append(f"zb{j+1}" + (f"^{e[n+j]}" if e[n + j] > 1 else ""))
         out[" ".join(factors)] = phi.terms[e].to_json()
+    return out
+
+
+# -- Serre duality ------------------------------------------------------------
+
+
+def series_det(m: list[list[Series]]) -> Series:
+    """The determinant of a square series matrix by the Leibniz sum over
+    permutations."""
+    acc = Series.zero(m[0][0].nvars, m[0][0].cap)
+    for perm in permutations(range(len(m))):
+        term = reduce(Series.__mul__, (m[i][j] for i, j in enumerate(perm)))
+        acc = acc - term if _inversions(perm) % 2 else acc + term
+    return acc
+
+
+def log_one_plus(x: Series) -> Series:
+    """log(1 + x) for a constant-free x at cap 2: x - x^2 / 2."""
+    assert x.cap <= 2 and x.value0().is_zero()
+    return x - (x * x).scale(rat("1/2"))
+
+
+def _inversions(seq) -> int:
+    return sum(a > b for a, b in combinations(seq, 2))
+
+
+def serre_dual_potentials(phi: Series, q: int) -> tuple[Series, Series]:
+    """The potential psi = (-phi) o sigma of signature n - q and its twist
+    phi_K o sigma, with phi_K = log((-1)^q det(d_i dbar_j phi) / pi^n) at cap 2.
+
+    sigma orders the coordinates as (q, .., n-1, 0, .., q-1): coordinate k
+    of psi is coordinate sigma[k] of phi, and so is its conjugate."""
+    n = phi.nvars // 2
+    hessian = [[phi.diff(i).diff(n + j).truncate(2) for j in range(n)] for i in range(n)]
+    normalized = series_det(hessian).scale(ExactScalar.pi(-n, (-1) ** q))
+    phi_k = log_one_plus(normalized - Series.const(2 * n, 2, rat(1)))
+    sigma = [*range(q, n), *range(q)]
+    slots = [*sigma, *(n + k for k in sigma)]
+
+    def relabel(s: Series, sign: int) -> Series:
+        return Series(2 * n, s.cap, {tuple(e[k] for k in slots): c.scale(sign)
+                                     for e, c in s.terms.items()})
+
+    return relabel(phi, -1), relabel(phi_k, 1)
+
+
+def serre_word_map(n: int, q: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """Each wedge word I to (f(I), eps(I)): f(I) is the complement of I
+    relabeled by sigma^-1 (see `serre_dual_potentials`) and sorted, and
+    eps(I) the sign of the shuffle (I, complement) times that of the sort."""
+    inverse = {old: new for new, old in enumerate([*range(q + 1, n + 1), *range(1, q + 1)], 1)}
+    out = {}
+    for k in range(n + 1):
+        for word in combinations(range(1, n + 1), k):
+            rest = [j for j in range(1, n + 1) if j not in word]
+            image = [inverse[j] for j in rest]
+            sign = (-1) ** (_inversions([*word, *rest]) + _inversions(image))
+            out[word] = (tuple(sorted(image)), sign)
     return out
 
 

@@ -11,7 +11,7 @@ from bergman import cli, oscillator
 from bergman.cli import main
 from bergman.closed_form import b1_formula
 from bergman.exterior import B1Result, ExteriorAlgebra
-from bergman.geometry import GeometryJet, fs_product_potential
+from bergman.geometry import GeometryJet, fs_product_potential, random_potential
 from bergman.jet_checks import CheckReport
 from bergman.perturbation import b1_engine
 from bergman.scalars import ExactScalar
@@ -218,8 +218,27 @@ def test_a_form_that_is_not_skew_fails_validation(tmp_path, capsys):
     path.write_text(json.dumps(body))
     code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
     assert code == 3
-    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == \
-        ["clifford-forms-skew", "anti-reality[trRT10]"]
+    assert [(c["name"], c["detail"]) for c in json.loads(out)["checks"] if not c["ok"]] == \
+        [("clifford-forms-skew", "slot (0, 3): trRT10"), ("anti-reality[trRT10]", "slot (0, 3)")]
+
+
+def test_an_aux_curvature_that_is_not_skew_is_named(tmp_path, capsys):
+    """An RE with a symmetric part fails the same check at the same slot as
+    trRT10 above, and only that check; its detail names RE."""
+    pot, twist, path = tmp_path / "pot.json", tmp_path / "twist.json", tmp_path / "jet.json"
+    pot.write_text(json.dumps(potential_to_dict(random_potential(3, 2, 5))))
+    twist.write_text(json.dumps({f"z{j} zb{j}": [{"pi_pow": 1, "re": c, "im": "0"}]
+                                 for j, c in ((1, "1/2"), (2, "-1/3"), (3, "1/4"))}))
+    assert main(["jet", "build", "--potential", str(pot), "--potential-e", str(twist),
+                 "--n", "3", "--q", "2", "--rk-e", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    body = json.loads(path.read_text())
+    body["RE"][0][3] = body["RE"][3][0]
+    path.write_text(json.dumps(body))
+    code, out = run_captured(capsys, ["b1", "crosscheck", "--jet", str(path)])
+    assert code == 3
+    assert [(c["name"], c["detail"]) for c in json.loads(out)["checks"] if not c["ok"]] == \
+        [("clifford-forms-skew", "slot (0, 3): RE")]
 
 
 def test_engine_terms_output(jet_file, capsys):

@@ -147,8 +147,22 @@ def test_projection_partition(ctx):
     assert pn.apply_b(0).project_N().is_zero()
 
 
+@pytest.fixture(scope="module", params=[(3, 2), (3, 1)], ids=["3-2", "3-1"])
+def rank_two_ctx(request):
+    """A context whose basis row r holds the word r // rk_e, not the word r."""
+    return OscillatorContext(*request.param, rk_e=2)
+
+
 def test_resolvent_eigen_relation(ctx):
     """Resolvent then operator is the identity on the orthogonal complement."""
+    resolvent_relations(ctx)
+
+
+def test_resolvent_eigen_relation_at_rank_two(rank_two_ctx):
+    resolvent_relations(rank_two_ctx)
+
+
+def resolvent_relations(ctx):
     rng = random.Random(6)
     for _ in range(30):
         s = random_state(ctx, rng).project_Nperp()

@@ -8,6 +8,8 @@ import pytest
 
 from bergman.closed_form import b1_formula
 from bergman.exterior import ExteriorAlgebra, ExteriorEndo
+from bergman.geometry import jet_from_potential, random_potential
+from bergman.jet_checks import validate_jet
 from bergman.perturbation import (
     b1_engine,
     build_O1,
@@ -31,7 +33,13 @@ from display_helpers import (
     second_order_term_display,
     torsion_form_display,
 )
-from oracles import apply_L20, evaluate_first_zero, pair
+from oracles import (
+    apply_L20,
+    evaluate_first_zero,
+    pair,
+    serre_dual_potentials,
+    serre_word_map,
+)
 
 DISPLAY_SEEDS = (1, 2, 3, 4, 5)
 
@@ -72,7 +80,7 @@ def test_expansion_term_displays(display_jets):
     """Origin values of the expansion terms block by block."""
     for jet in display_jets:
         ctx = engine_context(jet)
-        terms = compute_F2_terms(jet, check=False)
+        terms = compute_F2_terms(jet)
         assert terms["iterated-resolvent"] == \
             iterated_resolvent_display(jet, ctx), jet.jet_id
         assert terms["kernel-sandwich"] == \
@@ -250,6 +258,30 @@ def test_coordinate_swap_conjugates_b1(jet_cache, n, q, seed, perm):
         assert route(other, check=False).endo == p @ b1 @ p, route.__name__
 
 
+@pytest.mark.parametrize("n,q,seed", [(2, 1, 5), (3, 1, 5), (3, 2, 5), (4, 2, 5)])
+def test_serre_duality_maps_b1_to_the_dual_signature(jet_cache, n, q, seed):
+    """The conjugate-linear Hodge star takes Lambda^{0,k} (x) L^p to
+    Lambda^{0,n-k} (x) L^-p (x) K_X, so b_1 of -phi at signature n - q, twisted
+    by K_X, is b_1 of phi conjugated and carried by the word map f with its
+    signs: b_1^psi[f(I)][f(J)] = eps(I) eps(J) conj(b_1^phi[I][J]), on both
+    routes.  This relates two signatures, so it reaches blocks that the
+    coordinate swaps, which stay inside one, cannot."""
+    jet = jet_cache("random", n, q, seed)
+    psi, twist = serre_dual_potentials(random_potential(n, q, seed), q)
+    dual = jet_from_potential(psi, twist, n=n, q=n - q)
+    assert validate_jet(dual).ok
+    image = serre_word_map(n, q)
+    alg = ExteriorAlgebra(n)
+    for route in (b1_formula, b1_engine):
+        b1 = route(jet, check=False).endo
+        assert not b1.is_zero()
+        want = {}
+        for (r, c), v in b1.entries.items():
+            (fr, er), (fc, ec) = image[alg.words[r]], image[alg.words[c]]
+            want[(alg.basis_index(fr), alg.basis_index(fc))] = v.conjugate() * rat(er * ec)
+        assert route(dual, check=False).endo == ExteriorEndo(alg, want), route.__name__
+
+
 def test_engine_output_self_adjoint(batch_jets):
     for jet in batch_jets[:6]:
         res = b1_engine(jet, check=False)
@@ -292,7 +324,7 @@ def test_expansion_term_adjoint_pairings(display_jets):
 
 def test_term_breakdown_shape(jet_cache):
     jet = jet_cache("random", 2, 1, 3)
-    terms = compute_F2_terms(jet, check=False)
+    terms = compute_F2_terms(jet)
     assert set(terms) == {
         "double-resolved-gradient", "resolved-second-order",
         "double-resolved-gradient-adjoint", "resolved-second-order-adjoint",
