@@ -99,9 +99,9 @@ def _write_jet(jet: GeometryJet, path: str) -> int:
     if not report.ok:
         _emit(report.to_json())
         return EXIT_VALIDATION
-    text = jet.to_text(file=True)  # built first, so a failure leaves no partial file
+    pieces = jet.to_pieces(file=True)  # built first, so a failure leaves no partial file
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     print(f"wrote jet {jet.jet_id} to {path}")
     return EXIT_OK
 

@@ -42,6 +42,9 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
     lam = lambda_scalars(jet)
     proj = alg.project_det(q)
     nbj = jet.nablaBJ
+    # the generators' matrices, built once per call; index 0 is unused
+    wedge = [None, *(alg.wedge(j) for j in range(1, n + 1))]
+    contract = [None, *(alg.contract(j) for j in range(1, n + 1))]
 
     # scalar block on the distinguished word
     block = proj.scale(
@@ -63,8 +66,7 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
                             coeff = coeff + a * b
                     if coeff.is_zero():
                         continue
-                    op = (alg.wedge(l) @ alg.contract(i) @ proj
-                          @ alg.wedge(j) @ alg.contract(k))
+                    op = wedge[l] @ contract[i] @ proj @ wedge[j] @ contract[k]
                     block = block + op.scale(coeff.scale("1/9"))  # 8/72
 
     # wedge-contract blocks come in adjoint pairs: one formula at slot offset
@@ -74,8 +76,8 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
     # single wedge-contract blocks with the curvature aggregate
     for j in range(1, q + 1):
         for k in range(q + 1, n + 1):
-            for s, x, y, op in ((n, n + j - 1, n + k - 1, alg.wedge(k) @ alg.contract(j) @ proj),
-                                (0, k - 1, j - 1, proj @ alg.wedge(j) @ alg.contract(k))):
+            for s, x, y, op in ((n, n + j - 1, n + k - 1, wedge[k] @ contract[j] @ proj),
+                                (0, k - 1, j - 1, proj @ wedge[j] @ contract[k])):
                 d2j = _ZERO
                 for i in range(n):
                     d2j = d2j + jet.nablaB2J[n - s + i][s + i][x][y]
@@ -87,10 +89,8 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
 
     # double wedge-contract blocks
     double = (
-        (n, lambda i, j, k, l: (alg.wedge(k) @ alg.wedge(l)
-                                @ alg.contract(i) @ alg.contract(j) @ proj)),
-        (0, lambda i, j, k, l: (proj @ alg.wedge(j) @ alg.wedge(i)
-                                @ alg.contract(l) @ alg.contract(k))),
+        (n, lambda i, j, k, l: wedge[k] @ wedge[l] @ contract[i] @ contract[j] @ proj),
+        (0, lambda i, j, k, l: proj @ wedge[j] @ wedge[i] @ contract[l] @ contract[k]),
     )
     for i in range(1, q + 1):
         for j in range(1, q + 1):

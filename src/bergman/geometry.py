@@ -285,8 +285,9 @@ class GeometryJet:
     @cached_property
     def jet_id(self) -> str:
         """The first 16 hex digits of the sha256 of the compact text, hashed
-        when first read: a jet whose id is never read is never hashed."""
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        when first read or while the file text is written: a jet whose id is
+        never read and that is never written is never hashed."""
+        return _hashed(self)
 
     def is_torsion_free(self) -> bool:
         return _allzero(self.Tas) and _allzero(self.covTas) and _allzero(self.dTas)
@@ -302,22 +303,27 @@ class GeometryJet:
         Both are byte for byte what `json.dumps` writes of the jet's JSON
         body with those options.
         """
-        level = 2 if file else None
-        # the id first: the compact text it hashes is freed before this text is built
-        fields = {"jet_id": json.dumps(self.jet_id)} if file else {}
-        fields.update(schema=json.dumps(JET_SCHEMA), n=str(self.n), q=str(self.q),
-                      rk_e=str(self.rk_e), frame=json.dumps(_FRAME),
-                      rX=_payload(self.rX, *_punctuation(level)))
-        for name, rank in _TENSOR_FIELDS.items():
-            fields[name] = _text(getattr(self, name), rank + 2 * (name == "RE"), level, {})
+        return "".join(self.to_pieces(file=file))
+
+    def to_pieces(self, *, file: bool = False) -> list[str]:
+        """`to_text` in pieces, one key or one field value each.  A file's
+        walk also hashes the compact text, field by field, if the id is not
+        yet known."""
+        pieces: list[str] = []
+        layout = (2 if file else None, pieces.append)
+        if file and "jet_id" not in self.__dict__:
+            self.__dict__["jet_id"] = _hashed(self, layout)
+        else:
+            _emit(self, layout)
         if file:
-            return "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in sorted(fields.items())) + "\n}"
-        return "{" + ",".join(f'"{k}":{v}' for k, v in sorted(fields.items())) + "}"
+            pieces[_ID_AT:_ID_AT] = [',\n "jet_id": ', json.dumps(self.jet_id)]
+        return pieces
 
     @classmethod
     def from_json(cls, data: object) -> "GeometryJet":
         """Check the schema and every shape; a `jet_id` in `data` is ignored, the
-        loaded jet's own is computed from its values."""
+        loaded jet's own is computed from its values when first read.  Each
+        distinct payload is parsed once, so equal entries share one scalar."""
         if not isinstance(data, dict):
             raise InvalidJetError("a jet must be a JSON object")
         if data.get("schema") != JET_SCHEMA:
@@ -329,11 +335,12 @@ class GeometryJet:
         if (not all(type(v) is int for v in (n, q, rk_e))
                 or n < 1 or not 0 <= q <= n or rk_e < 1):
             raise InvalidJetError(f"bad jet dimensions n={n!r}, q={q!r}, rk_e={rk_e!r}")
+        memo: dict[str, ExactScalar] = {}
         tensors = {}
         for name, rank in _TENSOR_FIELDS.items():
             matrix = (rk_e, rk_e) if name == "RE" else ()
-            tensors[name] = _load(data[name], (2 * n,) * rank + matrix, name)
-        return cls(n=n, q=q, rk_e=rk_e, rX=_load_scalar(data["rX"], "rX"), **tensors)
+            tensors[name] = _load(data[name], (2 * n,) * rank + matrix, name, memo)
+        return cls(n=n, q=q, rk_e=rk_e, rX=_load_scalar(data["rX"], "rX", memo), **tensors)
 
 
 _FRAME = "xi-adapted complex frame; index a<n is d/dxi_{a+1}, a+n its conjugate"
@@ -351,27 +358,103 @@ def _punctuation(level: int | None):
              + inner + "}}").format)
 
 
-def _text(t, rank: int, level: int | None, seen: dict) -> str:
-    """JSON text of nested tuples `rank` >= 1 deep over scalars, as `json.dumps`
-    of their payloads writes it; the items of `t` sit at indent `level`.
+# The keys of a jet's JSON body but `jet_id`, sorted, and what precedes each
+# one's value in the compact layout (None) and the file layout (2).
+_BODY_KEYS = sorted(("frame", "n", "q", "rX", "rk_e", "schema", *_TENSOR_FIELDS))
+_KEY_PIECES = {
+    level: {k: ("{" if i == 0 else ",") + indent + json.dumps(k) + colon
+            for i, k in enumerate(_BODY_KEYS)}
+    for level, indent, colon in ((None, "", ":"), (2, "\n ", ": "))}
+_ID_AT = 2 * sum(k < "jet_id" for k in _BODY_KEYS)  # where a file's id goes in its pieces
+_CONSTANTS = {"frame": json.dumps(_FRAME), "schema": json.dumps(JET_SCHEMA)}
 
-    `seen` maps each scalar already written at the innermost level, by its
-    fields, to its text: a jet repeats most of its values (a dense (3,2) jet
-    holds about 1,600 distinct values in 4,000 nonzero entries).
+
+def _emit(jet: GeometryJet, *layouts) -> None:
+    """Write the jet's JSON body, `jet_id` left out, in each layout `(level,
+    sink)`, all in one walk: field by field in sorted-key order, each sink
+    called with the key's piece, then the whole text of the value, and at
+    last the closing brace.
+
+    A layout is the compact one (level None) or the file's (level 2).
     """
-    start, sep, end, _ = _punctuation(level)
-    deeper = None if level is None else level + 1
-    if rank > 1:
-        return start + sep.join([_text(x, rank - 1, deeper, seen) for x in t]) + end
-    punct = _punctuation(deeper)
-    out = []
-    for s in t:
-        key = (s._den, *s._num.items())
-        text = seen.get(key)
-        if text is None:
-            text = seen[key] = _payload(s, *punct)
-        out.append(text)
-    return start + sep.join(out) + end
+    levels = [level for level, _ in layouts]
+    for key in _BODY_KEYS:
+        value = _CONSTANTS[key] if key in _CONSTANTS else getattr(jet, key)
+        rank = _TENSOR_FIELDS.get(key)
+        if rank is not None:
+            rank += 2 * (key == "RE")
+            outs: list[list[str]] = [[] for _ in layouts]
+            _text(value, rank, _layers(levels, rank), outs)
+            texts = ["".join(out) for out in outs]
+        elif key == "rX":
+            texts = [_payload(value, *_punctuation(level)) for level in levels]
+        else:
+            texts = [str(value)] * len(layouts)
+        for (level, sink), text in zip(layouts, texts):
+            sink(_KEY_PIECES[level][key])
+            sink(text)
+    for level, sink in layouts:
+        sink("}" if level is None else "\n}")
+
+
+def _hashed(jet: GeometryJet, *layouts) -> str:
+    """`_emit` into `layouts` and, in the same walk, the compact text into a
+    sha256, one field at a time: the id, the first 16 hex digits."""
+    digest = hashlib.sha256()
+    _emit(jet, *layouts, (None, lambda text: digest.update(text.encode())))
+    return digest.hexdigest()[:16]
+
+
+def _layers(levels: list, rank: int) -> list:
+    """How `_text` writes a field `rank` deep whose items sit at indent
+    `levels[i]` in layout i: at index r >= 1, per layout, the open,
+    separator and close of the lists r deep; at index 0 the scalar
+    formatter of each layout, an empty memo of scalar texts and the texts
+    of zero.
+
+    The memo lasts one field: kept over a whole dense (3,2) jet file, it
+    held 0.78 MB of texts, more than the file itself."""
+    layers: list = [None] * (rank + 1)
+    for r in range(rank, 0, -1):
+        layers[r] = [_punctuation(level)[:3] for level in levels]
+        levels = [None if level is None else level + 1 for level in levels]
+    layers[0] = ([_punctuation(level) for level in levels], {}, ["[]"] * len(levels))
+    return layers
+
+
+def _text(t, rank: int, layers: list, outs: list[list[str]]) -> None:
+    """Append the JSON text of `t`, nested tuples `rank` >= 2 deep over
+    scalars, to `outs[i]` in layout i of `layers` (see `_layers`), as
+    `json.dumps` of their payloads writes it.
+
+    The memo maps a scalar's fields to its texts in the field: a jet repeats
+    most of its values (a dense (3,2) jet holds about 1,600 distinct values
+    in 4,000 nonzero entries).
+    """
+    layer = layers[rank]
+    if rank > 2:
+        for i, x in enumerate(t):
+            for out, punct in zip(outs, layer):
+                out.append(punct[1] if i else punct[0])
+            _text(x, rank - 1, layers, outs)
+    else:
+        formats, memo, zero = layers[0]
+        for i, scalars in enumerate(t):
+            row = []
+            for s in scalars:
+                if not s._num:  # about half of a jet's entries are zero
+                    row.append(zero)
+                    continue
+                key = (s._den, *s._num.items())
+                texts = memo.get(key)
+                if texts is None:
+                    texts = memo[key] = [_payload(s, *punct) for punct in formats]
+                row.append(texts)
+            for out, punct, (start, sep, end), texts in zip(outs, layer, layers[1], zip(*row)):
+                out.append(punct[1] if i else punct[0])
+                out.append(start + sep.join(texts) + end)
+    for out, punct in zip(outs, layer):
+        out.append(punct[2])
 
 
 def _payload(s: ExactScalar, start: str, sep: str, end: str, item) -> str:
@@ -383,22 +466,28 @@ def _payload(s: ExactScalar, start: str, sep: str, end: str, item) -> str:
                              for k, (a, b) in sorted(num.items())]) + end
 
 
-def _load(t: object, shape: tuple[int, ...], name: str):
+def _load(t: object, shape: tuple[int, ...], name: str, memo: dict):
     """Nested tuples of scalars from JSON, checked against `shape`."""
     if not isinstance(t, list) or len(t) != shape[0]:
         raise InvalidJetError(f"{name} does not have the shape of the jet: "
                               f"expected a list of {shape[0]} entries")
     if len(shape) > 1:
-        return tuple([_load(x, shape[1:], name) for x in t])
+        return tuple([_load(x, shape[1:], name, memo) for x in t])
     # about half of a jet's payloads are [], the zero scalar
-    return tuple([_ZERO if x == [] else _load_scalar(x, name) for x in t])
+    return tuple([_ZERO if x == [] else _load_scalar(x, name, memo) for x in t])
 
 
-def _load_scalar(t: object, name: str) -> ExactScalar:
-    try:
-        return ExactScalar.from_json(t)
-    except ValueError as exc:
-        raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
+def _load_scalar(t: object, name: str, memo: dict) -> ExactScalar:
+    """The scalar of a payload, parsed once per `memo`: keyed by `repr`, so
+    `True` and `1` and `"1"` are distinct payloads."""
+    key = repr(t)
+    s = memo.get(key)
+    if s is None:
+        try:
+            s = memo[key] = ExactScalar.from_json(t)
+        except ValueError as exc:
+            raise InvalidJetError(f"bad scalar in {name}: {exc}") from None
+    return s
 
 
 # ---------------------------------------------------------------------------

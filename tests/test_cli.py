@@ -7,11 +7,17 @@ from operator import getitem
 
 import pytest
 
-from bergman import cli, oscillator
+from bergman import cli, geometry, oscillator
 from bergman.cli import main
 from bergman.closed_form import b1_formula
 from bergman.exterior import B1Result, ExteriorAlgebra
-from bergman.geometry import GeometryJet, fs_product_potential, random_potential
+from bergman.errors import InvalidJetError
+from bergman.geometry import (
+    _TENSOR_FIELDS,
+    GeometryJet,
+    fs_product_potential,
+    random_potential,
+)
 from bergman.jet_checks import CheckReport
 from bergman.perturbation import b1_engine
 from bergman.scalars import ExactScalar
@@ -434,6 +440,65 @@ def test_tampered_jet_gets_a_fresh_id(small_jet_body, tmp_path, capsys):
     code, out = run_captured(capsys, ["b1", "engine", "--jet", str(path)])
     assert code == 0
     assert json.loads(out)["jet_id"] == jet_digest(body) != small_jet_body["jet_id"]
+
+
+# A payload equal in Python to a valid one, but of the wrong JSON type
+_TYPE_TWINS = {"bool-pi_pow": ("pi_pow", 1, True), "float-re": ("re", 1, 1.0)}
+
+
+@pytest.mark.parametrize("bad_first", [False, True], ids=["valid-first", "bad-first"])
+@pytest.mark.parametrize("twin", _TYPE_TWINS)
+def test_a_payload_that_only_equals_a_valid_one_is_refused(small_jet_body, tmp_path, capsys,
+                                                            twin, bad_first):
+    """A load parses each distinct payload once.  `True == 1` and `1.0 == 1`,
+    yet a bool pi-power or a float coefficient is refused whether its valid
+    twin loads before it (RB loads before dRL2) or after it."""
+    key, good, bad = _TYPE_TWINS[twin]
+    item = {"im": "0", "pi_pow": 1, "re": "1"}
+    payloads = [[{**item, key: good}], [{**item, key: bad}]]
+    if bad_first:
+        payloads.reverse()
+    body = copy.deepcopy(small_jet_body)
+    body["RB"][0][1][0][1], body["dRL2"][0][1][0][1] = payloads
+    with pytest.raises(InvalidJetError):
+        GeometryJet.from_json(body)
+    path = tmp_path / "jet.json"
+    path.write_text(json.dumps(body))
+    assert main(["b1", "crosscheck", "--jet", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad scalar in {'RB' if bad_first else 'dRL2'}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_one_walk_each_way(tmp_path, capsys, monkeypatch):
+    """`jet build` walks each tensor field once, writing the file layout and
+    hashing the compact one together; `b1 crosscheck` walks each loaded field
+    once, when it reads the id.  Neither calls `to_text`."""
+    walks = []
+    text = geometry._text
+
+    def spy(t, rank, layers, outs):
+        if len(layers) == rank + 1:  # a whole field, not a list inside one
+            walks.append((rank, len(outs)))
+        return text(t, rank, layers, outs)
+
+    def no_text(self, **kw):
+        raise AssertionError("to_text called")
+
+    monkeypatch.setattr(geometry, "_text", spy)
+    monkeypatch.setattr(GeometryJet, "to_text", no_text)
+    pot, path = tmp_path / "pot.json", tmp_path / "jet.json"
+    pot.write_text(json.dumps(potential_to_dict(random_potential(2, 1, 5))))
+    ranks = [_TENSOR_FIELDS[k] + 2 * (k == "RE") for k in sorted(_TENSOR_FIELDS)]
+    assert main(["jet", "build", "--potential", str(pot), "--n", "2", "--q", "1",
+                 "--out", str(path)]) == 0
+    assert walks == [(rank, 2) for rank in ranks]
+    walks.clear()
+    assert main(["b1", "crosscheck", "--jet", str(path)]) == 0
+    assert walks == [(rank, 1) for rank in ranks]
+    out = capsys.readouterr().out
+    assert out.startswith("wrote jet 92d5bb2e9ad3c406 ")
+    assert json.loads(out[out.index("{"):])["jet_id"] == "92d5bb2e9ad3c406"
 
 
 def test_degree_cap_below_the_engine_is_exit_3(tmp_path, monkeypatch, capsys):
