@@ -83,21 +83,23 @@ def _load_potential(path: str, n: int) -> Series:
     return parse_potential(_read_json(path, "potential", InvalidPotentialError), n)
 
 
-def _load_valid_jet(path: str) -> GeometryJet | None:
-    """Load a jet file and validate it; on failure print the report and return None."""
-    jet = _load_jet(path)
-    report = validate_jet(jet)
-    if report.ok:
-        return jet
-    _emit(report.to_json())
-    return None
-
-
-def _write_jet(jet: GeometryJet, path: str) -> int:
-    """Validate a jet and write it; on failure print the report and write nothing."""
+def _valid(jet: GeometryJet) -> bool:
+    """Validate a jet; on failure print the report."""
     report = validate_jet(jet)
     if not report.ok:
         _emit(report.to_json())
+    return report.ok
+
+
+def _load_valid_jet(path: str) -> GeometryJet | None:
+    """Load a jet file and validate it; None if it fails."""
+    jet = _load_jet(path)
+    return jet if _valid(jet) else None
+
+
+def _write_jet(jet: GeometryJet, path: str) -> int:
+    """Validate a jet and write it; on failure write nothing."""
+    if not _valid(jet):
         return EXIT_VALIDATION
     pieces = jet.to_pieces(file=True)  # built first, so a failure leaves no partial file
     with open(path, "w") as fh:
@@ -394,15 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_dimensions(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BergmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,22 +53,6 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
         - s_norm(nbj, n, first_barred=False).scale("1/144"))
     block = block + (alg.endo_from_aux_matrix(_mat_sum_mixed(jet)) @ proj).scale(rat("1/2"))
 
-    # mixed double transvection: wedge(l) contract(i) proj wedge(j) contract(k)
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            for k in range(q + 1, n + 1):
-                for l in range(q + 1, n + 1):
-                    coeff = _ZERO
-                    for m in range(n):
-                        a = nbj[m][j - 1][k - 1]
-                        b = nbj[n + m][n + i - 1][n + l - 1]
-                        if not a.is_zero() and not b.is_zero():
-                            coeff = coeff + a * b
-                    if coeff.is_zero():
-                        continue
-                    op = wedge[l] @ contract[i] @ proj @ wedge[j] @ contract[k]
-                    block = block + op.scale(coeff.scale("1/9"))  # 8/72
-
     # wedge-contract blocks come in adjoint pairs: one formula at slot offset
     # s = n (barred slots, operator left of the projector) and s = 0 (unbarred
     # slots, the adjoint operator right of the projector)
@@ -87,7 +71,7 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
                 block = block + (op @ alg.endo_from_aux_matrix(
                     _scale_mat(jet.RE[x][y], rat(2)))).scale(rat("-1/4"))
 
-    # double wedge-contract blocks
+    # the mixed double transvection and the double wedge-contract blocks
     double = (
         (n, lambda i, j, k, l: wedge[k] @ wedge[l] @ contract[i] @ contract[j] @ proj),
         (0, lambda i, j, k, l: proj @ wedge[j] @ wedge[i] @ contract[l] @ contract[k]),
@@ -96,6 +80,15 @@ def b1_formula(jet: GeometryJet, check: bool = True) -> B1Result:
         for j in range(1, q + 1):
             for k in range(q + 1, n + 1):
                 for l in range(q + 1, n + 1):
+                    mixed = _ZERO
+                    for m in range(n):
+                        a = nbj[m][j - 1][k - 1]
+                        b = nbj[n + m][n + i - 1][n + l - 1]
+                        if not a.is_zero() and not b.is_zero():
+                            mixed = mixed + a * b
+                    if not mixed.is_zero():
+                        op = wedge[l] @ contract[i] @ proj @ wedge[j] @ contract[k]
+                        block = block + op.scale(mixed.scale("1/9"))  # 8/72
                     for s, make_op in double:
                         si, sj, sk, sl = s + i - 1, s + j - 1, s + k - 1, s + l - 1
                         s15 = _ZERO

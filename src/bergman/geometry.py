@@ -77,7 +77,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import getitem
 
 from .errors import (
@@ -94,6 +94,7 @@ from .series import (
     mat_mul,
     mat_sqrt,
     mat_zero,
+    monomial,
 )
 
 Tensor1 = tuple[ExactScalar, ...]
@@ -152,13 +153,8 @@ def parse_potential(data: dict[str, object], n: int) -> Series:
 
 def flat_potential(n: int, q: int) -> Series:
     """The exact model potential: curvature constant, all derived tensors zero."""
-    terms: dict[tuple[int, ...], ExactScalar] = {}
-    for j in range(n):
-        e = [0] * (2 * n)
-        e[j] = 1
-        e[n + j] = 1
-        terms[tuple(e)] = ExactScalar.pi(1, -1 if j < q else 1)
-    return Series(2 * n, 4, terms)
+    return Series(2 * n, 4, {monomial(2 * n, j, n + j): ExactScalar.pi(1, -1 if j < q else 1)
+                             for j in range(n)})
 
 
 def fs_product_potential(n: int, q: int) -> Series:
@@ -169,10 +165,7 @@ def fs_product_potential(n: int, q: int) -> Series:
     """
     terms = dict(flat_potential(n, q).terms)
     for j in range(n):
-        e = [0] * (2 * n)
-        e[j] = 2
-        e[n + j] = 2
-        terms[tuple(e)] = ExactScalar.pi(2, "1/2" if j < q else "-1/2")
+        terms[monomial(2 * n, j, j, n + j, n + j)] = ExactScalar.pi(2, "1/2" if j < q else "-1/2")
     return Series(2 * n, 4, terms)
 
 
@@ -209,18 +202,10 @@ def random_potential(n: int, q: int, seed: int) -> Series:
 
 
 def _monomials(nvars: int, degrees: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], rest: int, budget: int):
-        if rest == 1:
-            out.append(tuple(prefix + [budget]))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], rest - 1, budget - k)
-
-    for d in degrees:
-        rec([], nvars, d)
-    return [e for e in out if sum(e) in degrees]
+    """The exponent tuples of each degree in turn, increasing within a degree:
+    this order decides `random_potential`'s draws."""
+    return [monomial(nvars, *slots) for d in degrees
+            for slots in reversed([*combinations_with_replacement(range(nvars), d)])]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +512,8 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
         for b in range(n):
             d2 = _deriv(_deriv(phi_l, a), n + b).truncate(_CAP)
             RL[a][n + b] = d2
+            # the stages read only the rows a < n; the rest serves a build of
+            # every row without `_real` (test_mirrored_stages_match_the_direct_build)
             RL[n + b][a] = -d2
     g, ginv = _metric(RL, n)
     g0, ginv0 = _at0(g), _at0(ginv)
@@ -591,16 +578,11 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
 
 
 def _check_hessian(phi: Series, n: int, q: int) -> None:
+    flat = flat_potential(n, q)
     for j in range(n):
         for k in range(n):
-            e = [0] * (2 * n)
-            e[j] += 1
-            e[n + k] += 1
-            c = phi.coeff(tuple(e))
-            if j == k:
-                want = ExactScalar.pi(1, -1 if j < q else 1)
-            else:
-                want = _ZERO
+            e = monomial(2 * n, j, n + k)
+            c, want = phi.coeff(e), flat.coeff(e)
             if c != want:
                 raise DegenerateCurvatureError(
                     f"mixed Hessian entry ({j+1},{k+1}) is {c}, expected {want}; "
@@ -687,11 +669,8 @@ def _deriv(s: Series, a: int) -> Series:
 
 def _d0(s: Series, *slots: int) -> ExactScalar:
     """First or second partial derivative of `s` at the base point."""
-    e = [0] * s.nvars
-    for a in slots:
-        e[a] += 1
-    c = s.terms.get(tuple(e), _ZERO)
-    return c * _TWO if 2 in e else c
+    c = s.terms.get(monomial(s.nvars, *slots), _ZERO)
+    return c * _TWO if len(slots) == 2 and slots[0] == slots[1] else c
 
 
 def _contract_last(t, m):
@@ -854,7 +833,7 @@ def _cov0(t, slots, firsts):
     entries = [(idx, s) for idx in product(range(dim), repeat=rank)
                if not (s := reduce(getitem, idx, t)).is_zero()]
     # d_m t at 0 is the coefficient of w_m; only the nonzero ones are kept
-    units = [tuple(int(a == m) for a in range(dim)) for m in range(dim)]
+    units = [monomial(dim, m) for m in range(dim)]
     t0 = [(idx, v) for idx, s in entries if not (v := s.value0()).is_zero()]
 
     out = {(m, *idx): c for idx, s in entries for m in firsts
@@ -914,18 +893,11 @@ def _normal_coordinates(gamma, gam0):
     index tuples that reach its monomial.  The map is real: only a < n is built.
     """
     dim = len(gam0)
-
-    def mono(*idx):
-        e = [0] * dim
-        for i in idx:
-            e[i] += 1
-        return tuple(e)
-
     minus_half, minus_sixth, minus_two_thirds = rat("-1/2"), rat("-1/6"), rat("-2/3")
     quad = [{} for _ in range(dim)]
     for b, c, a in product(range(dim), repeat=3):
         if not gam0[b][c][a].is_zero():
-            quad[a].setdefault(mono(b, c), []).append((gam0[b][c][a], minus_half))
+            quad[a].setdefault(monomial(dim, b, c), []).append((gam0[b][c][a], minus_half))
     quad = [{e: sum_products(p) for e, p in qa.items()} for qa in quad]
 
     def build(firsts):
@@ -934,7 +906,7 @@ def _normal_coordinates(gamma, gam0):
             for d in range(dim):
                 dgam = _d0(gamma[b][c][a], d)
                 if not dgam.is_zero():
-                    cubic[a].setdefault(mono(d, b, c), []).append((dgam, minus_sixth))
+                    cubic[a].setdefault(monomial(dim, d, b, c), []).append((dgam, minus_sixth))
             # 1/3 G^a_bc G^c_ef is -2/3 G^a_bc times the w^e w^f coefficient of z^c
             g = gam0[b][c][a]
             if not g.is_zero():
@@ -942,7 +914,7 @@ def _normal_coordinates(gamma, gam0):
                     f = list(e)
                     f[b] += 1
                     cubic[a].setdefault(tuple(f), []).append((g, v * minus_two_thirds))
-        return [Series(dim, 3, {mono(a): rat(1), **quad[a],
+        return [Series(dim, 3, {monomial(dim, a): rat(1), **quad[a],
                                 **{e: sum_products(p) for e, p in cubic[a].items()}})
                 for a in firsts]
 

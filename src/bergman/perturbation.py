@@ -28,7 +28,7 @@ from .geometry import GeometryJet
 from .jet_checks import require_valid
 from .oscillator import OscillatorContext, TwoPointState, sum_states
 from .scalars import ExactScalar, rat
-from .series import Series
+from .series import Series, monomial
 
 Operator = Callable[[TwoPointState], TwoPointState]
 
@@ -51,10 +51,7 @@ def _zpoly(n: int, rank: int, coeff: Callable[..., ExactScalar]) -> Series:
         c = coeff(*labels)
         if c.is_zero():
             continue
-        e = [0] * (2 * n)
-        for a in labels:
-            e[a] += 1
-        key = tuple(e)
+        key = monomial(2 * n, *labels)
         terms[key] = terms[key] + c if key in terms else c
     return Series(2 * n, _CAP, terms)
 
@@ -195,16 +192,13 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                 single_aux[a].append((_var(n, c), alg.endo_from_aux_matrix(
                     [[x * nabla0[a].scale(-2) for x in row] for row in mat])))
 
-    # scalar multiplication pieces
-    divergence = Series.zero(dim, _CAP)
-    for a in range(dim):
-        divergence = divergence + cubic[a].scale(rat("1/2")).diff(a)
-    divergence = divergence.scale(rat("-1/2"))  # -1/4 times resolution factor 2
-
+    # scalar multiplication: the divergence sum_a d_a cubic[a] / 2, times -1/4
+    # and the resolution factor 2, plus the gradient square, as one polynomial
     grad = _gradient_polys(jet)
-    gradient_sq = Series.zero(dim, _CAP)
+    scalar = Series.zero(dim, _CAP)
     for a in range(dim):
-        gradient_sq = gradient_sq + (grad[a] * grad[part(a)]).scale(rat("-2/9"))
+        scalar = (scalar + cubic[a].diff(a).scale(rat("-1/4"))
+                  + (grad[a] * grad[part(a)]).scale(rat("-2/9")))
 
     # the commutator correction is -[L0, N] / 12 with N = 2 sum RTX[c][a][d][part(a)]
     # Z_c Z_d; this is N / 12
@@ -223,10 +217,8 @@ def build_O2_prime(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                 plus.append(_apply_poly(lowered[a], single[a]))
             for z, endo in single_aux[a]:
                 plus.append(_apply_poly(lowered[a].apply_endo(endo), z))
-        if not divergence.is_zero():
-            plus.append(_apply_poly(state, divergence))
-        if not gradient_sq.is_zero():
-            plus.append(_apply_poly(state, gradient_sq))
+        if not scalar.is_zero():
+            plus.append(_apply_poly(state, scalar))
         if not commutator_n.is_zero():
             minus.append(_apply_poly(state, commutator_n).apply_L0())
             plus.append(_apply_poly(state.apply_L0(), commutator_n))

@@ -133,29 +133,17 @@ class ExactScalar:
             if g != 1:
                 c //= g
             return _make({k: (a * c, b * c) for k, (a, b) in n1.items()}, self._den // g)
-        den = self._den * other._den
         if len(n1) == 1 and len(n2) == 1:
             # monomial times monomial: the product of nonzero Gaussian integers is nonzero
             (k1, (a, b)), = n1.items()
             (k2, (c, d)), = n2.items()
-            re, im = a * c - b * d, a * d + b * c
+            re, im, den = a * c - b * d, a * d + b * c, self._den * other._den
             if den != 1:
                 g = gcd(den, re, im)
                 if g != 1:
                     re, im, den = re // g, im // g, den // g
             return _make({k1 + k2: (re, im)}, den)
-        num: Numerators = {}
-        for k1, (a, b) in n1.items():
-            for k2, (c, d) in n2.items():
-                k = k1 + k2
-                re = a * c - b * d
-                im = a * d + b * c
-                if k in num:
-                    r0, i0 = num[k]
-                    num[k] = (r0 + re, i0 + im)
-                else:
-                    num[k] = (re, im)
-        return _reduced(num, den)
+        return _fused(((self, other),))
 
     def scale(self, re: RationalLike, im: RationalLike = 0, pi_pow: int = 0) -> "ExactScalar":
         return self * ExactScalar.rational(re, im, pi_pow)
@@ -337,12 +325,17 @@ def _combine(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
 
 
 def sum_products(pairs: Sequence[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
-    """sum x * y over `pairs`: every product summed over the least common
-    denominator, then one gcd pass (`_reduced`) for the whole sum.  A single
-    pair is `x * y`, which has fast paths for monomials and integers."""
+    """sum x * y over `pairs`.  A single pair is `x * y`, which has fast paths
+    for monomials and integers."""
     if len(pairs) == 1:
         (x, y), = pairs
         return x * y
+    return _fused(pairs)
+
+
+def _fused(pairs: Sequence[tuple[ExactScalar, ExactScalar]]) -> ExactScalar:
+    """sum x * y over `pairs`: every product summed over the least common
+    denominator, then one gcd pass (`_reduced`) for the whole sum."""
     den = 1
     for x, y in pairs:
         d = x._den * y._den

@@ -44,6 +44,14 @@ from .scalars import ExactScalar, rat, sum_products
 Exps = tuple[int, ...]
 
 
+def monomial(nvars: int, *slots: int) -> Exps:
+    """The exponent tuple of the product of the variables `slots`, repeats allowed."""
+    e = [0] * nvars
+    for a in slots:
+        e[a] += 1
+    return tuple(e)
+
+
 class Series:
     """A polynomial in `nvars` variables truncated at total degree `cap`."""
 
@@ -71,8 +79,7 @@ class Series:
 
     @classmethod
     def var(cls, nvars: int, cap: int, j: int) -> "Series":
-        e = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, cap, {e: rat(1)})
+        return cls(nvars, cap, {monomial(nvars, j): rat(1)})
 
     # -- ring operations --------------------------------------------------------
 

@@ -541,6 +541,22 @@ def test_malformed_potential_is_validation_error(tmp_path, capsys, case):
     assert not (tmp_path / "jet.json").exists()
 
 
+@pytest.mark.parametrize("extra,entry", [
+    ({"z1 zb1": "1"}, "(1,1) is 1, expected -pi"),
+    ({"z1 zb2": "1", "z2 zb1": "1"}, "(1,2) is 1, expected 0"),
+])
+def test_a_wrong_hessian_is_named(tmp_path, capsys, extra, entry):
+    """The potential, unlike the twist, must have the normalized mixed Hessian;
+    the message names the first wrong entry and the value it should have."""
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({**potential_to_dict(random_potential(2, 1, 5)), **extra}))
+    assert main(["jet", "build", "--potential", str(path), "--n", "2", "--q", "1",
+                 "--out", str(tmp_path / "jet.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: mixed Hessian entry {entry}; normalize the potential first\n")
+    assert not (tmp_path / "jet.json").exists()
+
+
 def test_crosscheck_requires_self_adjoint(small_jet_body, tmp_path, capsys, monkeypatch):
     path = tmp_path / "jet.json"
     path.write_text(json.dumps(small_jet_body))

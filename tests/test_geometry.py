@@ -523,6 +523,14 @@ def test_normal_coordinates_match_the_product_construction(monkeypatch, n, q):
             assert s.cap == 2 and s == compose_per_entry(rl, want, 2)
 
 
+@pytest.mark.parametrize("nvars", range(2, 7))
+def test_monomials_run_in_increasing_order_within_each_degree(nvars):
+    """`random_potential` draws one coefficient per monomial in this order, so
+    it decides every potential of every signature and seed."""
+    assert geometry._monomials(nvars, (3, 4)) == [
+        e for d in (3, 4) for e in product(range(d + 1), repeat=nvars) if sum(e) == d]
+
+
 def test_random_potential_is_seed_stable():
     a = random_potential(2, 1, 99)
     b = random_potential(2, 1, 99)
