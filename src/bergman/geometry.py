@@ -29,15 +29,18 @@ Every covariant derivative and curvature the jet stores is read at the base
 point by one helper, `_cov0`: the derivative of a series tensor at 0 plus one
 Christoffel correction per transported slot, from each connection's values
 at 0, computed once and visited only where they and the tensor are nonzero.
+A covariant derivative that is differentiated once more (nabla RL for dRL2,
+the Bismut nabla J for nablaB2J) is first formed as a series; its value at 0
+is the first derivative.
 
 Reality.  For a real potential, the metric derivatives, both connections,
-the torsion, the curvatures, nabla J, the exp-map coordinates and every
-base-point derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
-c(a) = (a + n) mod 2n.  R = d dbar phi and its exp-map pullback are
-imaginary (a minus sign).  Each of these stages but the forms (below)
-builds the entries whose first index is < n and mirrors the rest through
-`_real`; exact, conjugation-equivariant arithmetic makes them the entries a
-direct build gives.
+the torsion, the curvatures, nabla J and every base-point derivative are
+real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with c(a) = (a + n) mod 2n.
+R = d dbar phi and its covariant derivatives are imaginary (a minus sign).
+Each of these stages but the forms (below) builds the entries whose first
+index is < n and mirrors the rest through `_real`; exact,
+conjugation-equivariant arithmetic makes them the entries a direct build
+gives.
 A stage read only by a contraction of its last slot (`_contract_real`) is
 not mirrored at all: the contraction reads the first half and mirrors its
 own result.
@@ -56,8 +59,9 @@ a zero of the entries' cap.
 Stages.  `jet_from_potential` runs its stages in dependency order:
   1. the curvature form RL = d dbar phi and the metric g, g^-1;
   2. the Levi-Civita Christoffels;
-  3. the exp-map pullback of RL: dRL1, dRL2;
-  4. the structure map J, then the Levi-Civita curvature: RTX, rX;
+  3. the Levi-Civita curvature: RTX, rX;
+  4. the normal-coordinate derivatives of RL, dRL1 and dRL2, read off its
+     covariant derivatives and the curvature; then the structure map J;
   5. the Chern connection and the torsion: trRT10, Tas, covTas, dTas, SB,
      and the Bismut Christoffels;
   6. nabla J and the Bismut curvature: nablaXJ, nablaBJ, nablaB2J, RB;
@@ -65,8 +69,7 @@ Stages.  `jet_from_potential` runs its stages in dependency order:
 The rule: freeze each field into the xi frame (`_relabel`) as soon as it is
 final, and drop each intermediate after its last reader, by a stage helper's
 return or by `del`.  A build then holds little beyond the finished fields and
-the series of the stage at hand.  The pullback has the largest transients,
-so it runs before J and RTX exist.
+the series of the stage at hand.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ from .errors import (
 from .scalars import ExactScalar, _ratio_str, rat, sum_products
 from .series import (
     Series,
-    mat_compose,
     mat_inverse,
     mat_mul,
     mat_sqrt,
@@ -108,6 +110,7 @@ _MINUS_ONE = rat(-1)
 _HALF = rat("1/2")
 _MINUS_HALF = rat("-1/2")
 _TWO = rat(2)
+_THIRD = rat("1/3")
 _INV_PI = ExactScalar.pi(-1)
 _I_OVER_2PI = ExactScalar.rational(0, "1/2", -1)
 
@@ -512,8 +515,6 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
         for b in range(n):
             d2 = _deriv(_deriv(phi_l, a), n + b).truncate(_CAP)
             RL[a][n + b] = d2
-            # the stages read only the rows a < n; the rest serves a build of
-            # every row without `_real` (test_mirrored_stages_match_the_direct_build)
             RL[n + b][a] = -d2
     g, ginv = _metric(RL, n)
     g0, ginv0 = _at0(g), _at0(ginv)
@@ -522,21 +523,24 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     gamma = _christoffels(g, ginv)
     gam0 = _at0(gamma)
 
-    # 3. normal-coordinate derivatives of the line-bundle curvature
-    drl1, drl2 = _radial_gauge_derivatives(RL, gamma, gam0)
+    # 3. the Levi-Civita curvature, R(e_a, e_b) e_c with its output slot raised
+    r_up = _real(_curvature(gamma, gam0), dim)
+    rtx = _contract_real(_firsts(r_up), g0)
+    freeze("RTX", rtx)
+    rX = _scalar_curvature(rtx, ginv0)
+    del rtx
+
+    # 4. normal-coordinate derivatives of the line-bundle curvature
+    drl1, drl2 = _normal_derivatives(RL, gamma, gam0, r_up)
+    del r_up
     freeze("dRL1", drl1)
     freeze("dRL2", drl2)
     del drl1, drl2
 
-    # 4. structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
+    # the structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
     # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
     J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
     del RL
-    # the Levi-Civita curvature
-    rtx = _contract_real(_curvature(gamma, gam0), g0)
-    freeze("RTX", rtx)
-    rX = _scalar_curvature(rtx, ginv0)
-    del rtx
 
     # 5. the torsion of the Chern connection on the holomorphic tangent bundle
     gamma_ch = _chern_connection(g, ginv, n)
@@ -668,9 +672,8 @@ def _deriv(s: Series, a: int) -> Series:
 
 
 def _d0(s: Series, *slots: int) -> ExactScalar:
-    """First or second partial derivative of `s` at the base point."""
-    c = s.terms.get(monomial(s.nvars, *slots), _ZERO)
-    return c * _TWO if len(slots) == 2 and slots[0] == slots[1] else c
+    """A first or mixed second partial derivative of `s` at the base point."""
+    return s.terms.get(monomial(s.nvars, *slots), _ZERO)
 
 
 def _contract_last(t, m):
@@ -751,7 +754,8 @@ def _chern_connection(g, ginv, n):
 
 def _curvature(gamma, gam0):
     """R(e_a, e_b) e_c at the base point, output slot last and raised, as the
-    build function that `_contract_real` takes.
+    build function that `_real` and `_contract_real` take: the Levi-Civita
+    one feeds RTX and dRL2, the Bismut one RB.
 
     X = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc is the base-point derivative
     of Gamma with its output slot transported; R is its antisymmetrization.
@@ -883,57 +887,44 @@ def _aux_curvature(phi_e, n, rk_e):
     return out
 
 
-def _normal_coordinates(gamma, gam0):
-    """The cubic Taylor polynomial of the exponential map, z^a as a series in w:
+def _normal_derivatives(RL, gamma, gam0, r_up):
+    """First and second derivatives at the base point of the curvature form
+    in normal coordinates, dRL1 and dRL2, read off its covariant derivatives.
 
-        z^a = w^a - 1/2 G^a_bc w^b w^c - 1/6 d_d G^a_bc w^d w^b w^c
-                  + 1/3 G^a_bc G^c_ef w^b w^e w^f,
-
-    with G = gamma(0).  Each coefficient is one sum of products over the
-    index tuples that reach its monomial.  The map is real: only a < n is built.
+    In normal coordinates Gamma(0) = 0 and, with r_up[a][b][c][e] =
+    (R(e_a, e_b) e_c)^e, d_k Gamma^m_lc(0) = (r_up[k][l][c][m] + r_up[k][c][l][m]) / 3.
+    So d_k RL_ab = nabla_k RL_ab and
+        d_k d_l RL_ab = nabla_k nabla_l RL_ab + d_k Gamma^m_la RL_mb + d_k Gamma^m_lb RL_am.
+    RL(0) pairs each slot only with its partner, so each correction is one
+    product.  Each unordered pair (k, l) is built once and shared.
     """
-    dim = len(gam0)
-    minus_half, minus_sixth, minus_two_thirds = rat("-1/2"), rat("-1/6"), rat("-2/3")
-    quad = [{} for _ in range(dim)]
-    for b, c, a in product(range(dim), repeat=3):
-        if not gam0[b][c][a].is_zero():
-            quad[a].setdefault(monomial(dim, b, c), []).append((gam0[b][c][a], minus_half))
-    quad = [{e: sum_products(p) for e, p in qa.items()} for qa in quad]
-
-    def build(firsts):
-        cubic = {a: {} for a in firsts}
-        for b, c, a in product(range(dim), range(dim), firsts):
-            for d in range(dim):
-                dgam = _d0(gamma[b][c][a], d)
-                if not dgam.is_zero():
-                    cubic[a].setdefault(monomial(dim, d, b, c), []).append((dgam, minus_sixth))
-            # 1/3 G^a_bc G^c_ef is -2/3 G^a_bc times the w^e w^f coefficient of z^c
-            g = gam0[b][c][a]
-            if not g.is_zero():
-                for e, v in quad[c].items():
-                    f = list(e)
-                    f[b] += 1
-                    cubic[a].setdefault(tuple(f), []).append((g, v * minus_two_thirds))
-        return [Series(dim, 3, {monomial(dim, a): rat(1), **quad[a],
-                                **{e: sum_products(p) for e, p in cubic[a].items()}})
-                for a in firsts]
-
-    return _real(build, dim)
-
-
-def _radial_gauge_derivatives(RL, gamma, gam0):
-    """Exp-map pullback of the curvature form; first/second coordinate derivatives."""
     dim = len(RL)
-    zmap = _normal_coordinates(gamma, gam0)
+    part = [(a + dim // 2) % dim for a in range(dim)]
 
-    # pulled[a][b] = sum_cd jac[a][c] comp[c][d] jac[b][d] with comp = RL o zmap,
-    # as jac (comp jac^T)
-    jac = _table(dim, 2, lambda a, c: _deriv(zmap[c], a))
-    jac_t = _table(dim, 2, lambda d, b: jac[b][d])
-    # RL is imaginary, and so is its pullback; comp is formed on the rows that the
-    # product with jac^T reads
-    comp_jac_t = _real(lambda firsts: mat_mul(
-        mat_compose([RL[a] for a in firsts], zmap, cap=2), jac_t), dim, -1)
-    pulled = _real(lambda firsts: mat_mul([jac[a] for a in firsts], comp_jac_t), dim, -1)
-    return (_table(dim, 3, lambda k, a, b: _d0(pulled[a][b], k)),
-            _table(dim, 4, lambda k, l, a, b: _d0(pulled[a][b], k, l)))
+    def nabla(firsts):
+        # nabla_k RL_ab = d_k RL_ab - P[k][a][b] + P[k][b][a] with P[k] = gamma[k] RL:
+        # RL is skew, so the correction of slot b is that of slot a transposed
+        p = mat_mul([gamma[k][a] for k in firsts for a in range(dim)], RL)
+        return [_table(dim, 2, lambda a, b: _deriv(RL[a][b], k) - p[i + a][b] + p[i + b][a])
+                for i, k in zip(range(0, len(p), dim), firsts)]
+
+    # RL and its covariant derivatives are imaginary
+    nrl = _real(nabla, dim, -1)
+    lc = (gam0, False)
+    nnrl = _real(partial(_cov0, nrl, [lc, lc, lc]), dim, -1)
+    drl1 = _at0(nrl)
+    del nrl
+    # w[b] = RL_mb(0) / 3 for the partner m of b; RL_am(0) / 3 = -w[a]
+    w = [RL[part[b]][b].value0() * _THIRD for b in range(dim)]
+    mw = [-x for x in w]
+
+    def second(k, l):
+        r_kl, r_k = r_up[k][l], r_up[k]
+        return _table(dim, 2, lambda a, b: sum_products([
+            (nnrl[k][l][a][b], _ONE),
+            (r_kl[a][part[b]], w[b]), (r_k[a][l][part[b]], w[b]),
+            (r_kl[b][part[a]], mw[a]), (r_k[b][l][part[a]], mw[a])]))
+
+    pairs = {kl: second(*kl) for kl in combinations_with_replacement(range(dim), 2)}
+    del nnrl
+    return drl1, _table(dim, 2, lambda k, l: pairs[min(k, l), max(k, l)])

@@ -20,10 +20,9 @@ product above the cap is ever formed.  A sum of products (each entry of
 `mat_mul`) is fused: every term pair of every product goes into one table
 keyed by the output monomial, and each output coefficient is then one
 `scalars.sum_products` call, normalized by a single gcd pass; `x * y` is the
-one-pair case.  `mat_compose` substitutes into a whole matrix through one
-table of monomial images, each formed once.  Every ring result is built by
-one internal constructor that only drops zero coefficients: it never sees a
-term above the cap, because each operation keeps to the cap itself.
+one-pair case.  Every ring result is built by one internal constructor that
+only drops zero coefficients: it never sees a term above the cap, because
+each operation keeps to the cap itself.
 Conjugation, which can make no zero, builds its result directly.  The
 public `Series(nvars, cap, terms)` still filters both.
 
@@ -126,8 +125,32 @@ class Series:
         return self.terms.get((0,) * self.nvars, ExactScalar.zero())
 
     def compose(self, maps: Sequence["Series"], cap: int | None = None) -> "Series":
-        """Substitute maps[j] (constant-free) for variable j; see `mat_compose`."""
-        return mat_compose([[self]], maps, cap)[0][0]
+        """Substitute maps[j] for variable j, truncated at `cap` (default: the
+        least cap of the maps).
+
+        The maps must be constant-free: otherwise every term, however high,
+        reaches every degree of the result, and the truncated series does not
+        determine it.  The image of each monomial is formed once, as the image
+        of a monomial one degree lower times one map.
+        """
+        if self.nvars != len(maps):
+            raise ValueError("need one substitution per variable")
+        nv = maps[0].nvars
+        out_cap = cap if cap is not None else min(m.cap for m in maps)
+        if any(not m.value0().is_zero() for m in maps):
+            raise ValueError("substitutions must be constant-free")
+        maps = [m.truncate(out_cap) for m in maps]
+        images = {(0,) * len(maps): Series.const(nv, out_cap, rat(1))}
+
+        def image(e: Exps) -> Series:
+            if e not in images:
+                j = next(i for i, k in enumerate(e) if k)
+                images[e] = image(e[:j] + (e[j] - 1,) + e[j + 1:]) * maps[j]
+            return images[e]
+
+        # a monomial of degree > out_cap has a zero image: every map starts at degree 1
+        return _fused(nv, out_cap, [([[((0,) * nv, c)]], _graded(image(e)))
+                                    for e, c in self.terms.items() if sum(e) <= out_cap])
 
     def conj(self) -> "Series":
         """Formal conjugation: swap the paired variables, conjugate coefficients."""
@@ -250,51 +273,6 @@ def mat_mul(rows: Sequence[Sequence[Series]], m: Matrix) -> Matrix:
             ks = [k for k, x in enumerate(t) if not (x.is_zero() or m[k][d].is_zero())]
             row.append(_fused(nvars, cap, [(gt[k], gm[k][d]) for k in ks]))
         out.append(row)
-    return out
-
-
-def mat_compose(a: Matrix, maps: Sequence[Series], cap: int | None = None) -> Matrix:
-    """Substitute maps[j] for variable j in every entry of `a`, truncated at
-    `cap` (default: the least cap of the maps).
-
-    The maps must be constant-free: otherwise every term of an entry, however
-    high, reaches every degree of the result, and the truncated entry does not
-    determine it.  The image of each monomial is formed once, as the image of
-    a monomial one degree lower times one map, and shared by every entry.
-    """
-    if any(s.nvars != len(maps) for row in a for s in row):
-        raise ValueError("need one substitution per variable")
-    nv = maps[0].nvars
-    out_cap = cap if cap is not None else min(m.cap for m in maps)
-    if any(not m.value0().is_zero() for m in maps):
-        raise ValueError("substitutions must be constant-free")
-    maps = [m.truncate(out_cap) for m in maps]
-    images = {(0,) * len(maps): Series.const(nv, out_cap, rat(1))}
-    # a monomial of degree > out_cap has a zero image: every map starts at degree 1
-    for e in {e for row in a for s in row for e in s.terms if sum(e) <= out_cap}:
-        chain = []  # (monomial, its first variable) down to the first known image
-        while e not in images:
-            j = next(i for i, k in enumerate(e) if k)
-            chain.append((e, j))
-            e = e[:j] + (e[j] - 1,) + e[j + 1:]
-        for f, j in reversed(chain):
-            images[f] = images[f[:j] + (f[j] - 1,) + f[j + 1:]] * maps[j]
-    out = []
-    for row in a:
-        out_row = []
-        for s in row:
-            acc: dict[Exps, list[tuple[ExactScalar, ExactScalar]]] = {}
-            for e, c in s.terms.items():
-                image = images.get(e)
-                if image is None:
-                    continue
-                for f, v in image.terms.items():
-                    if f in acc:
-                        acc[f].append((c, v))
-                    else:
-                        acc[f] = [(c, v)]
-            out_row.append(_series(nv, out_cap, {f: sum_products(p) for f, p in acc.items()}))
-        out.append(out_row)
     return out
 
 

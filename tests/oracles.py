@@ -4,10 +4,11 @@ Each one recomputes a library operation by a different route: a jet's
 JSON body as a dict of scalar payloads, scalar arithmetic on `Fraction`
 pairs, series products and sums one term pair at a time, substitution into
 a series one entry at a time, the exp-map substitution as a sum of
-variable products, the metric and its inverse on all 2n slots of the
-frame, the base-point covariant derivative with its connection
-corrections added one term at a time, the oscillator L0 as a
-raw differential operator on the polynomial form, multiplication by a
+variable products, the normal-coordinate derivatives of the curvature form
+as the Taylor coefficients of its exp-map pullback, the metric and its
+inverse on all 2n slots of the frame, the base-point covariant derivative
+with its connection corrections added one term at a time, the oscillator L0
+as a raw differential operator on the polynomial form, multiplication by a
 polynomial and the polynomial form of a state one factor at a time, the
 one-factor normal-ordering rules themselves, the 2-form Clifford
 action by raw Clifford products, the Clifford action of a form as a sum
@@ -226,6 +227,26 @@ def normal_coordinates_by_products(gamma, gam0) -> list[Series]:
                 c3 = add(c3, mul(w[b], c2c).scale(gam0[b][c][a].scale(4)))
         zmap[a] = add(zmap[a], c3.scale(rat("-1/6")))
     return zmap
+
+
+def normal_derivatives_by_pullback(RL, gamma, gam0):
+    """dRL1 and dRL2 of the pipeline, from the pullback of the curvature
+    form RL by the cubic exponential map: each entry substituted one term at
+    a time, then jac (RL o exp) jac^T with jac[a][c] = d_a z^c, and the first
+    and second Taylor coefficients at 0 (d_k d_k is twice the w_k^2 one)."""
+    dim = len(RL)
+    zmap = normal_coordinates_by_products(gamma, gam0)
+    comp = [[compose_per_entry(s, zmap, 2) for s in row] for row in RL]
+    jac = [[Series(dim, 2, zmap[c].diff(a).terms) for c in range(dim)] for a in range(dim)]
+    pulled = mat_mul(jac, mat_mul(comp, [list(col) for col in zip(*jac)]))
+
+    def d0(s, *slots):
+        c = s.coeff(tuple(slots.count(i) for i in range(dim)))
+        return c.scale(2) if len(set(slots)) < len(slots) else c
+
+    return ([[[d0(pulled[a][b], k) for b in range(dim)] for a in range(dim)] for k in range(dim)],
+            [[[[d0(pulled[a][b], k, l) for b in range(dim)] for a in range(dim)]
+              for l in range(dim)] for k in range(dim)])
 
 
 def metric_by_full_frame(phi: Series, n: int):

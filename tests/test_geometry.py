@@ -23,15 +23,14 @@ from bergman.geometry import (
 from bergman.jet_checks import identity_suite, lambda_scalars, validate_jet
 from bergman.perturbation import b1_engine
 from bergman.scalars import ExactScalar, rat
-from bergman.series import Series, mat_compose, mat_identity, mat_inverse, mat_mul, mat_scale
+from bergman.series import Series, mat_identity, mat_inverse, mat_mul, mat_scale
 from conftest import dense_potential
 from oracles import (
-    compose_per_entry,
     cov0_per_term,
     jet_body,
     jet_digest,
     metric_by_full_frame,
-    normal_coordinates_by_products,
+    normal_derivatives_by_pullback,
     potential_to_dict,
 )
 
@@ -497,30 +496,37 @@ def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
     assert mat_mul(g, ginv) == mat_identity(dim, dim, ginv[0][0].cap)
 
 
-@pytest.mark.parametrize("n, q", [(2, 1), (3, 2)])
-def test_normal_coordinates_match_the_product_construction(monkeypatch, n, q):
-    """On the Christoffel data of a random seed-5 build, the exp-map substitution
-    built coefficient by coefficient equals the sum of `Series.var` products, and
-    substituting it into the curvature matrix at once equals doing it per entry."""
+@pytest.mark.parametrize("n, q, seed", [(1, 0, 3), (2, 1, 5), (3, 2, 5), (3, 1, 0)])
+def test_normal_derivatives_match_the_exp_map_pullback(monkeypatch, n, q, seed):
+    """dRL1 and dRL2, read off the covariant derivatives of the curvature form
+    with the curvature terms of d Gamma(0) in normal coordinates, are the
+    derivatives at 0 of its pullback by the cubic exponential map."""
     seen = []
-    real = geometry._radial_gauge_derivatives
+    real = geometry._normal_derivatives
 
     def spy(*args):
-        seen.append(args)
-        return real(*args)
+        seen.append((args, real(*args)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(geometry, "_radial_gauge_derivatives", spy)
-    jet_from_potential(random_potential(n, q, 5), n=n, q=q)
-    [(RL, gamma, gam0)] = seen
-    got = geometry._normal_coordinates(gamma, gam0)
-    want = normal_coordinates_by_products(gamma, gam0)
-    assert [s.cap for s in got] == [s.cap for s in want] == [3] * (2 * n)
-    assert got == want
-    assert all(any(sum(e) == 3 for e in s.terms) for s in got)
-    comp = mat_compose(RL, got, 2)
-    for row, rl_row in zip(comp, RL):
-        for s, rl in zip(row, rl_row):
-            assert s.cap == 2 and s == compose_per_entry(rl, want, 2)
+    monkeypatch.setattr(geometry, "_normal_derivatives", spy)
+    jet_from_potential(random_potential(n, q, seed), n=n, q=q)
+    [((RL, gamma, gam0, _), (drl1, drl2))] = seen
+    want1, want2 = normal_derivatives_by_pullback(RL, gamma, gam0)
+    assert drl1 == want1 and drl2 == want2
+    assert not allzero(drl2)
+
+
+@pytest.mark.parametrize("n, q, seed", [
+    (1, 0, 3), (2, 1, 5), (2, 2, 4), (3, 2, 5), (3, 1, 0), (4, 2, 5),
+])
+def test_the_second_curvature_derivative_is_closed(jet_cache, n, q, seed):
+    """The curvature form is closed, and so is each of its derivatives: the
+    cyclic sum of dRL2[k] over its last three slots vanishes.  `validate_jet`
+    does not check this relation."""
+    drl2 = jet_cache("random", n, q, seed).dRL2
+    assert not allzero(drl2)
+    for k, l, a, b in product(range(2 * n), repeat=4):
+        assert (drl2[k][l][a][b] + drl2[k][a][b][l] + drl2[k][b][l][a]).is_zero(), (k, l, a, b)
 
 
 @pytest.mark.parametrize("nvars", range(2, 7))
@@ -618,8 +624,8 @@ _PINNED_JETS = [
 def test_pipeline_jet_ids_are_pinned(jet_cache, kind, n, q, seed, twist, jet_id):
     """Digests of the full pipeline at n = 3 and 4, one with a rank-2 twist
     and two dense ones, every cubic and quartic coefficient nonzero: any change
-    to a series truncation, the metric square root or the exp-map pullback
-    shows here."""
+    to a series truncation, the metric square root or the normal-coordinate
+    derivatives shows here."""
     rk_e = 1 if twist is None else 2
     assert jet_cache(kind, n, q, seed, rk_e=rk_e, twist=twist).jet_id == jet_id
 

@@ -57,6 +57,13 @@ def test_the_jet_pipeline_imports_nothing_from_its_checks():
     assert not _from("geometry", "jet_checks")
 
 
+def test_the_jet_pipeline_substitutes_no_series():
+    # every derivative the pipeline stores is read off `_cov0` and contractions:
+    # from `series` it takes the ring, the matrix products and the binomial series
+    assert _from("geometry", "series") <= {
+        "Series", "mat_mul", "mat_inverse", "mat_sqrt", "mat_zero", "monomial"}
+
+
 def test_the_import_reader_sees_every_form():
     source = ("from . import closed_form\nimport bergman.oscillator\n"
               "from .closed_form import b1_formula\nfrom bergman.perturbation import b1_engine\n"
