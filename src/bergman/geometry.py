@@ -25,17 +25,20 @@ that frame the structure map is +i on all unbarred directions.  All stored
 components are C-multilinear in the coordinate frame; the metric at the
 point pairs index a with a+n (mod 2n) with value 1/2.
 
-Every covariant derivative and curvature the jet stores is read at the base
-point by one helper, `_cov0`: the derivative of a series tensor at 0 plus one
-Christoffel correction per transported slot, from each connection's values
-at 0, computed once and visited only where they and the tensor are nonzero.
-A covariant derivative that is differentiated once more (nabla RL for dRL2,
-the Bismut nabla J for nablaB2J) is first formed as a series; its value at 0
-is the first derivative.
+The pipeline has one series connection, Levi-Civita.  Every covariant
+derivative and curvature it reads at the base point comes from one helper,
+`_cov0`: the derivative of a series tensor at 0 plus one Christoffel
+correction per transported slot, from the connection's values at 0, computed
+once and visited only where they and the tensor are nonzero.  nabla J is
+differentiated once more, so it is first formed as a series; its value at 0
+is the first derivative.  The Bismut fields and the normal-coordinate
+derivatives of RL are algebraic in the Levi-Civita ones, the torsion and the
+second derivative of J, and a last stage reads them off those values.
 
-Reality.  For a real potential, the metric derivatives, both connections,
-the torsion, the curvatures, nabla J and every base-point derivative are
-real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with c(a) = (a + n) mod 2n.
+Reality.  For a real potential, the metric derivatives, the Levi-Civita
+connection, the torsion, the curvatures, nabla J and every base-point
+derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
+c(a) = (a + n) mod 2n.
 R = d dbar phi and its covariant derivatives are imaginary (a minus sign).
 Each of these stages but the forms (below) builds the entries whose first
 index is < n and mirrors the rest through `_real`; exact,
@@ -59,12 +62,11 @@ a zero of the entries' cap.
 Stages.  `jet_from_potential` runs its stages in dependency order:
   1. the curvature form RL = d dbar phi and the metric g, g^-1;
   2. the Levi-Civita Christoffels;
-  3. the Levi-Civita curvature: RTX, rX;
-  4. the normal-coordinate derivatives of RL, dRL1 and dRL2, read off its
-     covariant derivatives and the curvature; then the structure map J;
-  5. the Chern connection and the torsion: trRT10, Tas, covTas, dTas, SB,
-     and the Bismut Christoffels;
-  6. nabla J and the Bismut curvature: nablaXJ, nablaBJ, nablaB2J, RB;
+  3. the Levi-Civita curvature: RTX, rX; then the structure map J;
+  4. the Chern connection and the torsion: trRT10, Tas, covTas;
+  5. the Levi-Civita nabla J: nablaXJ, and its covariant derivative at 0;
+  6. in the xi frame, from the frozen fields and that derivative
+     (`_read_off_levi_civita`): SB, nablaBJ, dTas, RB, nablaB2J, dRL1, dRL2;
   7. the auxiliary curvature RE.
 The rule: freeze each field into the xi frame (`_relabel`) as soon as it is
 final, and drop each intermediate after its last reader, by a stage helper's
@@ -110,7 +112,9 @@ _MINUS_ONE = rat(-1)
 _HALF = rat("1/2")
 _MINUS_HALF = rat("-1/2")
 _TWO = rat(2)
-_THIRD = rat("1/3")
+_I = ExactScalar.i()
+_MINUS_I = -_I
+_MINUS_2PI_I = ExactScalar.rational(0, -2, 1)
 _INV_PI = ExactScalar.pi(-1)
 _I_OVER_2PI = ExactScalar.rational(0, "1/2", -1)
 
@@ -506,8 +510,8 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     xi = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, dim)]
     fields = {}
 
-    def freeze(name, t):
-        fields[name] = _relabel(t, xi, _TENSOR_FIELDS[name])
+    def freeze(name, t, frame=xi):
+        fields[name] = _relabel(t, frame, _TENSOR_FIELDS[name])
 
     # 1. curvature 2-form of the line bundle, R = d dbar phi, and the metric
     RL = mat_zero(dim, dim, _CAP)
@@ -522,59 +526,40 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     # 2. Levi-Civita data
     gamma = _christoffels(g, ginv)
     gam0 = _at0(gamma)
+    lc, lc_up = (gam0, False), (gam0, True)
 
-    # 3. the Levi-Civita curvature, R(e_a, e_b) e_c with its output slot raised
-    r_up = _real(_curvature(gamma, gam0), dim)
-    rtx = _contract_real(_firsts(r_up), g0)
+    # 3. the Levi-Civita curvature
+    rtx = _contract_real(_curvature(gamma, gam0), g0)
     freeze("RTX", rtx)
     rX = _scalar_curvature(rtx, ginv0)
     del rtx
-
-    # 4. normal-coordinate derivatives of the line-bundle curvature
-    drl1, drl2 = _normal_derivatives(RL, gamma, gam0, r_up)
-    del r_up
-    freeze("dRL1", drl1)
-    freeze("dRL2", drl2)
-    del drl1, drl2
 
     # the structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
     # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
     J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
     del RL
 
-    # 5. the torsion of the Chern connection on the holomorphic tangent bundle
+    # 4. the torsion of the Chern connection on the holomorphic tangent bundle
     gamma_ch = _chern_connection(g, ginv, n)
+    del ginv
     freeze("trRT10", _chern_trace_form(gamma_ch, n))
-    # every entry of the forms Tas and SB has the cap of the torsion, a first
-    # derivative of the metric: their zero entries carry it too
-    tzero = Series.zero(dim, _CAP - 1)
-    tas = _antisym_torsion(gamma_ch, g, n, tzero)
+    tas = _antisym_torsion(gamma_ch, g, n)
     del gamma_ch, g
-    lc, lc_up = (gam0, False), (gam0, True)
     freeze("Tas", _at0(tas))
     freeze("covTas", _real(partial(_cov0, tas, [lc, lc, lc]), dim))
-    freeze("dTas", _ext_deriv3(tas))
-    sb_low = _form(dim, 3, lambda a, b, c: tas[a][b][c].scale(_MINUS_HALF), tzero)
     del tas
-    freeze("SB", _at0(sb_low))
-    sb_up = _contract_real(_firsts(sb_low), ginv)
-    del sb_low, ginv
-    gamma_b = _real_table(dim, 3, lambda a, b, d: gamma[a][b][d] + sb_up[a][b][d])
-    del sb_up, gamma
-    gamb0 = _at0(gamma_b)
 
-    # 6. nabla J and the Bismut curvature.  nablaB2J moves its direction slot
-    # with Levi-Civita and its J slots with Bismut: under that convention its
-    # antisymmetrization is the curvature commutator.
-    bis, bis_up = (gamb0, False), (gamb0, True)
-    freeze("nablaXJ", _contract_real(partial(_cov0, J, [lc, lc_up]), g0))
-    # the Bismut-side nabla J keeps its series: nablaB2J differentiates it
-    nbj = _nabla_J(J, gamma_b)
-    del J
-    freeze("nablaBJ", _contract_real(_firsts(_at0(nbj)), g0))
-    freeze("nablaB2J", _contract_real(partial(_cov0, nbj, [lc, bis, bis_up]), g0))
-    del nbj
-    freeze("RB", _contract_real(_curvature(gamma_b, gamb0), g0))
+    # 5. the Levi-Civita nabla J; its series is differentiated once more
+    nj = _nabla_J(J, gamma)
+    del J, gamma
+    freeze("nablaXJ", _contract_real(_firsts(_at0(nj)), g0))
+    w = _relabel(_contract_real(partial(_cov0, nj, [lc, lc, lc_up]), g0), xi, 4)
+    del nj
+
+    # 6. the Bismut and normal-coordinate fields, already in the xi frame
+    for name, t in _read_off_levi_civita(fields, w, n).items():
+        freeze(name, t, range(dim))
+    del w
 
     # 7. the auxiliary bundle
     freeze("RE", _aux_curvature(phi_e, n, rk_e))
@@ -754,8 +739,8 @@ def _chern_connection(g, ginv, n):
 
 def _curvature(gamma, gam0):
     """R(e_a, e_b) e_c at the base point, output slot last and raised, as the
-    build function that `_real` and `_contract_real` take: the Levi-Civita
-    one feeds RTX and dRL2, the Bismut one RB.
+    build function that `_real` and `_contract_real` take (the pipeline
+    lowers it into RTX).
 
     X = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc is the base-point derivative
     of Gamma with its output slot transported; R is its antisymmetrization.
@@ -787,10 +772,11 @@ def _chern_trace_form(gamma_ch, n):
     return out
 
 
-def _antisym_torsion(gamma_ch, g, n, zero):
+def _antisym_torsion(gamma_ch, g, n):
     """Total antisymmetrization of the Chern-connection torsion, as a series
-    3-form whose entries with a repeated index are `zero`: the cyclic sum of
-    the lowered torsion, which is antisymmetric in its first two slots."""
+    3-form: the cyclic sum of the lowered torsion, which is antisymmetric in
+    its first two slots.  Every entry has the cap of the torsion, a first
+    derivative of the metric, its zero entries too."""
     dim = 2 * n
     mixed = Series.zero(dim, _CAP)
 
@@ -802,7 +788,8 @@ def _antisym_torsion(gamma_ch, g, n, zero):
         return tvec(i - n, j - n, k - n).conj() if min(i, j, k) >= n else mixed
 
     low = _contract_real(_subtables(dim, 3, tvec), g)
-    return _form(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b], zero)
+    return _form(dim, 3, lambda a, b, c: low[a][b][c] + low[b][c][a] + low[c][a][b],
+                 Series.zero(dim, _CAP - 1))
 
 
 def _nabla_J(J, gamma):
@@ -865,14 +852,6 @@ def _cov0(t, slots, firsts):
     return [_table(dim, rank, lambda *idx: out.get((m, *idx), _ZERO)) for m in firsts]
 
 
-def _ext_deriv3(t):
-    """Exterior derivative at the base point of a series 3-form, a 4-form;
-    each entry is one fused sum of its four signed first derivatives."""
-    return _form(len(t), 4, lambda a, b, c, d: sum_products([
-        (_d0(t[b][c][d], a), _ONE), (_d0(t[a][c][d], b), _MINUS_ONE),
-        (_d0(t[a][b][d], c), _ONE), (_d0(t[a][b][c], d), _MINUS_ONE)]), _ZERO)
-
-
 def _aux_curvature(phi_e, n, rk_e):
     def diag(v):
         return tuple(tuple(v if r == c else _ZERO for c in range(rk_e)) for r in range(rk_e))
@@ -887,44 +866,62 @@ def _aux_curvature(phi_e, n, rk_e):
     return out
 
 
-def _normal_derivatives(RL, gamma, gam0, r_up):
-    """First and second derivatives at the base point of the curvature form
-    in normal coordinates, dRL1 and dRL2, read off its covariant derivatives.
+def _read_off_levi_civita(f, w, n):
+    """The Bismut and normal-coordinate fields of the jet, in the xi frame,
+    read off the frozen fields `f` (Tas, covTas, RTX, nablaXJ) and
+    w[k][l][a][b] = <(nabla_k nabla_l J) e_a, e_b>, the Levi-Civita second
+    derivative of J.  P(e) = (e + n) mod 2n, and J_a = i for a < n, -i else.
 
-    In normal coordinates Gamma(0) = 0 and, with r_up[a][b][c][e] =
-    (R(e_a, e_b) e_c)^e, d_k Gamma^m_lc(0) = (r_up[k][l][c][m] + r_up[k][c][l][m]) / 3.
-    So d_k RL_ab = nabla_k RL_ab and
-        d_k d_l RL_ab = nabla_k nabla_l RL_ab + d_k Gamma^m_la RL_mb + d_k Gamma^m_lb RL_am.
-    RL(0) pairs each slot only with its partner, so each correction is one
-    product.  Each unordered pair (k, l) is built once and shared.
+    The Bismut connection is Levi-Civita plus S with SB = -Tas / 2, its
+    lowered form (Bismut, Math. Ann. 1989).  On a lowered 2-tensor x,
+    nabla^B_k - nabla^LC_k adds sum_e Tas[k][a][e] x[P(e)][b] + Tas[k][b][e]
+    x[a][P(e)] (`moved(x, k, a, b)`, one product per nonzero Tas entry).  So
+      nablaBJ[k][a][b] = nablaXJ[k][a][b] - (J_a + J_b) Tas[k][a][b] / 2;
+      RB[a][b] = RTX[a][b] - covTas[a][b] / 2 + covTas[b][a] / 2 + moved(SB[b], a),
+    the last term the commutator [S_a, S_b], lowered; and nablaB2J, which
+    moves its direction slot with Levi-Civita and its J slots with Bismut, is
+      nablaB2J[k][l] = w[k][l] - (J_a + J_b) covTas[k][l] / 2
+                       + moved(nablaBJ[l], k) + moved(nablaXJ[k], l).
+    Levi-Civita is torsion-free, so dTas is the antisymmetrized covTas.
+
+    The curvature form is RL = -2 pi i g(J ., .).  In normal coordinates
+    Gamma(0) = 0 and d_k Gamma^m_lc(0) = (R(e_k, e_l) e_c + R(e_k, e_c) e_l)^m / 3
+    (Ma-Marinescu 2007, section 1.2), and RL(0) pairs each slot with its
+    partner only, so dRL1 = -2 pi i nablaXJ and
+      dRL2[k][l][a][b] = -2 pi i w[k][l][a][b] + (2 pi i / 3) (J_b (RTX[k][l][a][b]
+                         + RTX[k][a][l][b]) - J_a (RTX[k][l][b][a] + RTX[k][b][l][a])).
     """
-    dim = len(RL)
-    part = [(a + dim // 2) % dim for a in range(dim)]
+    dim = 2 * n
+    part = [*range(n, dim), *range(n)]
+    tas, cov, rtx, nxj = f["Tas"], f["covTas"], f["RTX"], f["nablaXJ"]
+    nonzero = [[[(e, t) for e, t in enumerate(row) if not t.is_zero()] for row in m] for m in tas]
+    # -(J_a + J_b) / 2, and (2 pi i / 3) J_b
+    neg_jmean = [[_ZERO if (a < n) != (b < n) else _MINUS_I if a < n else _I
+                  for b in range(dim)] for a in range(dim)]
+    jcurv = [ExactScalar.pi(1, "-2/3" if b < n else "2/3") for b in range(dim)]
 
-    def nabla(firsts):
-        # nabla_k RL_ab = d_k RL_ab - P[k][a][b] + P[k][b][a] with P[k] = gamma[k] RL:
-        # RL is skew, so the correction of slot b is that of slot a transposed
-        p = mat_mul([gamma[k][a] for k in firsts for a in range(dim)], RL)
-        return [_table(dim, 2, lambda a, b: _deriv(RL[a][b], k) - p[i + a][b] + p[i + b][a])
-                for i, k in zip(range(0, len(p), dim), firsts)]
+    def moved(x, k, a, b):  # the pairs of (nabla^B_k - nabla^LC_k) x at (a, b)
+        return ([(t, x[part[e]][b]) for e, t in nonzero[k][a]]
+                + [(t, x[a][part[e]]) for e, t in nonzero[k][b]])
 
-    # RL and its covariant derivatives are imaginary
-    nrl = _real(nabla, dim, -1)
-    lc = (gam0, False)
-    nnrl = _real(partial(_cov0, nrl, [lc, lc, lc]), dim, -1)
-    drl1 = _at0(nrl)
-    del nrl
-    # w[b] = RL_mb(0) / 3 for the partner m of b; RL_am(0) / 3 = -w[a]
-    w = [RL[part[b]][b].value0() * _THIRD for b in range(dim)]
-    mw = [-x for x in w]
-
-    def second(k, l):
-        r_kl, r_k = r_up[k][l], r_up[k]
-        return _table(dim, 2, lambda a, b: sum_products([
-            (nnrl[k][l][a][b], _ONE),
-            (r_kl[a][part[b]], w[b]), (r_k[a][l][part[b]], w[b]),
-            (r_kl[b][part[a]], mw[a]), (r_k[b][l][part[a]], mw[a])]))
-
-    pairs = {kl: second(*kl) for kl in combinations_with_replacement(range(dim), 2)}
-    del nnrl
-    return drl1, _table(dim, 2, lambda k, l: pairs[min(k, l), max(k, l)])
+    sb = _form(dim, 3, lambda a, b, c: tas[a][b][c] * _MINUS_HALF, _ZERO)
+    nbj = _real_table(dim, 3, lambda k, a, b: nxj[k][a][b] + neg_jmean[a][b] * tas[k][a][b])
+    return {
+        "SB": sb,
+        "nablaBJ": nbj,
+        "dTas": _form(dim, 4, lambda a, b, c, d: sum_products([
+            (cov[a][b][c][d], _ONE), (cov[b][a][c][d], _MINUS_ONE),
+            (cov[c][a][b][d], _ONE), (cov[d][a][b][c], _MINUS_ONE)]), _ZERO),
+        "RB": _real_table(dim, 4, lambda a, b, c, d: sum_products([
+            (rtx[a][b][c][d], _ONE), (cov[a][b][c][d], _MINUS_HALF),
+            (cov[b][a][c][d], _HALF), *moved(sb[b], a, c, d)])),
+        "nablaB2J": _real_table(dim, 4, lambda k, l, a, b: sum_products([
+            (w[k][l][a][b], _ONE), (neg_jmean[a][b], cov[k][l][a][b]),
+            *moved(nbj[l], k, a, b), *moved(nxj[k], l, a, b)])),
+        # the curvature form and its derivatives are imaginary
+        "dRL1": _real(_subtables(dim, 3, lambda k, a, b: nxj[k][a][b] * _MINUS_2PI_I), dim, -1),
+        "dRL2": _real(_subtables(dim, 4, lambda k, l, a, b: sum_products([
+            (w[k][l][a][b], _MINUS_2PI_I),
+            (rtx[k][l][a][b], jcurv[b]), (rtx[k][a][l][b], jcurv[b]),
+            (rtx[k][l][b][a], jcurv[part[a]]), (rtx[k][b][l][a], jcurv[part[a]])])), dim, -1),
+    }

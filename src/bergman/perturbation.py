@@ -235,8 +235,9 @@ def build_psi_endo(jet: GeometryJet, alg: ExteriorAlgebra) -> ExteriorEndo:
 
 def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
     """Second-order operator: the scalar piece plus curvature couplings of
-    the spinor connection, the structure-map second derivative, the torsion
-    4-form action, and the scalar-curvature shift."""
+    the spinor connection, the structure-map second derivative and the
+    torsion 4-form action.  O2 reaches b_1 only as P^perp O2 P, and
+    P^perp c P = 0 for a scalar c, so the scalar-curvature shift is left out."""
     n, q = jet.n, jet.q
     dim = 2 * n
     alg = ctx.alg
@@ -286,7 +287,7 @@ def build_O2(jet: GeometryJet, ctx: OscillatorContext) -> Operator:
                     for i in range(jet.rk_e)]
             re_cliff = re_cliff + form @ alg.endo_from_aux_matrix(unit)
     psi = build_psi_endo(jet, alg)
-    const_endo = mixed_form + re_cliff + alg.scalar_endo(jet.rX.scale("1/4")) - psi
+    const_endo = mixed_form + re_cliff - psi
 
     zvars = [_var(n, a) for a in range(dim)]
 

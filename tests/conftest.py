@@ -47,9 +47,12 @@ def dense_potential(n: int, q: int, seed: int) -> Series:
 def jet_cache():
     cache = {}
 
-    def get(kind: str, n: int, q: int, seed: int = 0, rk_e: int = 1, twist=None, swap=None):
-        """`swap`, a permutation of 0..n-1, relabels z_j and zbar_j as z_swap[j], zbar_swap[j]."""
-        key = (kind, n, q, seed, rk_e, twist, swap)
+    def get(kind: str, n: int, q: int, seed: int = 0, rk_e: int = 1, twist=None, swap=None,
+            offdiag=None):
+        """`swap`, a permutation of 0..n-1, relabels z_j and zbar_j as z_swap[j], zbar_swap[j].
+        `twist` holds the coefficients of z_j zb_j in the auxiliary potential, over pi, and
+        `offdiag`, a (re, im) pair, that of z1 zb2, with its conjugate on z2 zb1."""
+        key = (kind, n, q, seed, rk_e, twist, swap, offdiag)
         if key not in cache:
             if kind == "flat":
                 phi = flat_potential(n, q)
@@ -67,9 +70,12 @@ def jet_cache():
                              {tuple(e[i] for i in sigma): c for e, c in phi.terms.items()})
             phi_e = None
             if twist is not None:
-                phi_e = parse_potential(
-                    {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": str(c), "im": "0"}]
-                     for j, c in enumerate(twist)}, n)
+                terms = {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": str(c), "im": "0"}]
+                         for j, c in enumerate(twist)}
+                if offdiag is not None:
+                    c = ExactScalar.rational(*offdiag, 1)
+                    terms["z1 zb2"], terms["z2 zb1"] = c.to_json(), c.conjugate().to_json()
+                phi_e = parse_potential(terms, n)
             cache[key] = jet_from_potential(phi, phi_e, n=n, q=q, rk_e=rk_e)
         return cache[key]
 

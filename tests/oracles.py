@@ -5,7 +5,8 @@ JSON body as a dict of scalar payloads, scalar arithmetic on `Fraction`
 pairs, series products and sums one term pair at a time, substitution into
 a series one entry at a time, the exp-map substitution as a sum of
 variable products, the normal-coordinate derivatives of the curvature form
-as the Taylor coefficients of its exp-map pullback, the metric and its
+as the Taylor coefficients of its exp-map pullback, the Bismut fields of a
+jet through the Bismut connection's series, the metric and its
 inverse on all 2n slots of the frame, the base-point covariant derivative
 with its connection corrections added one term at a time, the oscillator L0
 as a raw differential operator on the polynomial form, multiplication by a
@@ -247,6 +248,63 @@ def normal_derivatives_by_pullback(RL, gamma, gam0):
     return ([[[d0(pulled[a][b], k) for b in range(dim)] for a in range(dim)] for k in range(dim)],
             [[[[d0(pulled[a][b], k, l) for b in range(dim)] for a in range(dim)]
               for l in range(dim)] for k in range(dim)])
+
+
+def bismut_christoffels(gamma, tas, ginv):
+    """The Bismut connection's Christoffels as series, [a][b][d] = Gamma^d_ab:
+    Levi-Civita plus S, S^d_ab = sum_c (-Tas_abc / 2) g^cd (Bismut, Math.
+    Ann. 1989), each raised entry one sum of series products."""
+    dim = len(gamma)
+    sb = [[[t.scale(rat("-1/2")) for t in row] for row in m] for m in tas]
+    return [[[reduce(Series.__add__, [sb[a][b][c] * ginv[c][d] for c in range(dim)],
+                     gamma[a][b][d]) for d in range(dim)] for b in range(dim)] for a in range(dim)]
+
+
+def bismut_fields_by_series(g, ginv, gamma, tas, J):
+    """RB, nablaBJ, nablaB2J and dTas in the coordinate frame, from the
+    pipeline's series g, g^-1, Levi-Civita Gamma, torsion 3-form and J
+    (J[a][c] = J^c_a), along the series route through the Bismut connection:
+    its Christoffels as series and their curvature, its nabla J as a series,
+    differentiated with the direction slot moved by Levi-Civita and the J
+    slots by Bismut, and the exterior derivative of the torsion 3-form.
+    Every covariant derivative adds its corrections one term at a time
+    (`cov0_per_term`), and every lowering is a full sum over g(0)."""
+    dim = len(g)
+    g0, gam0 = _values(g), _values(gamma)
+    gamma_b = bismut_christoffels(gamma, tas, ginv)
+    gamb0 = _values(gamma_b)
+
+    def lower(t):
+        if isinstance(t[0], list):
+            return [lower(x) for x in t]
+        return [reduce(ExactScalar.__add__, [t[e] * g0[e][d] for e in range(dim)])
+                for d in range(dim)]
+
+    # d_a Gamma^e_bc with the output slot moved: R is its antisymmetrization
+    x = cov0_per_term(gamma_b, [None, None, (gamb0, True)])
+    # (nabla_a J)^c_b = d_a J^c_b + J^f_b Gamma^c_af - Gamma^f_ab J^c_f
+    nbj = [[[reduce(Series.__add__, [J[b][f] * gamma_b[a][f][c] - gamma_b[a][b][f] * J[f][c]
+                                     for f in range(dim)],
+                    J[b][c].diff(a).truncate(J[b][c].cap - 1))
+             for c in range(dim)] for b in range(dim)] for a in range(dim)]
+
+    def d0(s, a):
+        return s.coeff(tuple(int(i == a) for i in range(dim)))
+
+    return {
+        "RB": lower([[[[x[a][b][c][e] - x[b][a][c][e] for e in range(dim)] for c in range(dim)]
+                      for b in range(dim)] for a in range(dim)]),
+        "nablaBJ": lower(_values(nbj)),
+        "nablaB2J": lower(cov0_per_term(nbj, [(gam0, False), (gamb0, False), (gamb0, True)])),
+        "dTas": _nested({(a, b, c, d): d0(tas[b][c][d], a) - d0(tas[a][c][d], b)
+                         + d0(tas[a][b][d], c) - d0(tas[a][b][c], d)
+                         for a, b, c, d in product(range(dim), repeat=4)}, dim, 4, ()),
+    }
+
+
+def _values(t):
+    """Values at 0 of nested lists of series."""
+    return t.value0() if isinstance(t, Series) else [_values(x) for x in t]
 
 
 def metric_by_full_frame(phi: Series, n: int):

@@ -36,7 +36,10 @@ def test_product_models(jet_cache, n):
 
 
 def test_trace_route_matches_matrix_trace(jet_cache, batch_jets):
-    jets = [jet_cache("fs", 2, 1), jet_cache("random", 2, 0, 23)] + batch_jets[:6]
+    twist = ("1/2", "-1/3", "1/4")
+    jets = [jet_cache("fs", 2, 1), jet_cache("random", 2, 0, 23)] + batch_jets[:6] + [
+        jet_cache("random", 3, 1, 7, rk_e=2, twist=twist),
+        jet_cache("random", 3, 2, 7, rk_e=2, twist=twist, offdiag=("1/5", "1/7"))]
     for jet in jets:
         res = b1_formula(jet, check=False)
         assert b1_trace(jet, check=False) == res.trace

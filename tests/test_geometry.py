@@ -26,6 +26,8 @@ from bergman.scalars import ExactScalar, rat
 from bergman.series import Series, mat_identity, mat_inverse, mat_mul, mat_scale
 from conftest import dense_potential
 from oracles import (
+    bismut_christoffels,
+    bismut_fields_by_series,
     cov0_per_term,
     jet_body,
     jet_digest,
@@ -402,28 +404,43 @@ def test_structure_derivative_consistency(jet_cache):
                 assert jet.dRL1[k][a][b] == m2pi * jet.nablaXJ[k][a][b]
 
 
+def _pipeline_series(monkeypatch, n, q, seed):
+    """Build the seed's jet and keep the series the pipeline passes between
+    its stages: RL, g, g^-1, the Levi-Civita Gamma, the torsion 3-form and J,
+    all in the coordinate frame, with the xi frame's slot order."""
+    seen = {}
+
+    def spy(name, keep):
+        real = getattr(geometry, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            seen.update(keep(args, out))
+            return out
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    spy("_metric", lambda args, out: {"RL": args[0]})
+    spy("_christoffels", lambda args, out: {"g": args[0], "ginv": args[1], "gamma": out})
+    spy("_antisym_torsion", lambda args, out: {"tas": out})
+    spy("_nabla_J", lambda args, out: {"J": args[0]})
+    seen["jet"] = jet_from_potential(random_potential(n, q, seed), n=n, q=q)
+    seen["xi"] = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, 2 * n)]
+    return seen
+
+
+_BASELINE_JETS = [(1, 0, 3), (2, 1, 5), (2, 2, 4), (3, 1, 0), (3, 2, 5), (4, 2, 5)]
+
+
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
 def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
     """Both connections are metric (Tas is totally antisymmetric), so the
     base-point covariant derivative of g, two slots lowered, and of g^-1, two
     slots raised, vanishes for the Levi-Civita and for the Bismut Gamma(0)."""
-    seen = {}
-
-    def spy(name):
-        real = getattr(geometry, name)
-
-        def wrapper(*args):
-            seen.setdefault(name, []).append(args)
-            return real(*args)
-
-        monkeypatch.setattr(geometry, name, wrapper)
-
-    spy("_christoffels")
-    spy("_curvature")
-    jet_from_potential(random_potential(n, q, 5), n=n, q=q)
-    [(g, ginv)] = seen["_christoffels"]
-    gam0s = [gam0 for _, gam0 in seen["_curvature"]]  # Levi-Civita, then Bismut
-    assert len(gam0s) == 2 and gam0s[0] != gam0s[1]
+    seen = _pipeline_series(monkeypatch, n, q, 5)
+    g, ginv, gamma = seen["g"], seen["ginv"], seen["gamma"]
+    gam0s = [geometry._at0(gamma), geometry._at0(bismut_christoffels(gamma, seen["tas"], ginv))]
+    assert gam0s[0] != gam0s[1]
     for gam0 in gam0s:
         assert allzero(geometry._cov0(g, [(gam0, False)] * 2, range(2 * n)))
         assert allzero(geometry._cov0(ginv, [(gam0, True)] * 2, range(2 * n)))
@@ -431,10 +448,10 @@ def test_cov0_leaves_the_metric_parallel(monkeypatch, n, q):
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
 def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
-    """Every `_cov0` call of the pipeline (the two curvatures, covTas,
-    nablaXJ and nablaB2J) gives the subtensors that adding each Christoffel
+    """Every `_cov0` call of the pipeline (the curvature, covTas and the
+    derivative of nabla J) gives the subtensors that adding each Christoffel
     correction one term at a time gives; the calls move slots with the
-    Levi-Civita and the Bismut Gamma(0), each raised and lowered."""
+    Levi-Civita Gamma(0) only, raised and lowered."""
     calls = []
     real = geometry._cov0
 
@@ -445,10 +462,43 @@ def test_cov0_matches_the_per_term_corrections(monkeypatch, n, q):
     monkeypatch.setattr(geometry, "_cov0", spy)
     jet_from_potential(random_potential(n, q, 5), n=n, q=q)
     moves = {(id(slot[0]), slot[1]) for _, slots, _, _ in calls for slot in slots if slot}
-    assert len(moves) == 4
+    assert len(moves) == 2 and len(calls) == 3
     for t, slots, firsts, got in calls:
         want = cov0_per_term(t, slots)
         assert got == [want[m] for m in firsts]
+
+
+@pytest.mark.parametrize("n, q, seed", _BASELINE_JETS)
+def test_bismut_fields_match_the_series_route(monkeypatch, n, q, seed):
+    """RB, nablaBJ, nablaB2J and dTas, read off the Levi-Civita fields, are
+    what the series route through the Bismut connection gives."""
+    seen = _pipeline_series(monkeypatch, n, q, seed)
+    want = bismut_fields_by_series(seen["g"], seen["ginv"], seen["gamma"], seen["tas"], seen["J"])
+    jet = seen["jet"]
+    for name, t in want.items():
+        assert getattr(jet, name) == geometry._relabel(t, seen["xi"], _TENSOR_FIELDS[name]), name
+    # q = 0 and q = n are Kaehler: no torsion, and J is parallel
+    assert not allzero(jet.RB) and (q in (0, n) or not allzero(jet.nablaB2J))
+
+
+@pytest.mark.parametrize("n, q, seed", _BASELINE_JETS)
+def test_covariant_torsion_and_second_bismut_fields_keep_their_symmetries(jet_cache, n, q, seed):
+    """covTas is real and skew in its last three slots, and RB and nablaB2J
+    vanish when their last two slots have the same type, (1,0) or (0,1) in the
+    coordinates z.  `validate_jet` checks none of these relations."""
+    jet = jet_cache("random", n, q, seed)
+    dim = 2 * n
+    part = [(a + n) % dim for a in range(dim)]
+    holomorphic = [(a < n) == (a % n >= q) for a in range(dim)]  # xi_j = zbar_j for j < q
+    cov = jet.covTas
+    for k, a, b, c in product(range(dim), repeat=4):
+        v = cov[k][a][b][c]
+        assert cov[part[k]][part[a]][part[b]][part[c]] == v.conjugate(), (k, a, b, c)
+        assert v.negates(cov[k][b][a][c]) and v.negates(cov[k][a][c][b]), (k, a, b, c)
+    for name in ("RB", "nablaB2J"):
+        t = getattr(jet, name)
+        for a, b, c, d in product(range(dim), repeat=4):
+            assert holomorphic[c] != holomorphic[d] or t[a][b][c][d].is_zero(), (name, a, b, c, d)
 
 
 @pytest.mark.parametrize("n, q, twist", [
@@ -498,22 +548,15 @@ def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
 
 @pytest.mark.parametrize("n, q, seed", [(1, 0, 3), (2, 1, 5), (3, 2, 5), (3, 1, 0)])
 def test_normal_derivatives_match_the_exp_map_pullback(monkeypatch, n, q, seed):
-    """dRL1 and dRL2, read off the covariant derivatives of the curvature form
-    with the curvature terms of d Gamma(0) in normal coordinates, are the
-    derivatives at 0 of its pullback by the cubic exponential map."""
-    seen = []
-    real = geometry._normal_derivatives
-
-    def spy(*args):
-        seen.append((args, real(*args)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(geometry, "_normal_derivatives", spy)
-    jet_from_potential(random_potential(n, q, seed), n=n, q=q)
-    [((RL, gamma, gam0, _), (drl1, drl2))] = seen
-    want1, want2 = normal_derivatives_by_pullback(RL, gamma, gam0)
-    assert drl1 == want1 and drl2 == want2
-    assert not allzero(drl2)
+    """dRL1 and dRL2, read off the Levi-Civita derivatives of J with the
+    curvature terms of d Gamma(0) in normal coordinates, are the derivatives
+    at 0 of the curvature form's pullback by the cubic exponential map."""
+    seen = _pipeline_series(monkeypatch, n, q, seed)
+    gamma, xi, jet = seen["gamma"], seen["xi"], seen["jet"]
+    want1, want2 = normal_derivatives_by_pullback(seen["RL"], gamma, geometry._at0(gamma))
+    assert jet.dRL1 == geometry._relabel(want1, xi, 3)
+    assert jet.dRL2 == geometry._relabel(want2, xi, 4)
+    assert not allzero(jet.dRL2)
 
 
 @pytest.mark.parametrize("n, q, seed", [
@@ -710,7 +753,7 @@ def test_mirrored_stages_match_the_direct_build(jet_cache, monkeypatch, n, q, tw
     phi_e = None if twist is None else parse_potential(
         {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
     jet = jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=rk_e)
-    assert built.count(-1) == 2 and len(built) == 18
+    assert built.count(-1) == 2 and len(built) == 15
     assert jet.jet_id == mirrored.jet_id and jet.rX == mirrored.rX
     for name in _TENSOR_FIELDS:
         assert getattr(jet, name) == getattr(mirrored, name), name

@@ -10,6 +10,7 @@ from bergman.closed_form import b1_formula
 from bergman.exterior import ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import jet_from_potential, random_potential
 from bergman.jet_checks import validate_jet
+from bergman import perturbation
 from bergman.perturbation import (
     b1_engine,
     build_O1,
@@ -17,7 +18,7 @@ from bergman.perturbation import (
     compute_F2_terms,
     engine_context,
 )
-from bergman.scalars import rat
+from bergman.scalars import ExactScalar, rat
 
 from display_helpers import (
     adjoint_first_zero_display,
@@ -235,6 +236,39 @@ def test_flagship_crosscheck_four_dimensional(jet_cache):
     eng = b1_engine(jet, check=False)
     assert eng.endo == b1_formula(jet, check=False).endo
     assert str(eng.trace) == "1/6 - 75/16*pi"
+
+
+_OFFDIAG_TWIST = {"rk_e": 2, "twist": ("1/2", "-1/3", "1/4"), "offdiag": ("1/5", "1/7")}
+
+
+@pytest.mark.parametrize("n,q", [(3, 1), (3, 2)])
+def test_flagship_crosscheck_with_an_offdiagonal_twist(jet_cache, n, q):
+    """A rank-2 twist whose curvature has an off-diagonal entry R^E(z_1, zbar_2)."""
+    jet = jet_cache("random", n, q, 7, **_OFFDIAG_TWIST)
+    assert any(not jet.RE[a][b][0][0].is_zero()
+               for a in range(2 * n) for b in range(2 * n) if a % n != b % n)
+    assert b1_engine(jet, check=False).endo == b1_formula(jet, check=False).endo
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (5, 3)])
+def test_flagship_crosscheck_five_dimensional(jet_cache, n, q):
+    jet = jet_cache("random", n, q, 5)
+    assert b1_engine(jet, check=False).endo == b1_formula(jet, check=False).endo
+
+
+@pytest.mark.parametrize("n,q,seed,twist", [(2, 1, 5, {}), (3, 2, 7, _OFFDIAG_TWIST)])
+def test_a_scalar_in_the_second_order_operator_changes_no_term(jet_cache, monkeypatch,
+                                                               n, q, seed, twist):
+    """O2 reaches b_1 only as P^perp O2 P, so a scalar added to its constant
+    Clifford block (such as the scalar-curvature shift r/4) leaves all six
+    expansion terms unchanged."""
+    jet = jet_cache("random", n, q, seed, **twist)
+    want = compute_F2_terms(jet)
+    real = perturbation.build_psi_endo
+    c = ExactScalar.rational("3/7", "-2/5", 1)
+    monkeypatch.setattr(perturbation, "build_psi_endo",
+                        lambda jet, alg: real(jet, alg) - alg.scalar_endo(c))
+    assert compute_F2_terms(jet) == want
 
 
 @pytest.mark.parametrize("n,q,seed,perm", [
