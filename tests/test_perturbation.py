@@ -6,11 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from bergman import perturbation
 from bergman.closed_form import b1_formula
 from bergman.exterior import ExteriorAlgebra, ExteriorEndo
 from bergman.geometry import jet_from_potential, random_potential
 from bergman.jet_checks import validate_jet
-from bergman import perturbation
 from bergman.perturbation import (
     b1_engine,
     build_O1,
@@ -264,11 +264,14 @@ def test_a_scalar_in_the_second_order_operator_changes_no_term(jet_cache, monkey
     expansion terms unchanged."""
     jet = jet_cache("random", n, q, seed, **twist)
     want = compute_F2_terms(jet)
-    real = perturbation.build_psi_endo
-    c = ExactScalar.rational("3/7", "-2/5", 1)
-    monkeypatch.setattr(perturbation, "build_psi_endo",
-                        lambda jet, alg: real(jet, alg) - alg.scalar_endo(c))
-    assert compute_F2_terms(jet) == want
+    real, shifted = perturbation.build_psi_endo, []
+
+    def shift(jet, alg):  # O2 subtracts psi
+        shifted.append(alg)
+        return real(jet, alg) - alg.scalar_endo(ExactScalar.rational("3/7", "-2/5", 1))
+
+    monkeypatch.setattr(perturbation, "build_psi_endo", shift)
+    assert compute_F2_terms(jet) == want and shifted
 
 
 @pytest.mark.parametrize("n,q,seed,perm", [
