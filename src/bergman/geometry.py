@@ -29,14 +29,14 @@ The pipeline has one series connection, Levi-Civita.  Every covariant
 derivative and curvature it reads at the base point comes from one helper,
 `_cov0`: the derivative of a series tensor at 0 plus one Christoffel
 correction per transported slot, from the connection's values at 0, computed
-once and visited only where they and the tensor are nonzero.  nabla J is
-differentiated once more, so it is first formed as a series; its value at 0
-is the first derivative.  The Bismut fields and the normal-coordinate
-derivatives of RL are algebraic in the Levi-Civita ones, the torsion and the
-second derivative of J, and a last stage reads them off those values.
+once and visited only where they and the tensor are nonzero.  nabla g = 0,
+so nabla J lowered is nabla omega, formed as a series to be differentiated
+again.  The Bismut fields and the normal-coordinate derivatives of RL are
+algebraic in the Levi-Civita ones, the torsion and nabla nabla omega, and a
+last stage reads them off those values.
 
 Reality.  For a real potential, the metric derivatives, the Levi-Civita
-connection, the torsion, the curvatures, nabla J and every base-point
+connection, the torsion, the curvatures, nabla omega and every base-point
 derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
 c(a) = (a + n) mod 2n.
 R = d dbar phi and its covariant derivatives are imaginary (a minus sign).
@@ -54,17 +54,20 @@ with rows moved by part(a) = (a + n) mod 2n is block diagonal, diag(H, H^T)
 with H[a][b] = R[b][n+a] / pi.  So g_endo = sqrt(M M) = diag(S, S^T) for
 S = sqrt(H H), and its inverse is diag(S^-1, (S^-1)^T): one square root and
 one inverse on n x n series matrices, and the off-diagonal blocks are zero
-series of cap 2.  The totally antisymmetric tensors Tas, SB and dTas are
-built by `_form` on increasing index words only; every permutation of a word
-gets the word's value times its sign, and a word with a repeated index gets
-a zero of the entries' cap.
+series of cap 2; g^-1 stops at cap 1, all its readers read.  The totally
+antisymmetric tensors Tas, SB and dTas are built by `_form` on increasing
+index words only; every permutation of a word gets the word's value times
+its sign, and a word with a repeated index gets a zero of the entries' cap.
+`_skew` builds nabla omega, RB, nablaB2J and dRL2, skew in their last two
+slots, on the pairs c < d of them: RB and nablaB2J on the pairs of mixed
+type only (Bismut preserves J), and dRL2 once per unordered (k, l).
 
 Stages.  `jet_from_potential` runs its stages in dependency order:
   1. the curvature form RL = d dbar phi and the metric g, g^-1;
   2. the Levi-Civita Christoffels;
-  3. the Levi-Civita curvature: RTX, rX; then the structure map J;
+  3. the Levi-Civita curvature: RTX, rX;
   4. the Chern connection and the torsion: trRT10, Tas, covTas;
-  5. the Levi-Civita nabla J: nablaXJ, and its covariant derivative at 0;
+  5. the Levi-Civita nabla omega: nablaXJ, and its covariant derivative at 0;
   6. in the xi frame, from the frozen fields and that derivative
      (`_read_off_levi_civita`): SB, nablaBJ, dTas, RB, nablaB2J, dRL1, dRL2;
   7. the auxiliary curvature RE.
@@ -526,18 +529,13 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     # 2. Levi-Civita data
     gamma = _christoffels(g, ginv)
     gam0 = _at0(gamma)
-    lc, lc_up = (gam0, False), (gam0, True)
+    lc = (gam0, False)
 
     # 3. the Levi-Civita curvature
     rtx = _contract_real(_curvature(gamma, gam0), g0)
     freeze("RTX", rtx)
     rX = _scalar_curvature(rtx, ginv0)
     del rtx
-
-    # the structure map: omega(U, V) = g(J U, V), so J[a][c] = J^c_a = omega_ab g^bc;
-    # omega = (i / 2 pi) R is formed on the rows a < n that the contraction reads
-    J = _contract_real(_subtables(dim, 2, lambda a, b: RL[a][b].scale(_I_OVER_2PI)), ginv)
-    del RL
 
     # 4. the torsion of the Chern connection on the holomorphic tangent bundle
     gamma_ch = _chern_connection(g, ginv, n)
@@ -549,15 +547,15 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     freeze("covTas", _real(partial(_cov0, tas, [lc, lc, lc]), dim))
     del tas
 
-    # 5. the Levi-Civita nabla J; its series is differentiated once more
-    nj = _nabla_J(J, gamma)
-    del J, gamma
-    freeze("nablaXJ", _contract_real(_firsts(_at0(nj)), g0))
-    w = _relabel(_contract_real(partial(_cov0, nj, [lc, lc, lc_up]), g0), xi, 4)
-    del nj
+    # 5. the Levi-Civita nabla omega; its series is differentiated once more
+    nom = _nabla_omega(RL, gamma)
+    del RL, gamma
+    freeze("nablaXJ", _at0(nom))
+    w = _relabel(_real(partial(_cov0, nom, [lc, lc, lc]), dim), xi, 4)
+    del nom
 
     # 6. the Bismut and normal-coordinate fields, already in the xi frame
-    for name, t in _read_off_levi_civita(fields, w, n).items():
+    for name, t in _read_off_levi_civita(fields, w, n, q).items():
         freeze(name, t, range(dim))
     del w
 
@@ -602,6 +600,15 @@ def _form(dim: int, rank: int, fn, zero) -> list:
     return _table(dim, rank, lambda *idx: out.get(idx, zero))
 
 
+def _skew(dim: int, pairs, fn, zero=_ZERO) -> list:
+    """The skew table of fn on `pairs` (c, d), c < d, and `zero` elsewhere."""
+    t = [[zero] * dim for _ in range(dim)]
+    for c, d in pairs:
+        t[c][d] = v = fn(c, d)
+        t[d][c] = -v
+    return t
+
+
 @lru_cache(maxsize=None)
 def _signed_permutations(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each permutation of range(rank) with its parity, 1 if odd."""
@@ -637,11 +644,6 @@ def _real_table(dim: int, rank: int, fn) -> list:
 def _subtables(dim: int, rank: int, fn):
     """The build function, as `_real` takes it, of `_table(dim, rank, fn)`."""
     return lambda firsts: [_table(dim, rank - 1, partial(fn, a)) for a in firsts]
-
-
-def _firsts(t):
-    """The build function, as `_real` takes it, of a tensor already formed."""
-    return lambda firsts: [t[a] for a in firsts]
 
 
 def _at0(t):
@@ -712,13 +714,14 @@ def _metric(RL, n):
     of the curvature form (see the module docstring)."""
     H = [[RL[b][n + a].scale(_INV_PI) for b in range(n)] for a in range(n)]
     S = mat_sqrt(mat_mul(H, H))
-    S_inv = mat_inverse(S)  # S(0) = I, so it has a binomial inverse
-    zeros = [Series.zero(2 * n, _CAP)] * n
-    g = ([zeros + [S[b][a].scale(_HALF) for b in range(n)] for a in range(n)]
-         + [[s.scale(_HALF) for s in row] + zeros for row in S])
-    ginv = ([zeros + [s.scale(_TWO) for s in row] for row in S_inv]
-            + [[S_inv[b][a].scale(_TWO) for b in range(n)] + zeros for a in range(n)])
-    return g, ginv
+    # S(0) = I: a binomial inverse, to the degree 1 its readers read
+    S_inv = mat_inverse([[s.truncate(_CAP - 1) for s in row] for row in S])
+
+    def blocks(top, c):  # [[0, c top], [c top^T, 0]], the zeros of top's cap
+        z = [Series.zero(2 * n, top[0][0].cap)] * n
+        return ([z + [s.scale(c) for s in row] for row in top]
+                + [[top[b][a].scale(c) for b in range(n)] + z for a in range(n)])
+    return blocks([*zip(*S)], _HALF), blocks(S_inv, _TWO)
 
 
 def _christoffels(g, ginv):
@@ -792,19 +795,19 @@ def _antisym_torsion(gamma_ch, g, n):
                  Series.zero(dim, _CAP - 1))
 
 
-def _nabla_J(J, gamma):
-    """Series of nabla J, output slot last: [a][b][c] = (nabla_a J)^c_b,
-    that is d_a J + J Gamma_a - Gamma_a J with (Gamma_a)[b][d] = Gamma^d_ab.
-
-    Each entry keeps the minimum cap of all its operands, zero ones included.
-    """
+def _nabla_omega(RL, gamma):
+    """Series of nabla omega, omega = (i / 2 pi) R = g(J ., .): [k][a][b] =
+    d_k omega_ab - P[a][b] + P[b][a], P = Gamma_k omega, (Gamma_k)[a][f] =
+    Gamma^f_ka (Ma-Marinescu 2007, section 1.2)."""
     dim = len(gamma)
+    omega = [[s.scale(_I_OVER_2PI) for s in row] for row in RL]
 
-    def row(a):
-        left, right = mat_mul(J, gamma[a]), mat_mul(gamma[a], J)
-        return _table(dim, 2, lambda b, c: _deriv(J[b][c], a) + left[b][c] - right[b][c])
+    def row(k):
+        p = mat_mul(gamma[k], omega)
+        return _skew(dim, combinations(range(dim), 2), lambda a, b:
+                     _deriv(omega[a][b], k) - p[a][b] + p[b][a], Series.zero(dim, _CAP - 1))
 
-    return _real(lambda firsts: [row(a) for a in firsts], dim)
+    return _real(lambda firsts: [row(k) for k in firsts], dim)
 
 
 def _cov0(t, slots, firsts):
@@ -866,11 +869,12 @@ def _aux_curvature(phi_e, n, rk_e):
     return out
 
 
-def _read_off_levi_civita(f, w, n):
+def _read_off_levi_civita(f, w, n, q):
     """The Bismut and normal-coordinate fields of the jet, in the xi frame,
     read off the frozen fields `f` (Tas, covTas, RTX, nablaXJ) and
-    w[k][l][a][b] = <(nabla_k nabla_l J) e_a, e_b>, the Levi-Civita second
-    derivative of J.  P(e) = (e + n) mod 2n, and J_a = i for a < n, -i else.
+    w = nabla nabla omega, the Levi-Civita w[k][l][a][b] =
+    <(nabla_k nabla_l J) e_a, e_b>.  P(e) = (e + n) mod 2n, J_a = i for a < n,
+    -i else.
 
     The Bismut connection is Levi-Civita plus S with SB = -Tas / 2, its
     lowered form (Bismut, Math. Ann. 1989).  On a lowered 2-tensor x,
@@ -899,10 +903,20 @@ def _read_off_levi_civita(f, w, n):
     neg_jmean = [[_ZERO if (a < n) != (b < n) else _MINUS_I if a < n else _I
                   for b in range(dim)] for a in range(dim)]
     jcurv = [ExactScalar.pi(1, "-2/3" if b < n else "2/3") for b in range(dim)]
+    pairs = [*combinations(range(dim), 2)]
+    hol = [(a < n) == (a % n >= q) for a in range(dim)]  # xi-frame slot a is (1,0) in z
+    mixed = [(a, b) for a, b in pairs if hol[a] != hol[b]]
 
     def moved(x, k, a, b):  # the pairs of (nabla^B_k - nabla^LC_k) x at (a, b)
         return ([(t, x[part[e]][b]) for e, t in nonzero[k][a]]
                 + [(t, x[a][part[e]]) for e, t in nonzero[k][b]])
+
+    @lru_cache(maxsize=None)  # dRL2[k][l] = dRL2[l][k], built for k <= l
+    def drl2(k, l):
+        return _skew(dim, pairs, lambda a, b: sum_products([
+            (w[k][l][a][b], _MINUS_2PI_I),
+            (rtx[k][l][a][b], jcurv[b]), (rtx[k][a][l][b], jcurv[b]),
+            (rtx[k][l][b][a], jcurv[part[a]]), (rtx[k][b][l][a], jcurv[part[a]])]))
 
     sb = _form(dim, 3, lambda a, b, c: tas[a][b][c] * _MINUS_HALF, _ZERO)
     nbj = _real_table(dim, 3, lambda k, a, b: nxj[k][a][b] + neg_jmean[a][b] * tas[k][a][b])
@@ -912,16 +926,13 @@ def _read_off_levi_civita(f, w, n):
         "dTas": _form(dim, 4, lambda a, b, c, d: sum_products([
             (cov[a][b][c][d], _ONE), (cov[b][a][c][d], _MINUS_ONE),
             (cov[c][a][b][d], _ONE), (cov[d][a][b][c], _MINUS_ONE)]), _ZERO),
-        "RB": _real_table(dim, 4, lambda a, b, c, d: sum_products([
+        "RB": _real_table(dim, 2, lambda a, b: _skew(dim, mixed, lambda c, d: sum_products([
             (rtx[a][b][c][d], _ONE), (cov[a][b][c][d], _MINUS_HALF),
-            (cov[b][a][c][d], _HALF), *moved(sb[b], a, c, d)])),
-        "nablaB2J": _real_table(dim, 4, lambda k, l, a, b: sum_products([
+            (cov[b][a][c][d], _HALF), *moved(sb[b], a, c, d)]))),
+        "nablaB2J": _real_table(dim, 2, lambda k, l: _skew(dim, mixed, lambda a, b: sum_products([
             (w[k][l][a][b], _ONE), (neg_jmean[a][b], cov[k][l][a][b]),
-            *moved(nbj[l], k, a, b), *moved(nxj[k], l, a, b)])),
+            *moved(nbj[l], k, a, b), *moved(nxj[k], l, a, b)]))),
         # the curvature form and its derivatives are imaginary
         "dRL1": _real(_subtables(dim, 3, lambda k, a, b: nxj[k][a][b] * _MINUS_2PI_I), dim, -1),
-        "dRL2": _real(_subtables(dim, 4, lambda k, l, a, b: sum_products([
-            (w[k][l][a][b], _MINUS_2PI_I),
-            (rtx[k][l][a][b], jcurv[b]), (rtx[k][a][l][b], jcurv[b]),
-            (rtx[k][l][b][a], jcurv[part[a]]), (rtx[k][b][l][a], jcurv[part[a]])])), dim, -1),
+        "dRL2": _real(_subtables(dim, 2, lambda k, l: drl2(min(k, l), max(k, l))), dim, -1),
     }

@@ -215,17 +215,21 @@ def validate_jet(jet) -> CheckReport:
     reality("dRL1", d1, 3, anti=True)
 
     # A relation between two entries, or a sum over the cyclic orders of
-    # three slots, is tested once per pair of entries or per cyclic orbit:
-    # it holds trivially at the other slots.
-    check("riemann-antisym-front", _indices(dim, 4),
-          lambda a, b, c, d: a > b or rtx[a][b][c][d].negates(rtx[b][a][c][d]))
-    check("riemann-antisym-back", _indices(dim, 4),
-          lambda a, b, c, d: c > d or rtx[a][b][c][d].negates(rtx[a][b][d][c]))
-    check("riemann-pair-symmetry", _indices(dim, 4),
-          lambda a, b, c, d: (a, b) > (c, d) or rtx[a][b][c][d] == rtx[c][d][a][b])
-    check("riemann-first-bianchi", _indices(dim, 4),
-          lambda a, b, c, d: a > b or a > c
-          or (rtx[a][b][c][d] + rtx[b][c][a][d] + rtx[c][a][b][d]).is_zero())
+    # three slots, is tested once per pair of entries or per cyclic orbit,
+    # in index order: it holds trivially at the other slots.
+    r = range(dim)
+    front = lambda: ((a, b, c, d) for a in r for b in range(a, dim) for c in r for d in r)
+    check("riemann-antisym-front", front(),
+          lambda a, b, c, d: rtx[a][b][c][d].negates(rtx[b][a][c][d]))
+    check("riemann-antisym-back", ((a, b, c, d) for a, b, c in _indices(dim, 3)
+                                   for d in range(c, dim)),
+          lambda a, b, c, d: rtx[a][b][c][d].negates(rtx[a][b][d][c]))
+    check("riemann-pair-symmetry", ((a, b, c, d) for a, b in _indices(dim, 2)
+                                    for c in range(a, dim) for d in range(b if c == a else 0, dim)),
+          lambda a, b, c, d: rtx[a][b][c][d] == rtx[c][d][a][b])
+    check("riemann-first-bianchi", ((a, b, c, d) for a in r for b in range(a, dim)
+                                    for c in range(a, dim) for d in r),
+          lambda a, b, c, d: (rtx[a][b][c][d] + rtx[b][c][a][d] + rtx[c][a][b][d]).is_zero())
 
     ric_scalar = _total(rtx[c][a][p[a]][p[c]] for a, c in _indices(dim, 2)).scale(4)
     rep.add_equal("scalar-curvature-contraction", jet.rX, ric_scalar)
@@ -304,8 +308,8 @@ def validate_jet(jet) -> CheckReport:
     # the engine quantizes RB once per unordered front pair and negates it for
     # the other order; the antisymmetrization check above sees RB only where
     # jsum is nonzero
-    check("bismut-curvature-antisym-front", _indices(dim, 4),
-          lambda a, b, c, d: a > b or rb[a][b][c][d].negates(rb[b][a][c][d]))
+    check("bismut-curvature-antisym-front", front(),
+          lambda a, b, c, d: rb[a][b][c][d].negates(rb[b][a][c][d]))
     # the routes read different entries of these forms, so an entry that is
     # not the conjugate of its partner makes them disagree
     reality("dTas", dtas, 4)

@@ -292,9 +292,10 @@ def _binomial(a: Matrix, p: int, q: int, name: str) -> Matrix:
             if a[i][j].value0() != want:
                 raise ValueError(f"matrix {name} needs identity constant term")
     x = mat_sub(a, ident)
-    s, power, coeff = ident, ident, rat(1)
+    s, power, coeff = ident, x, rat(1)
     for k in range(1, cap + 1):
-        power = mat_mul(power, x)
+        if k > 1:
+            power = mat_mul(power, x)
         coeff = coeff.scale(f"{p - q * (k - 1)}/{q * k}")
         s = mat_add(s, mat_scale(power, coeff))
     return s

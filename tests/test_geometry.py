@@ -406,8 +406,11 @@ def test_structure_derivative_consistency(jet_cache):
 
 def _pipeline_series(monkeypatch, n, q, seed):
     """Build the seed's jet and keep the series the pipeline passes between
-    its stages: RL, g, g^-1, the Levi-Civita Gamma, the torsion 3-form and J,
-    all in the coordinate frame, with the xi frame's slot order."""
+    its stages: RL, g, g^-1, the Levi-Civita Gamma and the torsion 3-form,
+    all in the coordinate frame, with the xi frame's slot order.  The
+    pipeline differentiates omega and forms no J, so J[a][c] = J^c_a =
+    omega_ab g^bc, omega = (i / 2 pi) RL, is formed here with the cap-2 g^-1
+    of the full-frame construction."""
     seen = {}
 
     def spy(name, keep):
@@ -423,8 +426,10 @@ def _pipeline_series(monkeypatch, n, q, seed):
     spy("_metric", lambda args, out: {"RL": args[0]})
     spy("_christoffels", lambda args, out: {"g": args[0], "ginv": args[1], "gamma": out})
     spy("_antisym_torsion", lambda args, out: {"tas": out})
-    spy("_nabla_J", lambda args, out: {"J": args[0]})
-    seen["jet"] = jet_from_potential(random_potential(n, q, seed), n=n, q=q)
+    phi = random_potential(n, q, seed)
+    seen["jet"] = jet_from_potential(phi, n=n, q=q)
+    omega = [[s.scale(ExactScalar.rational(0, "1/2", -1)) for s in row] for row in seen["RL"]]
+    seen["J"] = mat_mul(omega, metric_by_full_frame(phi, n)[1])
     seen["xi"] = [*range(n, n + q), *range(q, n), *range(q), *range(n + q, 2 * n)]
     return seen
 
@@ -505,13 +510,15 @@ def test_covariant_torsion_and_second_bismut_fields_keep_their_symmetries(jet_ca
     (2, 1, None), (3, 2, None), (4, 2, None), (3, 1, ("1/2", "-1/3", "1/4")), (1, 0, None),
 ])
 def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
-    """The pipeline inverts g once, through the block S of g_endo, and
-    g g^-1 = I exactly.
+    """The pipeline inverts g once, through the block S of g_endo, and keeps
+    g^-1 at cap 1, the degrees its readers (the Christoffels, h^-1 and
+    g^-1(0)) read; g g^-1 = I exactly at cap 1.
     g pairs unbarred with barred slots only, so the inverse of its block
-    h[j][k] = g[j][n+k] is the block ginv[n+j][k] of g^-1, in value and cap:
-    the Chern connection reads h^-1 there instead of inverting h again.
-    The pipeline forms the metric on its holomorphic block; g and g^-1 are
-    those of the full-frame construction on all 2n slots, entry and cap."""
+    h[j][k] = g[j][n+k], truncated to cap 1, is the block ginv[n+j][k] of
+    g^-1, in value and cap: the Chern connection reads h^-1 there instead of
+    inverting h again.  The pipeline forms the metric on its holomorphic
+    block; g and g^-1 are those of the full-frame construction on all 2n
+    slots, entry and cap, g^-1 truncated to cap 1."""
     seen, inverted = [], []
     real, real_inverse = geometry._christoffels, geometry.mat_inverse
 
@@ -533,6 +540,7 @@ def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
     assert len(inverted) == 1
     dim = 2 * n
     want_g, want_ginv = metric_by_full_frame(phi, n)
+    want_ginv = [[s.truncate(1) for s in row] for row in want_ginv]
     for got, want in ((g, want_g), (ginv, want_ginv)):
         for a, b in product(range(dim), repeat=2):
             assert got[a][b] == want[a][b] and got[a][b].cap == want[a][b].cap, (a, b)
@@ -542,8 +550,11 @@ def test_metric_inverse_holds_the_hermitian_inverse(monkeypatch, n, q, twist):
     hinv = mat_scale(mat_inverse(mat_scale([[g[j][n + k] for k in range(n)] for j in range(n)],
                                            two)), two)
     for j, k in product(range(n), repeat=2):
-        assert hinv[j][k] == ginv[n + j][k] and hinv[j][k].cap == ginv[n + j][k].cap, (j, k)
-    assert mat_mul(g, ginv) == mat_identity(dim, dim, ginv[0][0].cap)
+        h1 = hinv[j][k].truncate(1)
+        assert h1 == ginv[n + j][k] and h1.cap == ginv[n + j][k].cap == 1, (j, k)
+    product_ = mat_mul(g, ginv)
+    assert product_ == mat_identity(dim, dim, 1)
+    assert all(s.cap == 1 for row in product_ for s in row)
 
 
 @pytest.mark.parametrize("n, q, seed", [(1, 0, 3), (2, 1, 5), (3, 2, 5), (3, 1, 0)])
@@ -753,7 +764,7 @@ def test_mirrored_stages_match_the_direct_build(jet_cache, monkeypatch, n, q, tw
     phi_e = None if twist is None else parse_potential(
         {f"z{j + 1} zb{j + 1}": [{"pi_pow": 1, "re": c, "im": "0"}] for j, c in enumerate(twist)}, n)
     jet = jet_from_potential(random_potential(n, q, 5), phi_e, n=n, q=q, rk_e=rk_e)
-    assert built.count(-1) == 2 and len(built) == 15
+    assert built.count(-1) == 2 and len(built) == 13
     assert jet.jet_id == mirrored.jet_id and jet.rX == mirrored.rX
     for name in _TENSOR_FIELDS:
         assert getattr(jet, name) == getattr(mirrored, name), name
@@ -787,6 +798,37 @@ def test_forms_match_the_direct_build(jet_cache, monkeypatch, n, q, twist):
     assert jet.jet_id == formed.jet_id and jet.rX == formed.rX
     for name in _TENSOR_FIELDS:
         assert getattr(jet, name) == getattr(formed, name), name
+
+
+@pytest.mark.parametrize("n, q, seed", _BASELINE_JETS)
+def test_skew_tables_match_the_direct_build(jet_cache, monkeypatch, n, q, seed):
+    """nabla omega, RB, nablaB2J and dRL2 fill each table of their last two
+    slots through `_skew` from the pairs c < d, RB and nablaB2J from the
+    mixed-type pairs only, and dRL2 once per unordered front pair (k, l).
+    Evaluating every (c, d) gives each table the same entries and caps, and
+    the same jet, field by field."""
+    real, sizes = geometry._skew, []
+    dim = 2 * n
+
+    def direct(dim_, pairs, fn, zero=geometry._ZERO):
+        pairs = list(pairs)
+        got, want = real(dim_, pairs, fn, zero), geometry._table(dim_, 2, fn)
+        for c, d in product(range(dim_), repeat=2):
+            x, y = got[c][d], want[c][d]
+            assert x == y and getattr(x, "cap", None) == getattr(y, "cap", None), (c, d)
+        sizes.append(len(pairs))
+        return want
+
+    monkeypatch.setattr(geometry, "_skew", direct)
+    jet = jet_from_potential(random_potential(n, q, seed), n=n, q=q)
+    # nabla omega per direction k < n, RB and nablaB2J per (a, b) with a < n,
+    # and dRL2 per (k, l) with k < n, less the (k, l) with l < k < n
+    assert len(sizes) == n + 4 * n * n + 2 * n * n - n * (n - 1) // 2
+    assert set(sizes) == {dim * (dim - 1) // 2, n * n}
+    want = jet_cache("random", n, q, seed)
+    assert jet.jet_id == want.jet_id and jet.rX == want.rX
+    for name in _TENSOR_FIELDS:
+        assert getattr(jet, name) == getattr(want, name), name
 
 
 def _entry(t, idx):
