@@ -101,7 +101,7 @@ def _write_jet(jet: GeometryJet, path: str) -> int:
     """Validate a jet and write it; on failure write nothing."""
     if not _valid(jet):
         return EXIT_VALIDATION
-    pieces = jet.to_pieces(file=True)  # built first, so a failure leaves no partial file
+    pieces = jet.to_pieces()  # built first, so a failure leaves no partial file
     with open(path, "w") as fh:
         fh.writelines(pieces)
     print(f"wrote jet {jet.jet_id} to {path}")

@@ -23,7 +23,10 @@ relabeled to the xi-adapted frame: xi_j = zbar_j for j <= q and z_j
 otherwise, so index a < n means d/dxi_{a+1} and a >= n its conjugate.  In
 that frame the structure map is +i on all unbarred directions.  All stored
 components are C-multilinear in the coordinate frame; the metric at the
-point pairs index a with a+n (mod 2n) with value 1/2.
+point pairs index a with a+n (mod 2n) with value 1/2, and its inverse with
+value 2.  The normalized Hessian fixes both (`_check_hessian`), so the
+pipeline reads no value of g or g^-1 at the point: it lowers RTX and
+contracts rX with that pairing.
 
 The pipeline has one series connection, Levi-Civita.  Every covariant
 derivative and curvature it reads at the base point comes from one helper,
@@ -40,10 +43,10 @@ connection, the torsion, the curvatures, nabla omega and every base-point
 derivative are real: T[c(i1)]..[c(ik)] = conj T[i1]..[ik] with
 c(a) = (a + n) mod 2n.
 R = d dbar phi and its covariant derivatives are imaginary (a minus sign).
-Each of these stages but the forms (below) builds the entries whose first
-index is < n and mirrors the rest through `_real`; exact,
-conjugation-equivariant arithmetic makes them the entries a direct build
-gives.
+Each of these stages but the forms (below) and nabla nabla omega (stage 5)
+builds the entries whose first index is < n and mirrors the rest through
+`_real`; exact, conjugation-equivariant arithmetic makes them the entries a
+direct build gives.
 A stage read only by a contraction of its last slot (`_contract_real`) is
 not mirrored at all: the contraction reads the first half and mirrors its
 own result.
@@ -65,9 +68,10 @@ type only (Bismut preserves J), and dRL2 once per unordered (k, l).
 Stages.  `jet_from_potential` runs its stages in dependency order:
   1. the curvature form RL = d dbar phi and the metric g, g^-1;
   2. the Levi-Civita Christoffels;
-  3. the Levi-Civita curvature: RTX, rX;
+  3. the Levi-Civita curvature: RTX, lowered by the partner pairing, and rX;
   4. the Chern connection and the torsion: trRT10, Tas, covTas;
-  5. the Levi-Civita nabla omega: nablaXJ, and its covariant derivative at 0;
+  5. the Levi-Civita nabla omega: nablaXJ, and its covariant derivative at 0
+     in the directions xi_k, k < n, the only ones stage 6 reads;
   6. in the xi frame, from the frozen fields and that derivative
      (`_read_off_levi_civita`): SB, nablaBJ, dTas, RB, nablaB2J, dRL1, dRL2;
   7. the auxiliary curvature RE.
@@ -115,6 +119,7 @@ _MINUS_ONE = rat(-1)
 _HALF = rat("1/2")
 _MINUS_HALF = rat("-1/2")
 _TWO = rat(2)
+_FOUR = rat(4)
 _I = ExactScalar.i()
 _MINUS_I = -_I
 _MINUS_2PI_I = ExactScalar.rational(0, -2, 1)
@@ -280,9 +285,12 @@ class GeometryJet:
     @cached_property
     def jet_id(self) -> str:
         """The first 16 hex digits of the sha256 of the compact text, hashed
-        when first read or while the file text is written: a jet whose id is
-        never read and that is never written is never hashed."""
-        return _hashed(self)
+        when first read, or from the file's pieces if the jet is written
+        first: a jet whose id is never read and that is never written is
+        never hashed."""
+        digest = hashlib.sha256()
+        _emit(self, None, lambda text: digest.update(text.encode()))
+        return digest.hexdigest()[:16]
 
     def is_torsion_free(self) -> bool:
         return _allzero(self.Tas) and _allzero(self.covTas) and _allzero(self.dTas)
@@ -298,20 +306,27 @@ class GeometryJet:
         Both are byte for byte what `json.dumps` writes of the jet's JSON
         body with those options.
         """
-        return "".join(self.to_pieces(file=file))
-
-    def to_pieces(self, *, file: bool = False) -> list[str]:
-        """`to_text` in pieces, one key or one field value each.  A file's
-        walk also hashes the compact text, field by field, if the id is not
-        yet known."""
-        pieces: list[str] = []
-        layout = (2 if file else None, pieces.append)
-        if file and "jet_id" not in self.__dict__:
-            self.__dict__["jet_id"] = _hashed(self, layout)
-        else:
-            _emit(self, layout)
         if file:
-            pieces[_ID_AT:_ID_AT] = [',\n "jet_id": ', json.dumps(self.jet_id)]
+            return "".join(self.to_pieces())
+        out: list[str] = []
+        _emit(self, None, out.append)
+        return "".join(out)
+
+    def to_pieces(self) -> list[str]:
+        """The file's text in pieces, one key or one field value each.  No
+        string of a jet but the frame holds white space, so the compact text
+        is the file's with its white space taken out: if the id is not yet
+        known, it is hashed from the pieces so squeezed, the frame's as it is."""
+        pieces: list[str] = []
+        _emit(self, 2, pieces.append)
+        if "jet_id" not in self.__dict__:
+            digest = hashlib.sha256()
+            for i, piece in enumerate(pieces):
+                if i != _FRAME_AT:
+                    piece = piece.replace("\n", "").replace(" ", "")
+                digest.update(piece.encode())
+            self.__dict__["jet_id"] = digest.hexdigest()[:16]
+        pieces[_ID_AT:_ID_AT] = [',\n "jet_id": ', json.dumps(self.jet_id)]
         return pieces
 
     @classmethod
@@ -361,95 +376,66 @@ _KEY_PIECES = {
             for i, k in enumerate(_BODY_KEYS)}
     for level, indent, colon in ((None, "", ":"), (2, "\n ", ": "))}
 _ID_AT = 2 * sum(k < "jet_id" for k in _BODY_KEYS)  # where a file's id goes in its pieces
+_FRAME_AT = 2 * _BODY_KEYS.index("frame") + 1  # the frame's value in the pieces
 _CONSTANTS = {"frame": json.dumps(_FRAME), "schema": json.dumps(JET_SCHEMA)}
 
 
-def _emit(jet: GeometryJet, *layouts) -> None:
-    """Write the jet's JSON body, `jet_id` left out, in each layout `(level,
-    sink)`, all in one walk: field by field in sorted-key order, each sink
-    called with the key's piece, then the whole text of the value, and at
-    last the closing brace.
-
-    A layout is the compact one (level None) or the file's (level 2).
-    """
-    levels = [level for level, _ in layouts]
+def _emit(jet: GeometryJet, level: int | None, sink) -> None:
+    """Write the jet's JSON body, `jet_id` left out, in the compact layout
+    (level None) or the file's (level 2): field by field in sorted-key order,
+    `sink` called with the key's piece, then the whole text of the value,
+    and at last the closing brace."""
     for key in _BODY_KEYS:
-        value = _CONSTANTS[key] if key in _CONSTANTS else getattr(jet, key)
+        sink(_KEY_PIECES[level][key])
         rank = _TENSOR_FIELDS.get(key)
         if rank is not None:
-            rank += 2 * (key == "RE")
-            outs: list[list[str]] = [[] for _ in layouts]
-            _text(value, rank, _layers(levels, rank), outs)
-            texts = ["".join(out) for out in outs]
+            out: list[str] = []
+            # the memo lasts one field: kept over a whole dense (3,2) jet
+            # file, it held 0.78 MB of texts, more than the file itself
+            _text(getattr(jet, key), rank + 2 * (key == "RE"), level, {}, out)
+            sink("".join(out))
         elif key == "rX":
-            texts = [_payload(value, *_punctuation(level)) for level in levels]
+            sink(_payload(jet.rX, *_punctuation(level)))
         else:
-            texts = [str(value)] * len(layouts)
-        for (level, sink), text in zip(layouts, texts):
-            sink(_KEY_PIECES[level][key])
-            sink(text)
-    for level, sink in layouts:
-        sink("}" if level is None else "\n}")
+            sink(_CONSTANTS.get(key) or str(getattr(jet, key)))
+    sink("}" if level is None else "\n}")
 
 
-def _hashed(jet: GeometryJet, *layouts) -> str:
-    """`_emit` into `layouts` and, in the same walk, the compact text into a
-    sha256, one field at a time: the id, the first 16 hex digits."""
-    digest = hashlib.sha256()
-    _emit(jet, *layouts, (None, lambda text: digest.update(text.encode())))
-    return digest.hexdigest()[:16]
-
-
-def _layers(levels: list, rank: int) -> list:
-    """How `_text` writes a field `rank` deep whose items sit at indent
-    `levels[i]` in layout i: at index r >= 1, per layout, the open,
-    separator and close of the lists r deep; at index 0 the scalar
-    formatter of each layout, an empty memo of scalar texts and the texts
-    of zero.
-
-    The memo lasts one field: kept over a whole dense (3,2) jet file, it
-    held 0.78 MB of texts, more than the file itself."""
-    layers: list = [None] * (rank + 1)
-    for r in range(rank, 0, -1):
-        layers[r] = [_punctuation(level)[:3] for level in levels]
-        levels = [None if level is None else level + 1 for level in levels]
-    layers[0] = ([_punctuation(level) for level in levels], {}, ["[]"] * len(levels))
-    return layers
-
-
-def _text(t, rank: int, layers: list, outs: list[list[str]]) -> None:
+def _text(t, rank: int, level: int | None, memo: dict, out: list[str]) -> None:
     """Append the JSON text of `t`, nested tuples `rank` >= 2 deep over
-    scalars, to `outs[i]` in layout i of `layers` (see `_layers`), as
-    `json.dumps` of their payloads writes it.
+    scalars whose items sit at indent `level` (None: the compact layout), to
+    `out`, as `json.dumps` of their payloads writes it.
 
-    The memo maps a scalar's fields to its texts in the field: a jet repeats
-    most of its values (a dense (3,2) jet holds about 1,600 distinct values
-    in 4,000 nonzero entries).
+    The memo maps a scalar's fields to its text: a jet repeats most of its
+    values (a dense (3,2) jet holds about 1,600 distinct values in 4,000
+    nonzero entries).
     """
-    layer = layers[rank]
+    start, sep, end, _ = _punctuation(level)
+    inner = None if level is None else level + 1
+    out.append(start)
     if rank > 2:
         for i, x in enumerate(t):
-            for out, punct in zip(outs, layer):
-                out.append(punct[1] if i else punct[0])
-            _text(x, rank - 1, layers, outs)
+            if i:
+                out.append(sep)
+            _text(x, rank - 1, inner, memo, out)
     else:
-        formats, memo, zero = layers[0]
+        row_start, row_sep, row_end, _ = _punctuation(inner)
+        punct = _punctuation(None if inner is None else inner + 1)
         for i, scalars in enumerate(t):
             row = []
             for s in scalars:
                 if not s._num:  # about half of a jet's entries are zero
-                    row.append(zero)
+                    row.append("[]")
                     continue
                 key = (s._den, *s._num.items())
-                texts = memo.get(key)
-                if texts is None:
-                    texts = memo[key] = [_payload(s, *punct) for punct in formats]
-                row.append(texts)
-            for out, punct, (start, sep, end), texts in zip(outs, layer, layers[1], zip(*row)):
-                out.append(punct[1] if i else punct[0])
-                out.append(start + sep.join(texts) + end)
-    for out, punct in zip(outs, layer):
-        out.append(punct[2])
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = _payload(s, *punct)
+                row.append(text)
+            if i:
+                out.append(sep)
+            out.append(row_start + row_sep.join(row) + row_end)
+    out.append(end)
 
 
 def _payload(s: ExactScalar, start: str, sep: str, end: str, item) -> str:
@@ -524,7 +510,6 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
             RL[a][n + b] = d2
             RL[n + b][a] = -d2
     g, ginv = _metric(RL, n)
-    g0, ginv0 = _at0(g), _at0(ginv)
 
     # 2. Levi-Civita data
     gamma = _christoffels(g, ginv)
@@ -532,9 +517,9 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     lc = (gam0, False)
 
     # 3. the Levi-Civita curvature
-    rtx = _contract_real(_curvature(gamma, gam0), g0)
+    rtx = _curvature(gamma, gam0)
     freeze("RTX", rtx)
-    rX = _scalar_curvature(rtx, ginv0)
+    rX = _scalar_curvature(rtx)
     del rtx
 
     # 4. the torsion of the Chern connection on the holomorphic tangent bundle
@@ -551,7 +536,8 @@ def jet_from_potential(phi_l: Series, phi_e: Series | None = None, *,
     nom = _nabla_omega(RL, gamma)
     del RL, gamma
     freeze("nablaXJ", _at0(nom))
-    w = _relabel(_real(partial(_cov0, nom, [lc, lc, lc]), dim), xi, 4)
+    # the read-off reads w[k] at xi-frame k < n only
+    w = [_relabel(t, xi, 3) for t in _cov0(nom, [lc, lc, lc], xi[:n])]
     del nom
 
     # 6. the Bismut and normal-coordinate fields, already in the xi frame
@@ -620,10 +606,14 @@ def _real(build, dim: int, sign: int = 1) -> list:
     """The real (sign = 1) or imaginary (sign = -1) tensor t whose subtensors
     t[a], a in `firsts`, are `build(firsts)`: t[a] is built for a < n only, and
     t[c(i1)]..[c(ik)] = sign conj t[i1]..[ik] with c(a) = (a + n) mod 2n."""
-    n = dim // 2
-    half = build(range(n))
-    swap = [*range(n, dim), *range(n)]
+    half = build(range(dim // 2))
+    swap = _partners(dim)
     return half + [_mirror(t, swap, sign) for t in half]
+
+
+def _partners(dim: int) -> list[int]:
+    """The partner c(a) = (a + n) mod 2n of each slot index a."""
+    return [*range(dim // 2, dim), *range(dim // 2)]
 
 
 def _mirror(t, swap: list[int], sign: int):
@@ -664,21 +654,9 @@ def _d0(s: Series, *slots: int) -> ExactScalar:
 
 
 def _contract_last(t, m):
-    """Contract the last slot of `t` with the first slot of the matrix `m`.
-
-    With m = g(0) this lowers an index of values at the base point; with the
-    series inverse metric it raises an index of series.  Each entry is one
-    fused sum over the nonzero factor pairs, the nonzero entries of each
-    column of a value matrix listed once; a series sum keeps the minimum cap
-    of all its factors.
-    """
-    rows = _rows(t)
-    if isinstance(rows[0][0], Series):
-        out = mat_mul(rows, m)
-    else:
-        cols = [[(r, v) for r, v in enumerate(col) if not v.is_zero()] for col in zip(*m)]
-        out = [[sum_products([(row[r], v) for r, v in col]) for col in cols] for row in rows]
-    return _nest(t, iter(out))
+    """Contract the last slot of a series tensor `t` with the first slot of
+    the series matrix `m`; each sum keeps the minimum cap of its factors."""
+    return _nest(t, iter(mat_mul(_rows(t), m)))
 
 
 def _contract_real(build, m):
@@ -741,27 +719,26 @@ def _chern_connection(g, ginv, n):
 
 
 def _curvature(gamma, gam0):
-    """R(e_a, e_b) e_c at the base point, output slot last and raised, as the
-    build function that `_real` and `_contract_real` take (the pipeline
-    lowers it into RTX).
+    """RTX at the base point: <R(e_a, e_b) e_c, e_d>, lowered by g(0), which
+    pairs d with P(d) = (d + n) mod 2n only, with value 1/2.
 
     X = d_a Gamma^e_bc + Gamma^e_af Gamma^f_bc is the base-point derivative
     of Gamma with its output slot transported; R is its antisymmetrization.
     """
     dim = len(gamma)
+    part = _partners(dim)
     x = _real(partial(_cov0, gamma, [None, None, (gam0, True)]), dim)
-    return _subtables(dim, 4, lambda a, b, c, e: x[a][b][c][e] - x[b][a][c][e])
+    return _real_table(dim, 4, lambda a, b, c, d: sum_products([
+        (x[a][b][c][part[d]], _HALF), (x[b][a][c][part[d]], _MINUS_HALF)]))
 
 
-def _scalar_curvature(rtx, ginv0) -> ExactScalar:
-    """g^ab g^cd R_cabd at the base point."""
-    dim = len(ginv0)
-    pairs = [(a, b) for a in range(dim) for b in range(dim) if not ginv0[a][b].is_zero()]
-    r = _ZERO
-    for a, b in pairs:
-        for c, d in pairs:
-            r = r + ginv0[a][b] * ginv0[c][d] * rtx[c][a][b][d]
-    return r
+def _scalar_curvature(rtx) -> ExactScalar:
+    """g^ab g^cd R_cabd at the base point, where g^-1(0) pairs a with P(a)
+    only, with value 2."""
+    dim = len(rtx)
+    part = _partners(dim)
+    return sum_products([(rtx[c][a][part[a]][part[c]], _FOUR)
+                         for a in range(dim) for c in range(dim)])
 
 
 def _chern_trace_form(gamma_ch, n):
@@ -896,7 +873,7 @@ def _read_off_levi_civita(f, w, n, q):
                          + RTX[k][a][l][b]) - J_a (RTX[k][l][b][a] + RTX[k][b][l][a])).
     """
     dim = 2 * n
-    part = [*range(n, dim), *range(n)]
+    part = _partners(dim)
     tas, cov, rtx, nxj = f["Tas"], f["covTas"], f["RTX"], f["nablaXJ"]
     nonzero = [[[(e, t) for e, t in enumerate(row) if not t.is_zero()] for row in m] for m in tas]
     # -(J_a + J_b) / 2, and (2 pi i / 3) J_b

@@ -471,16 +471,17 @@ def test_a_payload_that_only_equals_a_valid_one_is_refused(small_jet_body, tmp_p
 
 
 def test_one_walk_each_way(tmp_path, capsys, monkeypatch):
-    """`jet build` walks each tensor field once, writing the file layout and
-    hashing the compact one together; `b1 crosscheck` walks each loaded field
-    once, when it reads the id.  Neither calls `to_text`."""
+    """`jet build` walks each tensor field once, in the file layout, and
+    hashes the id from the file's pieces with no compact walk; `b1
+    crosscheck` walks each loaded field once, in the compact layout, when it
+    reads the id.  Neither calls `to_text`."""
     walks = []
     text = geometry._text
 
-    def spy(t, rank, layers, outs):
-        if len(layers) == rank + 1:  # a whole field, not a list inside one
-            walks.append((rank, len(outs)))
-        return text(t, rank, layers, outs)
+    def spy(t, rank, level, memo, out):
+        if not out:  # a whole field, not a list inside one
+            walks.append((rank, level))
+        return text(t, rank, level, memo, out)
 
     def no_text(self, **kw):
         raise AssertionError("to_text called")
@@ -495,7 +496,7 @@ def test_one_walk_each_way(tmp_path, capsys, monkeypatch):
     assert walks == [(rank, 2) for rank in ranks]
     walks.clear()
     assert main(["b1", "crosscheck", "--jet", str(path)]) == 0
-    assert walks == [(rank, 1) for rank in ranks]
+    assert walks == [(rank, None) for rank in ranks]
     out = capsys.readouterr().out
     assert out.startswith("wrote jet 92d5bb2e9ad3c406 ")
     assert json.loads(out[out.index("{"):])["jet_id"] == "92d5bb2e9ad3c406"
